@@ -2,11 +2,12 @@
 precision certificates, level/weight prediction for mod-p Galois data, and
 Hecke-polynomial attachment checks."""
 
+from types import ModuleType as _ModuleType
+
 from .arith import (
     ORD_INFINITY,
     Fp2Elem,
     Fp2Model,
-    FpElem,
     cube_root_of_unity,
     fp2_make,
     frobenius_conjugate,
@@ -74,5 +75,8 @@ from .weights import (
     predicted_weights,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 __version__ = "0.1.0"

@@ -1,4 +1,7 @@
-"""Exact arithmetic layer: p-adic valuations, F_p and F_{p^2}.
+"""Exact arithmetic layer: p-adic valuations and the finite fields F_{p^2}.
+
+There is one finite-field element type, ``Fp2Elem``; an element of the prime
+field F_p is an ``Fp2Elem`` with c1 == 0.
 
 Everything here is immutable and pure; rationals are ``fractions.Fraction``
 (always lowest terms, positive denominator), valuations are additive with
@@ -61,66 +64,6 @@ def ord_p(x: Rational, p: int):
 
 
 # ---------------------------------------------------------------------------
-# prime fields
-
-
-@dataclass(frozen=True)
-class FpElem:
-    """An element of F_p, stored as the representative in [0, p)."""
-
-    p: int
-    value: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _coerce(self, other) -> "FpElem":
-        if isinstance(other, FpElem):
-            if other.p != self.p:
-                raise ValueError("mixed characteristics")
-            return other
-        return FpElem(self.p, int(other))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FpElem(self.p, self.value + other.value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return FpElem(self.p, self.value - other.value)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FpElem(self.p, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElem(self.p, -self.value)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return FpElem(self.p, pow(self.value, e, self.p))
-
-    def inverse(self) -> "FpElem":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of 0 in F_p")
-        return FpElem(self.p, pow(self.value, self.p - 2, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.p})"
-
-
-# ---------------------------------------------------------------------------
 # quadratic extensions
 
 
@@ -156,10 +99,6 @@ class Fp2Elem:
             if other.p != self.p:
                 raise ValueError("mixed characteristics")
             return other
-        if isinstance(other, FpElem):
-            if other.p != self.p:
-                raise ValueError("mixed characteristics")
-            return Fp2Elem(self.p, other.value, 0)
         return Fp2Elem(self.p, int(other), 0)
 
     def __add__(self, other):
@@ -261,23 +200,17 @@ def frobenius_conjugate(x: Fp2Elem) -> Fp2Elem:
     return x.frobenius()
 
 
-def cube_root_of_unity(p: int):
-    """A primitive cube root of unity mod p.
+def cube_root_of_unity(p: int) -> Fp2Elem:
+    """A primitive cube root of unity mod p, as an element of F_{p^2}.
 
-    Lives in F_p when 3 | p-1 (returned as FpElem), otherwise in F_{p^2}
-    (returned as Fp2Elem).  Characteristic 3 has none.
+    The first root of z^2 + z + 1 in the order of ``Fp2Model.elements``.
+    When 3 | p-1 that polynomial splits over F_p, so the root found lies in
+    the prime field (c1 == 0).  Characteristic 3 has none.
     """
     _require_prime(p)
     if p == 3:
         raise InconsistencyError("no primitive cube root in characteristic 3")
-    if (p - 1) % 3 == 0:
-        for v in range(2, p):
-            if pow(v, 3, p) == 1:
-                return FpElem(p, v)
-        raise AssertionError("unreachable: 3 | p-1 guarantees an order-3 element")
-    model = fp2_make(p)
-    one = model.one()
-    for z in model.elements():
-        if z != one and z * z + z + 1 == Fp2Elem(p, 0, 0):
+    for z in fp2_make(p).elements():
+        if not z * z + z + 1:
             return z
     raise AssertionError("unreachable: F_{p^2}^* is cyclic of order divisible by 3")

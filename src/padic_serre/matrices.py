@@ -1,5 +1,6 @@
 """Small-matrix helpers over F_{p^2}: products, characteristic polynomials,
-element orders, and brute-force closure of finitely generated matrix groups.
+element orders, closure of finitely generated matrix groups, and the one
+classifier of group elements, by (order, trace).
 
 Matrices are tuples of row tuples of Fp2Elem, so they hash and can be
 dictionary keys during closure walks.
@@ -67,17 +68,6 @@ def mat_order(a: Matrix, cap: int = 10000) -> int:
     raise ValueError("order exceeds cap")
 
 
-def mat_inverse(a: Matrix, order_cap: int = 10000) -> Matrix:
-    """Inverse via the element's finite order (all our matrices live in
-    finite groups, so a^(ord-1) is cheapest and stays exact)."""
-    n = mat_order(a, order_cap)
-    p = a[0][0].p
-    x = identity(p, len(a))
-    for _ in range(n - 1):
-        x = mat_mul(x, a)
-    return x
-
-
 def charpoly3_reversed(a: Matrix) -> list[Fp2Elem]:
     """Coefficients [1, c1, c2, c3] of det(I - a*t) for a 3x3 matrix.
 
@@ -109,3 +99,14 @@ def closure(generators, cap: int = 100000) -> set[Matrix]:
                         raise ValueError("closure exceeded cap")
         frontier = nxt
     return seen
+
+
+def classes_by_order_trace(group) -> dict[tuple[int, Fp2Elem], list[Matrix]]:
+    """Bucket the elements of a finite matrix group by (order, trace).
+
+    Buckets and their members keep the iteration order of ``group``, so the
+    first member of each bucket is a deterministic representative."""
+    buckets: dict[tuple[int, Fp2Elem], list[Matrix]] = {}
+    for m in group:
+        buckets.setdefault((mat_order(m), trace(m)), []).append(m)
+    return buckets

@@ -1,13 +1,13 @@
 """Derivation of an explicit copy of the triple cover inside SL_3(F_25),
 used as an independent oracle for the frozen class data in rep3a6.
 
-Construction, from scratch each run (deterministic, a few seconds):
+Construction, from scratch each run (deterministic):
 
-1.  Generate SL_2(F_5) (120 matrices) and push it through the symmetric
-    square: a 60-element icosahedral subgroup H of SL_3(F_5), acting
-    irreducibly in dimension 3.
-2.  Inside H, locate a Klein four-subgroup and its normalizer K, a
-    12-element tetrahedral subgroup.
+1.  Close over the two transvection generators of SL_2(F_5) and push the
+    result through the symmetric square: a 60-element icosahedral subgroup
+    H of SL_3(F_5), acting irreducibly in dimension 3.
+2.  Inside H, locate a Klein four-subgroup V and its normalizer K (the m
+    with m*V = V*m), a 12-element tetrahedral subgroup.
 3.  The cover is generated by H together with one extra involution M that
     normalizes K *up to central scalars*: conjugation by M sends a
     tetrahedral element k to chi(k) * theta(k), where theta is an outer
@@ -20,15 +20,19 @@ Construction, from scratch each run (deterministic, a few seconds):
     the finitely many candidate images, solve each system over F_25,
     rescale to determinant one (three choices, differing by a cube root of
     unity -- exactly the three lifts), and keep the scaling of order 2.
-4.  The closure of H and M has order 1080 with center of order 3: the
-    triple cover.  Everything else the scan can produce is rejected by
-    that count (an inner twist reproduces H itself, and the chi-trivial
-    outer twists land in the 120-element symmetric-group extension that
-    char 5 happens to admit), so the scan is self-verifying.
+4.  The closure of the two Sym^2 generators of H and M has order 1080 with
+    center of order 3: the triple cover.  Everything else the scan can
+    produce is rejected by that count (an inner twist reproduces H itself,
+    and the chi-trivial outer twists land in the 120-element
+    symmetric-group extension that char 5 happens to admit), so the scan is
+    self-verifying.
 
-Elements are then classified by (order, trace): order and trace separate
-all thirteen coarse classes, with the scalar z*I assigned to class "3a"
-for the deterministic cube root z (the trace-3z convention).
+Elements are then bucketed by (order, trace), which separates all thirteen
+coarse classes: the scalars z*I and z^2*I (traces 3z and 3z^2, for the
+deterministic cube root z) are classes "3a" and "3b", and in orders 6, 12
+and 15 the trace picks the central twist.  The inverse of a class is read
+from the representative's characteristic polynomial, whose t^2 coefficient
+is the trace of the inverse (determinant one).
 """
 
 from __future__ import annotations
@@ -40,40 +44,20 @@ from .errors import InconsistencyError
 from .matrices import (
     Matrix,
     charpoly3_reversed,
+    classes_by_order_trace,
     closure,
+    det3,
     identity,
     mat,
-    mat_inverse,
     mat_mul,
     mat_order,
     scalar_mul,
-    trace,
 )
-from .rep3a6 import sym_square
-
-
-def _sl2_f5() -> set[Matrix]:
-    model = fp2_make(5)
-    one, zero = model.one(), model.zero()
-    gens = [
-        mat([[one, one], [zero, one]]),
-        mat([[one, zero], [one, one]]),
-    ]
-    group = closure(gens)
-    if len(group) != 120:
-        raise AssertionError(f"SL_2(F_5) closure has {len(group)} elements")
-    return group
+from .rep3a6 import sl2_generators, sym_square, sym_square_group
 
 
 def _mat_key(m: Matrix):
     return tuple((x.c0, x.c1) for row in m for x in row)
-
-
-def _icosahedral_subgroup() -> list[Matrix]:
-    h = {sym_square(m) for m in _sl2_f5()}
-    if len(h) != 60:
-        raise AssertionError(f"expected 60 elements, got {len(h)}")
-    return sorted(h, key=_mat_key)
 
 
 def _tetrahedral_normalizer(h: list[Matrix]) -> list[Matrix]:
@@ -84,11 +68,12 @@ def _tetrahedral_normalizer(h: list[Matrix]) -> list[Matrix]:
     v = next(m for m in invol if m not in (u,) and mat_mul(u, m) == mat_mul(m, u))
     v4 = {e, u, v, mat_mul(u, v)}
     hset = set(h)
-    k = [
-        m
-        for m in h
-        if all(mat_mul(mat_mul(m, x), mat_inverse(m)) in v4 for x in v4)
-    ]
+
+    def normalizes(m: Matrix) -> bool:
+        v4_m = {mat_mul(x, m) for x in v4}
+        return all(mat_mul(m, x) in v4_m for x in v4)
+
+    k = [m for m in h if normalizes(m)]
     if len(k) != 12:
         raise AssertionError(f"normalizer has {len(k)} elements, expected 12")
     assert set(mat_mul(a, b) for a in k for b in k) <= hset
@@ -148,20 +133,20 @@ def _intertwiners(k1: Matrix, im1: Matrix, k2: Matrix, im2: Matrix, p: int):
 def triple_cover_group() -> list[Matrix]:
     """The 1080-element cover in SL_3(F_25), sorted deterministically."""
     p = 5
-    h = _icosahedral_subgroup()
+    h = sorted(sym_square_group(p, (1,)), key=_mat_key)
+    if len(h) != 60:
+        raise AssertionError(f"expected 60 elements, got {len(h)}")
     k = _tetrahedral_normalizer(h)
-    k1 = next(m for m in k if mat_order(m, 15) == 2)
-    k2 = next(m for m in k if mat_order(m, 15) == 3)
     order2 = [m for m in k if mat_order(m, 15) == 2]
     order3 = [m for m in k if mat_order(m, 15) == 3]
+    k1, k2 = order2[0], order3[0]
     e = identity(p, 3)
     model = fp2_make(p)
     z = cube_root_of_unity(p)
     units = [model.elem(c0, c1) for c0 in range(p) for c1 in range(p)][1:]
     # order-3 images may carry a central cube-root twist; Klein images may not
     order3_twisted = [scalar_mul(z**j, m) for m in order3 for j in (0, 1, 2)]
-    from .matrices import det3
-
+    h_gens = [sym_square(g) for g in sl2_generators(p, (1,))]
     for im1 in order2:
         for im2 in order3_twisted:
             m0 = _intertwiners(k1, im1, k2, im2, p)
@@ -175,7 +160,7 @@ def triple_cover_group() -> list[Matrix]:
                 if mat_mul(m, m) != e:
                     continue
                 try:
-                    group = closure(h + [m], cap=1300)
+                    group = closure(h_gens + [m], cap=1300)
                 except ValueError:
                     continue
                 if len(group) == 1080:
@@ -183,21 +168,18 @@ def triple_cover_group() -> list[Matrix]:
     raise AssertionError("triple cover construction failed")
 
 
-def _scalar_class(m: Matrix, z: Fp2Elem):
-    """0, 1, 2 when m is the identity times z^i, else None."""
-    p = m[0][0].p
-    zero = Fp2Elem(p, 0, 0)
-    diag = m[0][0]
-    for i in range(3):
-        for j in range(3):
-            if i != j and m[i][j] != zero:
-                return None
-        if m[i][i] != diag:
-            return None
-    for i, power in ((0, Fp2Elem(p, 1, 0)), (1, z), (2, z * z)):
-        if diag == power:
-            return i
-    return None
+def _cover_label(order: int, tr: Fp2Elem, z: Fp2Elem) -> str:
+    """Coarse class of a cover element from its (order, trace)."""
+    if order == 3:
+        return {3 * z: "3a", 3 * z * z: "3b"}.get(tr, "3cd")
+    twisted = {6: ("6a", "6b", -z), 12: ("12a", "12b", z), 15: ("15ac", "15bd", -2 * z)}
+    if order in twisted:
+        label_a, label_b, trace_a = twisted[order]
+        return label_a if tr == trace_a else label_b
+    untwisted = {1: "1a", 2: "2a", 4: "4a", 5: "5ab"}
+    if order not in untwisted:
+        raise AssertionError(f"unexpected element order {order}")
+    return untwisted[order]
 
 
 @lru_cache(maxsize=None)
@@ -205,59 +187,28 @@ def classified_cover() -> dict[str, dict]:
     """Class label -> {size, trace, charpoly, inverse_label, representative}
     derived purely from the explicit group, for cross-checking the frozen
     tables."""
-    group = triple_cover_group()
     z = cube_root_of_unity(5)
-    model = fp2_make(5)
-
-    def classify(m: Matrix) -> str:
-        order = mat_order(m, 60)
-        tr = trace(m)
-        if order == 1:
-            return "1a"
-        if order == 3:
-            s = _scalar_class(m, z)
-            if s == 1:
-                return "3a"
-            if s == 2:
-                return "3b"
-            return "3cd"
-        if order == 2:
-            return "2a"
-        if order == 4:
-            return "4a"
-        if order == 6:
-            return "6a" if tr == -z else "6b"
-        if order == 12:
-            return "12a" if tr == z else "12b"
-        if order == 5:
-            return "5ab"
-        if order == 15:
-            return "15ac" if tr == model.elem(-2) * z else "15bd"
-        raise AssertionError(f"unexpected element order {order}")
-
-    buckets: dict[str, list[Matrix]] = {}
-    for m in group:
-        buckets.setdefault(classify(m), []).append(m)
+    out = {}
+    for (order, tr), ms in classes_by_order_trace(triple_cover_group()).items():
+        label = _cover_label(order, tr, z)
+        if label in out:
+            raise AssertionError(f"class {label} has mixed traces")
+        charpoly = charpoly3_reversed(ms[0])
+        out[label] = {
+            "size": len(ms),
+            "trace": tr,
+            "charpoly": charpoly,
+            # the inverse has the same order, and its trace is charpoly[2]
+            "inverse_label": _cover_label(order, charpoly[2], z),
+            "representative": ms[0],
+        }
     expected_sizes = {
         "1a": 1, "3a": 1, "3b": 1, "2a": 45, "6a": 45, "6b": 45, "3cd": 240,
         "4a": 90, "12a": 90, "12b": 90, "5ab": 144, "15ac": 144, "15bd": 144,
     }
-    sizes = {label: len(ms) for label, ms in buckets.items()}
+    sizes = {label: info["size"] for label, info in out.items()}
     if sizes != expected_sizes:
         raise AssertionError(f"class sizes {sizes} differ from {expected_sizes}")
-    out = {}
-    for label, ms in buckets.items():
-        rep = ms[0]
-        traces = {(trace(m).c0, trace(m).c1) for m in ms}
-        if len(traces) != 1:
-            raise AssertionError(f"class {label} has mixed traces {traces}")
-        out[label] = {
-            "size": len(ms),
-            "trace": trace(rep),
-            "charpoly": charpoly3_reversed(rep),
-            "inverse_label": classify(mat_inverse(rep)),
-            "representative": rep,
-        }
     return out
 
 

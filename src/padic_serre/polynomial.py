@@ -13,6 +13,7 @@ F_ell.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -128,9 +129,19 @@ class IntPoly:
 
     @classmethod
     def from_json(cls, payload) -> "IntPoly":
+        """Coefficients must be ints or decimal strings; floats and bools
+        are rejected rather than silently truncated."""
         if not isinstance(payload, list):
             raise ValueError("polynomial payload must be a list of coefficients")
-        return cls([int(c) for c in payload])
+        return cls([_json_int(c) for c in payload])
+
+
+def _json_int(c) -> int:
+    if isinstance(c, int) and not isinstance(c, bool):
+        return c
+    if isinstance(c, str) and re.fullmatch(r"[+-]?[0-9]+", c):
+        return int(c)
+    raise ValueError(f"coefficient {c!r} is not an integer or a decimal string")
 
 
 def shift(f: IntPoly, a: int) -> IntPoly:

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .arith import Fp2Elem, cube_root_of_unity, fp2_make
 from .errors import InconsistencyError
-from .matrices import Matrix, charpoly3_reversed, closure, det2, mat, mat_order
+from .matrices import Matrix, charpoly3_reversed, classes_by_order_trace, closure, det2, mat
 
 A6_COARSE = ("1a", "2a", "3ab", "4a", "5ab")
 COVER_COARSE = ("1a", "3a", "3b", "2a", "6a", "6b", "3cd", "4a", "12a", "12b", "5ab", "15ac", "15bd")
@@ -178,15 +178,18 @@ def sym_square_charpoly(m: Matrix) -> list[Fp2Elem]:
     return charpoly3_reversed(sym_square(m))
 
 
-def _sl2_elements(p: int) -> set[Matrix]:
-    model = fp2_make(p)
-    gens = [
-        mat([[model.one(), model.one()], [model.zero(), model.one()]]),
-        mat([[model.one(), model.gen()], [model.zero(), model.one()]]),
-        mat([[model.one(), model.zero()], [model.one(), model.one()]]),
-        mat([[model.one(), model.zero()], [model.gen(), model.one()]]),
-    ]
-    return closure(gens)
+def sl2_generators(p: int, entries) -> list[Matrix]:
+    """The transvections [[1, t], [0, 1]] and [[1, 0], [t, 1]] for each t in
+    entries.  With entries spanning F_q over F_p they generate SL_2(F_q)."""
+    one, zero = Fp2Elem(p, 1, 0), Fp2Elem(p, 0, 0)
+    ts = [one * t for t in entries]
+    return [mat([[one, t], [zero, one]]) for t in ts] + [mat([[one, zero], [t, one]]) for t in ts]
+
+
+def sym_square_group(p: int, entries) -> set[Matrix]:
+    """The symmetric-square image of the group generated by
+    ``sl2_generators(p, entries)``: the closure is taken in SL_2, then mapped."""
+    return {sym_square(m) for m in closure(sl2_generators(p, entries))}
 
 
 @lru_cache(maxsize=None)
@@ -194,40 +197,23 @@ def a6_mod3_class_polys() -> tuple[dict, dict]:
     """The two Galois-conjugate tables class -> charpoly over F_9 for the
     3-dimensional mod-3 representations.
 
-    Built by enumerating the 720 elements of SL_2(F_9) and pushing them
-    through the symmetric square (the central sign dies, leaving the simple
-    group of order 360 inside SL_3(F_9)).  Images are classified by order;
-    the two order-5 classes are separated by their distinct conjugate
-    traces, labelled so that "5a" takes the lexicographically smaller one.
-    Keys: 1a, 2a, 3ab (both fine types share a unipotent charpoly), 4a,
-    5a, 5b.
+    Built as the symmetric-square image of SL_2(F_9), closed over its four
+    transvection generators (the central sign dies, leaving the simple group
+    of order 360 inside SL_3(F_9)).  Images are bucketed by (order, trace);
+    each order is one class except 5, whose two classes are separated by
+    their distinct conjugate traces, labelled so that "5a" takes the
+    lexicographically smaller one.  Keys: 1a, 2a, 3ab (both fine types
+    share a unipotent charpoly), 4a, 5a, 5b.
     """
-    by_key: dict[tuple, list] = {}
-    images = {sym_square(m) for m in _sl2_elements(3)}
+    images = sym_square_group(3, (1, Fp2Elem(3, 0, 1)))
     if len(images) != 360:
         raise AssertionError(f"expected 360 images, got {len(images)}")
-    for s in images:
-        order = mat_order(s, cap=10)
-        tr = s[0][0] + s[1][1] + s[2][2]
-        by_key.setdefault((order, (tr.c0, tr.c1)), []).append(s)
-
-    def poly_of(order, trace_key=None):
-        keys = [k for k in by_key if k[0] == order and (trace_key is None or k[1] == trace_key)]
-        if len(keys) != 1:
-            raise AssertionError(f"ambiguous class selection for order {order}")
-        return charpoly3_reversed(by_key[keys[0]][0])
-
-    five_traces = sorted(k[1] for k in by_key if k[0] == 5)
-    if len(five_traces) != 2:
-        raise AssertionError("expected two order-5 trace values")
-    table = {
-        "1a": poly_of(1),
-        "2a": poly_of(2),
-        "3ab": poly_of(3),
-        "4a": poly_of(4),
-        "5a": poly_of(5, five_traces[0]),
-        "5b": poly_of(5, five_traces[1]),
-    }
+    classes = classes_by_order_trace(images)
+    keys = sorted(classes, key=lambda k: (k[0], k[1].c0, k[1].c1))
+    if [order for order, _ in keys] != [1, 2, 3, 4, 5, 5]:
+        raise AssertionError(f"expected one class per order 1-4 and two of order 5: {keys}")
+    labels = ("1a", "2a", "3ab", "4a", "5a", "5b")
+    table = {label: charpoly3_reversed(classes[key][0]) for label, key in zip(labels, keys)}
     # the Galois twin: same classes, coefficientwise conjugate polynomials
     # (concretely this exchanges the golden traces of 5a and 5b)
     conjugate = {k: [c.frobenius() for c in v] for k, v in table.items()}

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from math import lcm
 from typing import NamedTuple, Optional
 
-from .arith import FpElem, is_prime
+from .arith import Fp2Elem, is_prime
 from .errors import InconsistencyError
 
 
@@ -219,8 +219,8 @@ class DirichletCharacter:
         return sign
 
 
-def char_eval(chi: DirichletCharacter, ell: int) -> FpElem:
-    return FpElem(chi.p, chi.sign_at(ell))
+def char_eval(chi: DirichletCharacter, ell: int) -> Fp2Elem:
+    return Fp2Elem(chi.p, chi.sign_at(ell), 0)
 
 
 def nebentype_factor(k: int, eps: DirichletCharacter, level_n: int) -> tuple[DirichletCharacter, int]:

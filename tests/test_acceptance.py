@@ -9,6 +9,7 @@ smallest one), so 6b fails and is expected to fail; the weighted variant
 that does hold is exercised in test_krasner.py.  Everything else passes.
 """
 
+import functools
 import random
 import time
 from fractions import Fraction
@@ -28,25 +29,23 @@ from padic_serre.krasner import (
     precision_report,
     resultant_margin,
 )
-from padic_serre.matrices import det2, trace
+from padic_serre.matrices import closure, det2, trace
 from padic_serre.matrix_oracle import classified_cover, oracle_charpoly
 from padic_serre.polynomial import IntPoly, cycle_type_mod_ell, discriminant, newton_polygon
 from padic_serre.rep3a6 import (
     COVER_COARSE,
-    _sl2_elements,
     a6_mod3_class_polys,
     char_value,
     frob_charpoly,
     frobenius_class,
     inverse_class,
+    sl2_generators,
     sym_square_charpoly,
 )
 from padic_serre.weights import Triple, p_restrict
 
 X3M2 = IntPoly([-2, 0, 0, 1])
 T_5_17 = IntPoly([-13, -11, 5, 0, 0, -2, 1])
-
-_suite6_seconds = {}
 
 
 def _report(tag, ok, detail=""):
@@ -135,8 +134,13 @@ def test_criterion_5_frobenius_pipeline():
     assert ok
 
 
-def test_criterion_6a_lambda_bound_sweep():
-    t0 = time.perf_counter()
+# Criterion 6: six property sweeps, each a function returning its counts.
+# The module-scoped suite6 fixture runs each sweep at most once and times
+# it, so the per-sweep tests and the runtime total share one run, and the
+# total also holds when it is selected on its own.
+
+
+def _sweep_6a():
     rng = random.Random(600)
     checked = failures = 0
     while checked < 1000:
@@ -150,15 +154,10 @@ def test_criterion_6a_lambda_bound_sweep():
         checked += 1
         if lambda_exact(f, p) > lambda_upper_bound(f, p):
             failures += 1
-    _suite6_seconds["a"] = time.perf_counter() - t0
-    ok = failures == 0
-    _report("6a (root-separation bound)", ok,
-            f"{checked} polynomials, {failures} failures; {_suite6_seconds['a']:.2f}s")
-    assert ok
+    return checked, failures
 
 
-def test_criterion_6b_resultant_margin_sweep():
-    t0 = time.perf_counter()
+def _sweep_6b():
     rng = random.Random(601)
     checked = failures = 0
     witness = None
@@ -175,21 +174,10 @@ def test_criterion_6b_resultant_margin_sweep():
             failures += 1
             if witness is None:
                 witness = (p, f, g, lhs, rhs)
-    _suite6_seconds["b"] = time.perf_counter() - t0
-    ok = failures == 0
-    _report("6b (resultant margin inequality)", ok,
-            f"{checked} pairs, {failures} failures; first witness {witness}; "
-            f"{_suite6_seconds['b']:.2f}s")
-    assert ok, (
-        f"the stated inequality lhs >= a/n + min ord(diff) fails on {failures} of "
-        f"{checked} random pairs (e.g. {witness}); the constant-term difference "
-        "carries no root power, so the a/n term is not absorbable -- see the "
-        "weighted margin for the bound that does hold"
-    )
+    return checked, failures, witness
 
 
-def test_criterion_6c_polygon_additivity_sweep():
-    t0 = time.perf_counter()
+def _sweep_6c():
     rng = random.Random(602)
     checked = failures = 0
     while checked < 1000:
@@ -202,18 +190,14 @@ def test_criterion_6c_polygon_additivity_sweep():
                      + newton_polygon(g, p).slope_multiset())
         if lhs != rhs:
             failures += 1
-    _suite6_seconds["c"] = time.perf_counter() - t0
-    ok = failures == 0
-    _report("6c (polygon additivity)", ok,
-            f"{checked} products, {failures} failures; {_suite6_seconds['c']:.2f}s")
-    assert ok
+    return checked, failures
 
 
-def test_criterion_6d_symmetric_square_trace_sweep():
-    t0 = time.perf_counter()
+def _sweep_6d():
     rng = random.Random(603)
-    elems = sorted(_sl2_elements(3), key=lambda m: tuple((x.c0, x.c1) for r in m for x in r))
-    one = fp2_make(3).one()
+    one, w = fp2_make(3).one(), fp2_make(3).gen()
+    sl2_f9 = closure(sl2_generators(3, (one, w)))
+    elems = sorted(sl2_f9, key=lambda m: tuple((x.c0, x.c1) for r in m for x in r))
     failures = 0
     for _ in range(1000):
         m = rng.choice(elems)
@@ -222,24 +206,15 @@ def test_criterion_6d_symmetric_square_trace_sweep():
         tr = trace(m)
         if cp[1] != -(tr * tr - one):
             failures += 1
-    _suite6_seconds["d"] = time.perf_counter() - t0
-    ok = failures == 0
-    _report("6d (symmetric-square trace identity)", ok,
-            f"1000 draws, {failures} failures; {_suite6_seconds['d']:.2f}s")
-    assert ok
+    return failures
 
 
-def test_criterion_6e_mod3_tables_conjugate():
-    t0 = time.perf_counter()
+def _sweep_6e():
     t1, t2 = a6_mod3_class_polys()
-    ok = all([frobenius_conjugate(c) for c in t1[cls]] == t2[cls] for cls in t1)
-    _suite6_seconds["e"] = time.perf_counter() - t0
-    _report("6e (conjugate table pair)", ok, f"{_suite6_seconds['e']:.2f}s")
-    assert ok
+    return all([frobenius_conjugate(c) for c in t1[cls]] == t2[cls] for cls in t1)
 
 
-def test_criterion_6f_hecke_round_trip_sweep():
-    t0 = time.perf_counter()
+def _sweep_6f():
     rng = random.Random(606)
     failures = 0
     for _ in range(1000):
@@ -253,17 +228,81 @@ def test_criterion_6f_hecke_round_trip_sweep():
         records = [solve_record(ell, polys[ell][0], p) for ell in ells]
         if check_attached(records, polys).overall != "attached":
             failures += 1
-    _suite6_seconds["f"] = time.perf_counter() - t0
+    return failures
+
+
+_SUITE6 = {"a": _sweep_6a, "b": _sweep_6b, "c": _sweep_6c,
+           "d": _sweep_6d, "e": _sweep_6e, "f": _sweep_6f}
+
+
+@pytest.fixture(scope="module")
+def suite6():
+    """key -> (sweep result, wall seconds), each sweep run once per module."""
+    @functools.lru_cache(maxsize=None)
+    def run(key):
+        t0 = time.perf_counter()
+        result = _SUITE6[key]()
+        return result, time.perf_counter() - t0
+    return run
+
+
+def test_criterion_6a_lambda_bound_sweep(suite6):
+    (checked, failures), seconds = suite6("a")
     ok = failures == 0
-    _report("6f (Hecke round trip)", ok,
-            f"1000 systems, {failures} failures; {_suite6_seconds['f']:.2f}s")
+    _report("6a (root-separation bound)", ok,
+            f"{checked} polynomials, {failures} failures; {seconds:.2f}s")
     assert ok
 
 
-def test_criterion_6_total_runtime():
-    total = sum(_suite6_seconds.values())
-    ok = len(_suite6_seconds) == 6 and total < 60.0
-    _report("6 (property-suite runtime)", ok, f"total {total:.2f}s over {len(_suite6_seconds)} suites")
+def test_criterion_6b_resultant_margin_sweep(suite6):
+    (checked, failures, witness), seconds = suite6("b")
+    ok = failures == 0
+    _report("6b (resultant margin inequality)", ok,
+            f"{checked} pairs, {failures} failures; first witness {witness}; "
+            f"{seconds:.2f}s")
+    assert ok, (
+        f"the stated inequality lhs >= a/n + min ord(diff) fails on {failures} of "
+        f"{checked} random pairs (e.g. {witness}); the constant-term difference "
+        "carries no root power, so the a/n term is not absorbable -- see the "
+        "weighted margin for the bound that does hold"
+    )
+
+
+def test_criterion_6c_polygon_additivity_sweep(suite6):
+    (checked, failures), seconds = suite6("c")
+    ok = failures == 0
+    _report("6c (polygon additivity)", ok,
+            f"{checked} products, {failures} failures; {seconds:.2f}s")
+    assert ok
+
+
+def test_criterion_6d_symmetric_square_trace_sweep(suite6):
+    failures, seconds = suite6("d")
+    ok = failures == 0
+    _report("6d (symmetric-square trace identity)", ok,
+            f"1000 draws, {failures} failures; {seconds:.2f}s")
+    assert ok
+
+
+def test_criterion_6e_mod3_tables_conjugate(suite6):
+    ok, seconds = suite6("e")
+    _report("6e (conjugate table pair)", ok, f"{seconds:.2f}s")
+    assert ok
+
+
+def test_criterion_6f_hecke_round_trip_sweep(suite6):
+    failures, seconds = suite6("f")
+    ok = failures == 0
+    _report("6f (Hecke round trip)", ok,
+            f"1000 systems, {failures} failures; {seconds:.2f}s")
+    assert ok
+
+
+def test_criterion_6_total_runtime(suite6):
+    seconds = [suite6(key)[1] for key in _SUITE6]
+    total = sum(seconds)
+    ok = len(seconds) == 6 and total < 60.0
+    _report("6 (property-suite runtime)", ok, f"total {total:.2f}s over {len(seconds)} suites")
     assert ok
 
 

@@ -6,7 +6,6 @@ import pytest
 from padic_serre.arith import (
     ORD_INFINITY,
     Fp2Elem,
-    FpElem,
     cube_root_of_unity,
     fp2_make,
     frobenius_conjugate,
@@ -117,9 +116,9 @@ def test_cube_root_mod_5():
 
 def test_cube_root_mod_7_lands_in_prime_field():
     z = cube_root_of_unity(7)
-    assert isinstance(z, FpElem)
-    assert z == FpElem(7, 2)  # 2^3 = 8 = 1 mod 7
-    assert z**3 == FpElem(7, 1)
+    assert z.in_prime_field()
+    assert z == Fp2Elem(7, 2, 0)  # 2^3 = 8 = 1 mod 7
+    assert z**3 == Fp2Elem(7, 1, 0)
 
 
 def test_cube_root_char_3_rejected():

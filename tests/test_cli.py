@@ -41,6 +41,13 @@ def test_polygon_parse_error(tmp_path, capsys):
     assert main(["polygon", str(bad), "--p", "2"]) == 2
 
 
+@pytest.mark.parametrize("coeffs", [[1.5, 0, 1], [True, 0, 1], ["1.5", 0, 1], [None, 0, 1]])
+def test_polygon_rejects_non_integer_coefficients(tmp_path, capsys, coeffs):
+    poly = _write(tmp_path, "f.json", coeffs)
+    assert main(["polygon", poly, "--p", "2"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_precision_command(tmp_path, capsys):
     poly = _write(tmp_path, "f.json", ["-2", "0", "0", "1"])
     assert main(["precision", poly, "--p", "2"]) == 0

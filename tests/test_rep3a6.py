@@ -4,7 +4,7 @@ import pytest
 
 from padic_serre.arith import Fp2Elem, cube_root_of_unity, fp2_make, frobenius_conjugate
 from padic_serre.errors import InconsistencyError
-from padic_serre.matrices import det2, mat, mat_mul, trace
+from padic_serre.matrices import closure, det2, mat, mat_mul, trace
 from padic_serre.matrix_oracle import classified_cover, oracle_charpoly
 from padic_serre.rep3a6 import (
     COVER_COARSE,
@@ -17,9 +17,9 @@ from padic_serre.rep3a6 import (
     frobenius_class,
     inverse_class,
     mod3_charpoly_candidates,
+    sl2_generators,
     sym_square,
     sym_square_charpoly,
-    _sl2_elements,
 )
 
 F25 = fp2_make(5)
@@ -121,7 +121,8 @@ def test_sym_square_requires_det_one():
 
 def test_sym_square_is_multiplicative():
     rng = random.Random(60)
-    elems = sorted(_sl2_elements(3), key=lambda m: tuple((x.c0, x.c1) for r in m for x in r))
+    sl2_f9 = closure(sl2_generators(3, (F9.one(), F9.gen())))
+    elems = sorted(sl2_f9, key=lambda m: tuple((x.c0, x.c1) for r in m for x in r))
     for _ in range(80):
         a, b = rng.choice(elems), rng.choice(elems)
         assert sym_square(mat_mul(a, b)) == mat_mul(sym_square(a), sym_square(b))
@@ -130,7 +131,7 @@ def test_sym_square_is_multiplicative():
 def test_sym_square_trace_identity_and_eigenvalues():
     # det(1 - Sym2(M) t) = 1 - (tr^2 - 1) t + (tr^2 - 1) t^2 - t^3,
     # from the eigenvalue multiset {u^2, uv=1, v^2}
-    elems = _sl2_elements(3)
+    elems = closure(sl2_generators(3, (F9.one(), F9.gen())))
     assert len(elems) == 720
     one = F9.one()
     for m in elems:

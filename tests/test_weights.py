@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from padic_serre.arith import FpElem
+from padic_serre.arith import Fp2Elem
 from padic_serre.errors import InconsistencyError
 from padic_serre.weights import (
     DirichletCharacter,
@@ -157,11 +157,11 @@ def test_predicted_weights_niveau3_rejects_short_orbit():
 def test_char_eval_examples():
     eps17 = DirichletCharacter(3, frozenset({"eps17"}))
     assert pow(2, 8, 17) == 1  # 2 is a square mod 17
-    assert char_eval(eps17, 2) == FpElem(3, 1)
+    assert char_eval(eps17, 2) == Fp2Elem(3, 1, 0)
     omega4 = DirichletCharacter(3, frozenset({"omega4"}))
-    assert char_eval(omega4, 3) == FpElem(3, -1)
+    assert char_eval(omega4, 3) == Fp2Elem(3, -1, 0)
     psi8 = DirichletCharacter(3, frozenset({"psi8"}))
-    assert char_eval(psi8, 7) == FpElem(3, 1)
+    assert char_eval(psi8, 7) == Fp2Elem(3, 1, 0)
 
 
 def test_char_conductors():
