@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .casefile import (
@@ -68,6 +69,8 @@ def _parse_evidence(spec: str):
     if kind in ("eisenstein-after-shift", "irreducible-mod-q"):
         if arg == "":
             raise SchemaError(f"evidence {kind} needs an argument, e.g. {kind}:1")
+        if not re.fullmatch(r"[+-]?[0-9]+", arg):
+            raise SchemaError(f"evidence {kind} needs an integer argument, got {arg!r}")
         return (kind, int(arg))
     raise SchemaError(f"unknown evidence kind {spec!r}")
 

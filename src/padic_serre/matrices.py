@@ -3,7 +3,9 @@ element orders, closure of finitely generated matrix groups, and the one
 classifier of group elements, by (order, trace).
 
 Matrices are tuples of row tuples of Fp2Elem, so they hash and can be
-dictionary keys during closure walks.
+dictionary keys during closure walks.  Elements are interned, so comparing
+matrices compares entries by identity, and each entry of a product costs
+table lookups in the F_{p^2} memo rather than new element objects.
 """
 
 from __future__ import annotations
@@ -18,13 +20,18 @@ def mat(rows) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(1, k)), a[i][0] * b[0][j]) for j in range(m))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    rest = range(1, len(b))
+    rows = []
+    for row in a:
+        out = []
+        for col in cols:
+            s = row[0] * col[0]
+            for t in rest:
+                s = s + row[t] * col[t]
+            out.append(s)
+        rows.append(tuple(out))
+    return tuple(rows)
 
 
 def identity(p: int, n: int) -> Matrix:

@@ -1,4 +1,8 @@
+import copy
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -129,3 +133,98 @@ def test_cube_root_char_3_rejected():
 def test_cube_root_mod_2():
     z = cube_root_of_unity(2)
     assert z * z + z + 1 == Fp2Elem(2, 0, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_arithmetic_matches_coefficient_formulas(p):
+    b, c = quadratic_modulus(p)
+    coords = [(c0, c1) for c0 in range(p) for c1 in range(p)]
+    for x0, x1 in coords:
+        x = Fp2Elem(p, x0, x1)
+        assert ((-x).c0, (-x).c1) == (-x0 % p, -x1 % p)
+        for y0, y1 in coords:
+            y = Fp2Elem(p, y0, y1)
+            hi = x1 * y1  # w^2 = -b*w - c
+            expected = {
+                "+": ((x0 + y0) % p, (x1 + y1) % p),
+                "-": ((x0 - y0) % p, (x1 - y1) % p),
+                "*": ((x0 * y0 - hi * c) % p, (x0 * y1 + x1 * y0 - hi * b) % p),
+            }
+            # twice: the first call fills the memo, the second reads it
+            for _ in range(2):
+                got = {"+": x + y, "-": x - y, "*": x * y}
+                assert {op: (r.c0, r.c1) for op, r in got.items()} == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_elements_are_interned_and_hash_as_coordinates(p):
+    for c0 in range(p):
+        for c1 in range(p):
+            x = Fp2Elem(p, c0, c1)
+            assert Fp2Elem(p, c0 + p, c1 - p) is x
+            assert hash(x) == hash((p, c0, c1))
+            assert copy.copy(x) is x and pickle.loads(pickle.dumps(x)) is x
+    assert Fp2Elem(p, 1, 0) != 1 and Fp2Elem(p, 1, 0).__eq__(1) is NotImplemented
+
+
+def test_elements_are_immutable():
+    x = Fp2Elem(5, 2, 3)
+    with pytest.raises(AttributeError):
+        x.c0 = 1
+    with pytest.raises(AttributeError):
+        del x.c1
+    with pytest.raises(AttributeError):
+        x.extra = 0
+    assert (x.p, x.c0, x.c1) == (5, 2, 3)
+
+
+def test_mixed_characteristics_rejected():
+    x, y = Fp2Elem(3, 1, 1), Fp2Elem(5, 1, 1)
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y):
+        with pytest.raises(ValueError):
+            op()
+
+
+def test_composite_modulus_fails_at_first_multiply():
+    x = Fp2Elem(4, 1, 1)
+    assert x + x == Fp2Elem(4, 2, 2)
+    with pytest.raises(ValueError):
+        x * x
+
+
+def test_large_prime_multiply_memoizes_only_what_is_used():
+    p = 1_000_003
+    b, c = quadratic_modulus(p)
+    x, y = Fp2Elem(p, 123_456, 654_321), Fp2Elem(p, 777_777, 3)
+    memo = x._field.mul
+    before = len(memo)
+    z = x * y
+    hi = 654_321 * 3
+    assert z.c0 == (123_456 * 777_777 - hi * c) % p
+    assert z.c1 == (123_456 * 3 + 654_321 * 777_777 - hi * b) % p
+    assert x * y is z
+    assert len(memo) == before + 1
+
+
+@pytest.mark.parametrize("p", [10007, 10009, 10037])
+def test_interning_holds_when_threads_race(p):
+    # a fresh prime, so every thread races to create the same new elements
+    barrier = threading.Barrier(8)
+    made = [None] * 8
+
+    def make(i):
+        barrier.wait()
+        made[i] = [Fp2Elem(p, c0, 1) for c0 in range(3000)]
+
+    threads = [threading.Thread(target=make, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(a is b for row in made[1:] for a, b in zip(made[0], row))

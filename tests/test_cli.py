@@ -74,6 +74,17 @@ def test_certify_command(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "certified"
 
 
+@pytest.mark.parametrize("evidence", ["eisenstein-after-shift:x", "irreducible-mod-q:x",
+                                      "irreducible-mod-q:1.5"])
+def test_certify_rejects_non_integer_evidence_argument(tmp_path, capsys, evidence):
+    f = _write(tmp_path, "f.json", ["-2", "0", "0", "1"])
+    g = _write(tmp_path, "g.json", ["-2", "2", "0", "1"])
+    rc = main(["certify", f, g, "--p", "2",
+               "--evidence-f", evidence, "--evidence-g", "single-slope"])
+    assert rc == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_certify_caveat_pair_rejected(tmp_path, capsys):
     f = _write(tmp_path, "f.json", ["-2", "0", "0", "1"])
     g = _write(tmp_path, "g.json", ["0", "0", "0", "1"])

@@ -1,0 +1,39 @@
+"""Behaviour lock for the group layer: the explicit triple cover, its
+classification, the oracle charpolys, both mod-3 tables and the iteration
+order of the mod-3 symmetric-square image are pinned by SHA-256 digests of
+their reprs.  Set iteration order follows element hashes, so the last digest
+also pins ``hash(Fp2Elem)``.  A change to the field or matrix arithmetic that
+alters any element, representative or ordering fails here."""
+
+import hashlib
+
+from padic_serre.arith import Fp2Elem
+from padic_serre.matrix_oracle import classified_cover, oracle_charpoly, triple_cover_group
+from padic_serre.rep3a6 import COVER_COARSE, a6_mod3_class_polys, sym_square_group
+
+GROUP_SHA256 = {
+    "triple_cover_group": "6837f1a63d1052a63e3921e0ed9134c237ff75b3ddc47d443f4034019a2711e7",
+    "classified_cover": "567bd9b08193daada7127f53e734390cf4e5807ed36c81e6be9433731ef9cf11",
+    "oracle_charpoly_minus": "0f0b8f726af115792ed5cc1101091a5cf28d4db91037e96d88f4d235fd49da5d",
+    "a6_mod3_class_polys": "0fff4cb161194a730a06fb9ef2854cd60514a4e592018abbda050fe3528d91f3",
+    "sym_square_group_3": "7f9f26202c5dce223fa3d6773838c60afd715254542b1a6094c75a6083b2c5a6",
+}
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _snapshots() -> dict:
+    return {
+        "triple_cover_group": triple_cover_group(),
+        "classified_cover": classified_cover(),
+        "oracle_charpoly_minus": [(label, oracle_charpoly(label, -1)) for label in COVER_COARSE],
+        "a6_mod3_class_polys": a6_mod3_class_polys(),
+        "sym_square_group_3": list(sym_square_group(3, (1, Fp2Elem(3, 0, 1)))),
+    }
+
+
+def test_group_layer_is_unchanged():
+    digests = {name: _digest(value) for name, value in _snapshots().items()}
+    assert digests == GROUP_SHA256
