@@ -15,7 +15,6 @@ from .arith import (
 )
 from .errors import (
     EvidenceError,
-    GoldenMismatch,
     InconsistencyError,
     PadicSerreError,
     SchemaError,

@@ -26,8 +26,8 @@ from math import lcm
 from typing import Optional
 
 from .arith import fp2_make, is_prime
-from .errors import InconsistencyError, SchemaError
-from .galois_local import LevelDatum, RamFiltration, level
+from .errors import InconsistencyError, SchemaError, json_int
+from .galois_local import LevelDatum, level
 from .hecke import EigenvalueRecord, check_attached
 from .krasner import certify_same_extension
 from .polynomial import IntPoly, cycle_type_mod_ell, discriminant
@@ -55,12 +55,12 @@ class CaseFile:
     data_only: bool
     sextic: Optional[IntPoly]
     p: Optional[int]
-    level_data: list
+    level_data: list[LevelDatum]
     nebentype_kinds: list[str]
     nebentype_k: int
     inertia_profile: Optional[InertiaProfile]
     frobenius_inputs: list[dict]
-    eigenvalues: Optional[list]
+    eigenvalues: Optional[list[EigenvalueRecord]]
     expected: Optional[dict]
     certificates: list = field(default_factory=list)
     raw: dict = field(default_factory=dict)
@@ -79,18 +79,19 @@ class CaseFile:
                 raise SchemaError(f"p = {p} is not prime")
             neb = payload.get("nebentype", {"kinds": [], "k": 0})
             profile = InertiaProfile.from_json(payload["inertia_profile"])
-            eigen = payload.get("eigenvalues")
             return cls(
                 name=name,
                 data_only=False,
                 sextic=sextic,
                 p=p,
-                level_data=payload["level_data"],
+                level_data=[LevelDatum.from_json(d) for d in payload["level_data"]],
                 nebentype_kinds=list(neb.get("kinds", [])),
                 nebentype_k=int(neb.get("k", 0)),
                 inertia_profile=profile,
-                frobenius_inputs=payload.get("frobenius_inputs", []),
-                eigenvalues=eigen,
+                frobenius_inputs=[_frobenius_input(e)
+                                  for e in payload.get("frobenius_inputs", [])],
+                eigenvalues=[EigenvalueRecord.from_json(e, p)
+                             for e in payload.get("eigenvalues") or []],
                 expected=payload.get("expected"),
                 certificates=payload.get("certificates", []),
                 raw=payload,
@@ -110,6 +111,17 @@ class CaseFile:
         return cls.from_dict(payload)
 
 
+def _frobenius_input(entry: dict) -> dict:
+    """A copy of the entry with ell, and the stored cycle type if any,
+    read as integers."""
+    out = dict(entry, ell=json_int(entry["ell"]))
+    if "cycle_type" in entry:
+        if not isinstance(entry["cycle_type"], list):
+            raise SchemaError(f"cycle_type {entry['cycle_type']!r} is not a list")
+        out["cycle_type"] = tuple(json_int(x) for x in entry["cycle_type"])
+    return out
+
+
 def bundled_case_names() -> tuple[str, ...]:
     return BUNDLED
 
@@ -121,12 +133,12 @@ def load_bundled_case(name: str) -> CaseFile:
     return CaseFile.from_dict(json.loads(text))
 
 
-def _cycle_type_checked(case: CaseFile, entry: dict) -> tuple[int, ...]:
+def _cycle_type_checked(case: CaseFile, entry: dict, disc: Optional[int]) -> tuple[int, ...]:
     """Stored cycle type, cross-checked against the sextic mod ell whenever
-    the reduction is squarefree."""
-    ell = int(entry["ell"])
-    stored = tuple(int(x) for x in entry.get("cycle_type", ()))
-    if case.sextic is not None and discriminant(case.sextic) % ell != 0:
+    the reduction is squarefree; disc is the sextic's discriminant."""
+    ell = entry["ell"]
+    stored = entry.get("cycle_type", ())
+    if disc is not None and disc % ell != 0:
         computed = cycle_type_mod_ell(case.sextic, ell)
         if stored and stored != computed:
             raise InconsistencyError(
@@ -146,7 +158,7 @@ def _frobenius_entry_mod5(entry: dict, cycle_type, eps_sign: int) -> dict:
                           int(entry.get("residue_degree", lcm(*cycle_type))))
     poly = frob_charpoly(cls, eps_sign)
     return {
-        "ell": int(entry["ell"]),
+        "ell": entry["ell"],
         "cycle_type": list(cycle_type),
         "class": cls,
         "charpolys": [[[c.c0, c.c1] for c in poly]],
@@ -161,7 +173,7 @@ def _frobenius_entry_mod3(entry: dict, cycle_type, eps_sign: int, p: int) -> dic
     eps = fp2_make(p).elem(eps_sign)
     twisted = [[(eps**k) * c for k, c in enumerate(poly)] for poly in candidates]
     out = {
-        "ell": int(entry["ell"]),
+        "ell": entry["ell"],
         "cycle_type": list(cycle_type),
         "class": base.label if base.fine_order5 in (None, "unknown") else base.fine_order5,
         "charpolys": [[[c.c0, c.c1] for c in poly] for poly in twisted],
@@ -172,13 +184,12 @@ def _frobenius_entry_mod3(entry: dict, cycle_type, eps_sign: int, p: int) -> dic
 
 
 def _frobenius_section(case: CaseFile, eps: DirichletCharacter, ell_max: int) -> list[dict]:
+    entries = [e for e in case.frobenius_inputs if e["ell"] <= ell_max]
+    disc = discriminant(case.sextic) if entries and case.sextic is not None else None
     out = []
-    for entry in case.frobenius_inputs:
-        ell = int(entry["ell"])
-        if ell > ell_max:
-            continue
-        cycle_type = _cycle_type_checked(case, entry)
-        sign = eps.sign_at(ell)
+    for entry in entries:
+        cycle_type = _cycle_type_checked(case, entry, disc)
+        sign = eps.sign_at(entry["ell"])
         if case.p == 5:
             out.append(_frobenius_entry_mod5(entry, cycle_type, sign))
         elif case.p == 3:
@@ -194,12 +205,11 @@ def _attachment_section(case: CaseFile, frob_section: list[dict]):
     if not case.eigenvalues:
         return None
     model = fp2_make(case.p)
-    records = [EigenvalueRecord.from_json(e, case.p) for e in case.eigenvalues]
     frob_polys = {}
     for entry in frob_section:
         polys = [[model.elem(c0, c1) for c0, c1 in poly] for poly in entry["charpolys"]]
         frob_polys[entry["ell"]] = polys
-    return check_attached(records, frob_polys).to_json()
+    return check_attached(case.eigenvalues, frob_polys).to_json()
 
 
 def _golden_mismatches(case: CaseFile, report: dict) -> list[str]:
@@ -257,11 +267,7 @@ def verify_case(case: CaseFile, ell_max: int = DEFAULT_ELL_MAX) -> dict:
             "note": case.raw.get("note", ""),
             "golden": {"checked": False, "mismatches": []},
         }
-    exponents, n = level(
-        [LevelDatum(int(d["q"]), RamFiltration.from_json(d["filtration"]))
-         for d in case.level_data],
-        p=case.p,
-    )
+    exponents, n = level(case.level_data, p=case.p)
     eps = DirichletCharacter(case.p, frozenset(case.nebentype_kinds))
     nebentype_factor(case.nebentype_k, eps, n)
     weights = predicted_weights(case.inertia_profile, case.p)

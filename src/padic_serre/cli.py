@@ -21,8 +21,8 @@ from .casefile import (
     report_to_json,
     verify_case,
 )
-from .errors import GoldenMismatch, InconsistencyError, SchemaError
-from .galois_local import LevelDatum, RamFiltration, level
+from .errors import InconsistencyError, SchemaError
+from .galois_local import LevelDatum, level
 from .krasner import METHODS, certify_same_extension, precision_report
 from .polynomial import IntPoly, newton_polygon
 from .weights import InertiaProfile, predicted_weights
@@ -102,11 +102,10 @@ def cmd_certify(args) -> int:
 
 def cmd_level(args) -> int:
     payload = _load_json(args.data)
-    entries = payload["level_data"] if isinstance(payload, dict) else payload
     try:
-        data = [LevelDatum(int(d["q"]), RamFiltration.from_json(d["filtration"]))
-                for d in entries]
-    except (KeyError, TypeError) as exc:
+        entries = payload["level_data"] if isinstance(payload, dict) else payload
+        data = [LevelDatum.from_json(d) for d in entries]
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad level data: {exc}") from exc
     exponents, n = level(data, p=args.p)
     _emit({"exponents": {str(q): e for q, e in sorted(exponents.items())},
@@ -225,9 +224,6 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except GoldenMismatch as exc:
-        print(f"golden mismatch: {exc}", file=sys.stderr)
-        return EXIT_GOLDEN
     except (InconsistencyError, ValueError, ZeroDivisionError) as exc:
         print(f"inconsistent input: {exc}", file=sys.stderr)
         return EXIT_MATH

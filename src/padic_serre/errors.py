@@ -1,9 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one rule for
+integers read from JSON (``json_int``).
 
 The CLI maps these onto its exit-code contract: schema/parse problems
-exit 2, mathematical inconsistencies exit 3, golden-value mismatches
-exit 1.
+exit 2, mathematical inconsistencies exit 3.  Exit 1 (a golden-value
+mismatch) is not an exception: ``verify-case`` reads it off the report.
 """
+
+import re
 
 
 class PadicSerreError(Exception):
@@ -29,5 +32,11 @@ class EvidenceError(InconsistencyError):
         super().__init__(f"{which}: {message}")
 
 
-class GoldenMismatch(PadicSerreError):
-    """A computed value disagrees with a bundled expected value."""
+def json_int(c) -> int:
+    """The one rule for integers read from JSON: an int or a decimal
+    string, never a bool or a float; ValueError otherwise."""
+    if isinstance(c, int) and not isinstance(c, bool):
+        return c
+    if isinstance(c, str) and re.fullmatch(r"[+-]?[0-9]+", c):
+        return int(c)
+    raise ValueError(f"{c!r} is not an integer or a decimal string")

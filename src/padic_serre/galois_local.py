@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime
-from .errors import InconsistencyError
+from .errors import InconsistencyError, json_int
 
 #: Fixed-subspace dimensions of the standard 3-dimensional actions that
 #: recur in the bundled scenarios.
@@ -62,7 +62,7 @@ class RamFiltration:
 
     @classmethod
     def from_json(cls, payload, dim: int = 3) -> "RamFiltration":
-        entries = tuple((int(e["order"]), int(e["fixed_dim"])) for e in payload)
+        entries = tuple((json_int(e["order"]), json_int(e["fixed_dim"])) for e in payload)
         return cls(entries, dim)
 
     def to_json(self) -> list[dict]:
@@ -77,6 +77,10 @@ class LevelDatum:
     def __post_init__(self):
         if not is_prime(self.q):
             raise InconsistencyError(f"{self.q} is not prime")
+
+    @classmethod
+    def from_json(cls, payload) -> "LevelDatum":
+        return cls(json_int(payload["q"]), RamFiltration.from_json(payload["filtration"]))
 
 
 def level_exponent(filt: RamFiltration) -> int:

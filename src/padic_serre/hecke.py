@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import Fp2Elem, frobenius_conjugate
-from .errors import InconsistencyError
+from .errors import InconsistencyError, SchemaError, json_int
 
 Cubic = list[Fp2Elem]
 
@@ -42,11 +42,14 @@ class EigenvalueRecord:
 
     @classmethod
     def from_json(cls, payload, p: int) -> "EigenvalueRecord":
-        a = payload["a"]
-        if len(a) != 3:
-            raise InconsistencyError("expected three eigenvalues")
-        a1, a2, a3 = (Fp2Elem(p, int(c[0]), int(c[1])) for c in a)
-        return cls(int(payload["ell"]), a1, a2, a3)
+        try:
+            a = payload["a"]
+            if len(a) != 3:
+                raise SchemaError(f"expected three eigenvalues, got {len(a)}")
+            a1, a2, a3 = (Fp2Elem(p, json_int(c0), json_int(c1)) for c0, c1 in a)
+            return cls(json_int(payload["ell"]), a1, a2, a3)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed eigenvalue record: {exc}") from exc
 
     def to_json(self) -> dict:
         return {

@@ -8,17 +8,19 @@ Provides resultants (fraction-free Sylvester determinants), discriminants,
 shifts f(x+a), p-adic Newton polygons, the root-difference polynomial whose
 slopes are the pairwise root-distance valuations, the classical resolvent
 cubic of a quartic, and cycle types via distinct-degree factorization over
-F_ell.
+F_ell.  The cycle type works mod ell throughout: squarefreeness is
+gcd(r, r') = 1 in F_ell[x] (the integer discriminant is only computed when
+ell divides the leading coefficient), and Frobenius acts on F_ell[x]/(r)
+through precomputed rows x^(ell*i) mod r.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime, ord_p
-from .errors import InconsistencyError
+from .errors import InconsistencyError, json_int
 
 
 class IntPoly:
@@ -133,15 +135,7 @@ class IntPoly:
         are rejected rather than silently truncated."""
         if not isinstance(payload, list):
             raise ValueError("polynomial payload must be a list of coefficients")
-        return cls([_json_int(c) for c in payload])
-
-
-def _json_int(c) -> int:
-    if isinstance(c, int) and not isinstance(c, bool):
-        return c
-    if isinstance(c, str) and re.fullmatch(r"[+-]?[0-9]+", c):
-        return int(c)
-    raise ValueError(f"coefficient {c!r} is not an integer or a decimal string")
+        return cls([json_int(c) for c in payload])
 
 
 def shift(f: IntPoly, a: int) -> IntPoly:
@@ -346,50 +340,51 @@ def _fp_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _fp_mul(a: list[int], b: list[int], ell: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
+def _fp_mul(a: list[int], b: list[int]) -> list[int]:
+    """Integer product; the caller reduces it with _fp_divmod."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % ell
-    return _fp_trim(out)
+                out[i + j] += x * y
+    return out
 
 
-def _fp_divmod(a: list[int], b: list[int], ell: int) -> tuple[list[int], list[int]]:
-    a = a[:]
-    inv = pow(b[-1], ell - 2, ell)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        k = len(a) - len(b)
-        factor = a[-1] * inv % ell
-        q[k] = factor
-        for i, c in enumerate(b):
-            a[i + k] = (a[i + k] - factor * c) % ell
-        _fp_trim(a)
-    return _fp_trim(q), a
+def _fp_divmod(a: list[int], m: list[int], ell: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic m over F_ell, taking one
+    % ell per coefficient; the quotient is left in the top of a."""
+    a = list(a)
+    k = len(m) - 1
+    for top in range(len(a) - 1, k - 1, -1):
+        c = a[top] = a[top] % ell
+        if c:
+            for i in range(k):
+                a[top - k + i] -= c * m[i]
+    return a[k:], _fp_trim([x % ell for x in a[:k]])
 
 
 def _fp_gcd(a: list[int], b: list[int], ell: int) -> list[int]:
+    """Monic gcd of a monic a and any b."""
     while b:
-        _, a = _fp_divmod(a, b, ell)
-        a, b = b, a
-    if a:
-        inv = pow(a[-1], ell - 2, ell)
-        a = [c * inv % ell for c in a]
+        inv = pow(b[-1], -1, ell)
+        b = [c * inv % ell for c in b]
+        a, b = b, _fp_divmod(a, b, ell)[1]
     return a
 
 
-def _fp_powmod(base: list[int], e: int, mod: list[int], ell: int) -> list[int]:
-    result = [1]
-    b = _fp_divmod(base, mod, ell)[1]
+def _frobenius_rows(r: list[int], ell: int) -> list[list[int]]:
+    """x^(ell*i) mod r for i < deg r: h -> h^ell on F_ell[x]/(r) is the
+    linear map sending x^i to row i."""
+    x_ell, base, e = [1], [0, 1], ell
     while e:
         if e & 1:
-            result = _fp_divmod(_fp_mul(result, b, ell), mod, ell)[1]
-        b = _fp_divmod(_fp_mul(b, b, ell), mod, ell)[1]
+            x_ell = _fp_divmod(_fp_mul(x_ell, base), r, ell)[1]
+        base = _fp_divmod(_fp_mul(base, base), r, ell)[1]
         e >>= 1
-    return result
+    rows = [[1]]
+    while len(rows) < len(r) - 1:
+        rows.append(_fp_divmod(_fp_mul(rows[-1], x_ell), r, ell)[1])
+    return rows
 
 
 def cycle_type_mod_ell(T: IntPoly, ell: int) -> tuple[int, ...]:
@@ -397,35 +392,45 @@ def cycle_type_mod_ell(T: IntPoly, ell: int) -> tuple[int, ...]:
 
     Uses distinct-degree factorization (gcds with x^(ell^d) - x); the
     factors themselves are never needed.  Requires the reduction to stay
-    squarefree, i.e. disc(T) nonzero mod ell.
+    squarefree.  When ell does not divide lc(T) that is decided in
+    F_ell[x] as gcd(r, r') = 1, equivalent to ell not dividing disc(T);
+    only when ell | lc(T) is the integer discriminant computed, to choose
+    the error message.  Each step applies Frobenius h -> h^ell through
+    the precomputed rows x^(ell*i) mod r, which are reduced modulo r
+    again whenever a factor is split off.
     """
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     if T.degree < 1:
         raise ValueError("constant polynomial has no cycle type")
-    if T.degree >= 2 and discriminant(T) % ell == 0:
-        raise InconsistencyError("ramified or non-squarefree reduction")
-    r = _fp_trim([c % ell for c in T.coeffs])
-    if len(r) != T.degree + 1:
+    if T.leading % ell == 0:
+        if T.degree >= 2 and discriminant(T) % ell == 0:
+            raise InconsistencyError("ramified or non-squarefree reduction")
         raise InconsistencyError("leading coefficient vanishes mod ell")
-    inv = pow(r[-1], ell - 2, ell)
-    r = [c * inv % ell for c in r]
+    inv = pow(T.leading, -1, ell)
+    r = [c * inv % ell for c in T.coeffs]
+    if len(_fp_gcd(r, _fp_trim([i * c % ell for i, c in enumerate(r)][1:]), ell)) > 1:
+        raise InconsistencyError("ramified or non-squarefree reduction")
+    rows = _frobenius_rows(r, ell)
     parts: list[int] = []
     h = [0, 1]  # x
     d = 0
-    while len(r) - 1 > 0:
+    while 2 * (d + 1) <= len(r) - 1:
         d += 1
-        if 2 * d > len(r) - 1:
-            parts.append(len(r) - 1)
-            break
-        h = _fp_powmod(h, ell, r, ell)
-        diff = h[:]
-        while len(diff) < 2:
-            diff.append(0)
+        acc = [0] * (len(r) - 1)
+        for c, row in zip(h, rows):
+            if c:
+                for j, y in enumerate(row):
+                    acc[j] += c * y
+        h = _fp_trim([c % ell for c in acc])
+        diff = h + [0] * (2 - len(h))
         diff[1] = (diff[1] - 1) % ell
         g = _fp_gcd(r, _fp_trim(diff), ell)
-        if len(g) - 1 > 0:
+        if len(g) > 1:
             parts.extend([d] * ((len(g) - 1) // d))
             r = _fp_divmod(r, g, ell)[0]
-            h = _fp_divmod(h, r, ell)[1] if len(r) > 1 else h
+            rows = [_fp_divmod(row, r, ell)[1] for row in rows[: len(r) - 1]]
+            h = _fp_divmod(h, r, ell)[1]
+    if len(r) > 1:
+        parts.append(len(r) - 1)
     return tuple(sorted(parts, reverse=True))

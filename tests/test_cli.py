@@ -177,6 +177,49 @@ def test_inconsistent_case_exit_code(tmp_path):
     assert main(["verify-case", path]) == 3
 
 
+def _drop(row, key):
+    row.pop(key)
+
+
+@pytest.mark.parametrize("section,edit", [
+    ("frobenius_inputs", lambda row: _drop(row, "ell")),
+    ("frobenius_inputs", lambda row: row.update(ell="x")),
+    ("frobenius_inputs", lambda row: row.update(ell=1.5)),
+    ("frobenius_inputs", lambda row: row.update(cycle_type=["a"])),
+    ("level_data", lambda row: _drop(row["filtration"][0], "fixed_dim")),
+], ids=["no-ell", "ell-x", "ell-float", "cycle-type-letter", "no-fixed-dim"])
+def test_malformed_case_fields_exit_2(tmp_path, capsys, section, edit):
+    payload = json.loads(json.dumps(load_bundled_case("3-13-9").raw))
+    edit(payload[section][0])
+    path = _write(tmp_path, "malformed.json", payload)
+    assert main(["verify-case", path]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_level_rejects_non_integer_prime(tmp_path, capsys):
+    data = _write(tmp_path, "lvl.json", {
+        "level_data": [{"q": "x", "filtration": [{"order": 3, "fixed_dim": 1}]}]
+    })
+    assert main(["level", data]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_eigenvalue_record_needs_three_values(tmp_path, capsys):
+    payload = dict(load_bundled_case("5-17-1").raw, eigenvalues=[{"ell": 2, "a": [[1, 0]]}])
+    path = _write(tmp_path, "short-record.json", payload)
+    assert main(["verify-case", path]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_eigenvalue_records_are_parsed_at_load():
+    payload = load_bundled_case("5-17-1").raw
+    records = [{"ell": 2, "a": [[1, 0], [0, 1], [2, 3]]}]
+    case = CaseFile.from_dict(dict(payload, eigenvalues=records))
+    assert [r.to_json() for r in case.eigenvalues] == records
+    with pytest.raises(SchemaError):
+        CaseFile.from_dict(dict(payload, eigenvalues=[{"ell": 2.0, "a": records[0]["a"]}]))
+
+
 def test_bundled_expected_blocks_cite_sources():
     for name in GOLDEN:
         case = load_bundled_case(name)

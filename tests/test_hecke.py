@@ -3,7 +3,7 @@ import random
 import pytest
 
 from padic_serre.arith import Fp2Elem, fp2_make
-from padic_serre.errors import InconsistencyError
+from padic_serre.errors import InconsistencyError, SchemaError
 from padic_serre.hecke import (
     EigenvalueRecord,
     check_attached,
@@ -133,3 +133,9 @@ def test_solve_record_requires_unit_constant():
 def test_record_json_round_trip():
     rec = EigenvalueRecord(7, F25.elem(1, 2), F25.elem(3, 4), F25.elem(0, 1))
     assert EigenvalueRecord.from_json(rec.to_json(), 5) == rec
+
+
+@pytest.mark.parametrize("values", [[[1, 0]], [[1, 0]] * 4, []])
+def test_record_without_three_values_is_a_schema_error(values):
+    with pytest.raises(SchemaError):
+        EigenvalueRecord.from_json({"ell": 2, "a": values}, 5)
