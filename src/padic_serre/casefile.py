@@ -74,7 +74,7 @@ class CaseFile:
             if data_only:
                 return cls(name, True, sextic, None, [], [], 0, None, [], None, None,
                            raw=payload)
-            p = int(payload["p"])
+            p = json_int(payload["p"])
             if not is_prime(p):
                 raise SchemaError(f"p = {p} is not prime")
             neb = payload.get("nebentype", {"kinds": [], "k": 0})
@@ -86,19 +86,20 @@ class CaseFile:
                 p=p,
                 level_data=[LevelDatum.from_json(d) for d in payload["level_data"]],
                 nebentype_kinds=list(neb.get("kinds", [])),
-                nebentype_k=int(neb.get("k", 0)),
+                nebentype_k=json_int(neb.get("k", 0)),
                 inertia_profile=profile,
                 frobenius_inputs=[_frobenius_input(e)
                                   for e in payload.get("frobenius_inputs", [])],
                 eigenvalues=[EigenvalueRecord.from_json(e, p)
                              for e in payload.get("eigenvalues") or []],
-                expected=payload.get("expected"),
-                certificates=payload.get("certificates", []),
+                expected=_expected(payload.get("expected")),
+                certificates=[dict(req, p=json_int(req["p"]))
+                              for req in payload.get("certificates", [])],
                 raw=payload,
             )
         except SchemaError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed case file: {exc}") from exc
 
     @classmethod
@@ -112,13 +113,33 @@ class CaseFile:
 
 
 def _frobenius_input(entry: dict) -> dict:
-    """A copy of the entry with ell, and the stored cycle type if any,
-    read as integers."""
+    """A copy of the entry with ell, and the stored cycle type, Artin power
+    and residue degree if any, read as integers."""
     out = dict(entry, ell=json_int(entry["ell"]))
+    for key in ("artin_power", "residue_degree"):
+        if key in entry:
+            out[key] = json_int(entry[key])
     if "cycle_type" in entry:
         if not isinstance(entry["cycle_type"], list):
             raise SchemaError(f"cycle_type {entry['cycle_type']!r} is not a list")
         out["cycle_type"] = tuple(json_int(x) for x in entry["cycle_type"])
+    return out
+
+
+def _expected(expected: Optional[dict]) -> Optional[dict]:
+    """A copy of the golden block with the level exponents, the weights and
+    the primes of the Frobenius classes read as integers."""
+    if expected is None:
+        return None
+    out = dict(expected)
+    if "level" in expected:
+        out["level"] = {str(q): json_int(e) for q, e in expected["level"].items()}
+    if "weights" in expected:
+        out["weights"] = sorted(tuple(json_int(x) for x in w) for w in expected["weights"])
+    if expected.get("frobenius_classes"):
+        out["frobenius_classes"] = {
+            json_int(ell): label for ell, label in expected["frobenius_classes"].items()
+        }
     return out
 
 
@@ -154,8 +175,8 @@ def _cycle_type_checked(case: CaseFile, entry: dict, disc: Optional[int]) -> tup
 
 
 def _frobenius_entry_mod5(entry: dict, cycle_type, eps_sign: int) -> dict:
-    cls = frobenius_class(cycle_type, int(entry.get("artin_power", 0)),
-                          int(entry.get("residue_degree", lcm(*cycle_type))))
+    cls = frobenius_class(cycle_type, entry.get("artin_power", 0),
+                          entry.get("residue_degree", lcm(*cycle_type)))
     poly = frob_charpoly(cls, eps_sign)
     return {
         "ell": entry["ell"],
@@ -216,7 +237,7 @@ def _golden_mismatches(case: CaseFile, report: dict) -> list[str]:
     expected = case.expected or {}
     mismatches = []
     if "level" in expected:
-        want = {str(q): int(e) for q, e in expected["level"].items()}
+        want = expected["level"]
         got = report["level"]["exponents"]
         if want != got:
             mismatches.append(f"level: expected {want}, computed {got}")
@@ -225,12 +246,12 @@ def _golden_mismatches(case: CaseFile, report: dict) -> list[str]:
             f"nebentype: expected {expected['nebentype']}, computed {report['nebentype']['kind']}"
         )
     if "weights" in expected:
-        want_w = sorted(tuple(int(x) for x in w) for w in expected["weights"])
+        want_w = expected["weights"]
         got_w = sorted(tuple(w) for w in report["weights"])
         if want_w != got_w:
             mismatches.append(f"weights: expected {want_w}, computed {got_w}")
     for ell, label in (expected.get("frobenius_classes") or {}).items():
-        found = next((e for e in report["frobenius"] if e["ell"] == int(ell)), None)
+        found = next((e for e in report["frobenius"] if e["ell"] == ell), None)
         if found is None or found.get("class") != label:
             mismatches.append(
                 f"frobenius class at {ell}: expected {label}, "
@@ -245,7 +266,7 @@ def _certificate_section(case: CaseFile) -> list[dict]:
         cert = certify_same_extension(
             IntPoly.from_json(req["f"]),
             IntPoly.from_json(req["g"]),
-            int(req["p"]),
+            req["p"],
             tuple(req["evidence_f"]),
             tuple(req["evidence_g"]),
             req.get("method", "prop1"),

@@ -119,7 +119,7 @@ def cmd_weights(args) -> int:
         payload = payload["inertia_profile"]
     try:
         profile = InertiaProfile.from_json(payload)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad inertia profile: {exc}") from exc
     weights = predicted_weights(profile, args.p)
     _emit({"weights": [list(w) for w in sorted(weights)],

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import ORD_INFINITY, ord_p
-from .errors import EvidenceError, InconsistencyError
+from .errors import EvidenceError, InconsistencyError, SchemaError, json_int
 from .polynomial import (
     IntPoly,
     cycle_type_mod_ell,
@@ -67,22 +67,30 @@ def is_eisenstein(f: IntPoly, p: int) -> bool:
     return f.constant % (p * p) != 0 and f.constant != 0
 
 
+def _evidence_arg(evidence) -> int:
+    try:
+        return json_int(evidence[1])
+    except (IndexError, ValueError) as exc:
+        raise SchemaError(f"evidence {evidence!r} needs an integer argument") from exc
+
+
 def validate_evidence(f: IntPoly, p: int, evidence, which: str) -> bool:
     """Check one evidence claim; returns True when the evidence was a bare
     caller assertion (so reports can flag it).  Raises EvidenceError when
-    the claim fails to validate."""
+    the claim fails to validate, SchemaError when its argument is not an
+    integer under ``json_int``."""
     if not evidence or evidence[0] not in EVIDENCE_KINDS:
         raise EvidenceError(which, f"unknown evidence kind {evidence!r}")
     kind = evidence[0]
     if kind == "caller-assertion":
         return True
     if kind == "eisenstein-after-shift":
-        a = int(evidence[1])
+        a = _evidence_arg(evidence)
         if not is_eisenstein(f.shift(a), p):
             raise EvidenceError(which, f"shift by {a} is not Eisenstein at {p}")
         return False
     if kind == "irreducible-mod-q":
-        q = int(evidence[1])
+        q = _evidence_arg(evidence)
         try:
             parts = cycle_type_mod_ell(f, q)
         except InconsistencyError as exc:

@@ -1,6 +1,8 @@
 """Small-matrix helpers over F_{p^2}: products, characteristic polynomials,
-element orders, closure of finitely generated matrix groups, and the one
-classifier of group elements, by (order, trace).
+the closure of finitely generated matrix groups (Dimino's coset algorithm),
+the orders of all elements of a finite group (at most one power walk per
+cyclic subgroup), and the one classifier of group elements, by (order,
+trace).
 
 Matrices are tuples of row tuples of Fp2Elem, so they hash and can be
 dictionary keys during closure walks.  Elements are interned, so comparing
@@ -9,6 +11,8 @@ table lookups in the F_{p^2} memo rather than new element objects.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .arith import Fp2Elem
 
@@ -63,18 +67,6 @@ def trace(a: Matrix) -> Fp2Elem:
     return t
 
 
-def mat_order(a: Matrix, cap: int = 10000) -> int:
-    """Multiplicative order; raises if it exceeds cap."""
-    p = a[0][0].p
-    e = identity(p, len(a))
-    x = a
-    for k in range(1, cap + 1):
-        if x == e:
-            return k
-        x = mat_mul(x, a)
-    raise ValueError("order exceeds cap")
-
-
 def charpoly3_reversed(a: Matrix) -> list[Fp2Elem]:
     """Coefficients [1, c1, c2, c3] of det(I - a*t) for a 3x3 matrix.
 
@@ -89,23 +81,53 @@ def charpoly3_reversed(a: Matrix) -> list[Fp2Elem]:
 
 
 def closure(generators, cap: int = 100000) -> set[Matrix]:
-    """All products of the generators (a subgroup of a finite GL, so this
-    terminates); raises if the group grows past cap."""
+    """The group generated by invertible matrices over a finite field, by
+    Dimino's algorithm; raises ValueError if it grows past cap.
+
+    Each generator not yet in the group H built so far extends it by whole
+    right cosets H*r: every new element costs one product h*r, and every
+    coset representative r one product r*t per generator t taken so far,
+    since H*r*t lies in the group exactly when r*t does.  (Butler,
+    *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991.)"""
     gens = list(generators)
-    seen = set(gens)
-    frontier = list(gens)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = mat_mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                    if len(seen) > cap:
-                        raise ValueError("closure exceeded cap")
-        frontier = nxt
+    group = [identity(gens[0][0][0].p, len(gens[0]))]
+    seen = set(group)
+    used: list[Matrix] = []
+    for g in gens:
+        if g in seen:
+            continue
+        used.append(g)
+        h = list(group)
+        reps = [g]
+        for r in reps:
+            if r not in seen:
+                coset = [mat_mul(x, r) for x in h]
+                group.extend(coset)
+                seen.update(coset)
+                if len(seen) > cap:
+                    raise ValueError("closure exceeded cap")
+                reps.extend(mat_mul(r, t) for t in used)
     return seen
+
+
+def element_orders(group) -> dict[Matrix, int]:
+    """Multiplicative order of every element of a finite matrix group.
+
+    Walks the powers of each element whose order is not yet known; when a
+    has order n, a^k has order n / gcd(k, n), so one walk settles the whole
+    cyclic subgroup."""
+    orders: dict[Matrix, int] = {}
+    for a in group:
+        if a in orders:
+            continue
+        e = identity(a[0][0].p, len(a))
+        powers = [a]
+        while powers[-1] != e:
+            powers.append(mat_mul(powers[-1], a))
+        n = len(powers)
+        for k, x in enumerate(powers, 1):
+            orders[x] = n // gcd(k, n)
+    return orders
 
 
 def classes_by_order_trace(group) -> dict[tuple[int, Fp2Elem], list[Matrix]]:
@@ -113,7 +135,8 @@ def classes_by_order_trace(group) -> dict[tuple[int, Fp2Elem], list[Matrix]]:
 
     Buckets and their members keep the iteration order of ``group``, so the
     first member of each bucket is a deterministic representative."""
+    orders = element_orders(group)
     buckets: dict[tuple[int, Fp2Elem], list[Matrix]] = {}
     for m in group:
-        buckets.setdefault((mat_order(m), trace(m)), []).append(m)
+        buckets.setdefault((orders[m], trace(m)), []).append(m)
     return buckets

@@ -21,16 +21,19 @@ Construction, from scratch each run (deterministic):
     rescale to determinant one (three choices, differing by a cube root of
     unity -- exactly the three lifts), and keep the scaling of order 2.
 4.  The closure of the two Sym^2 generators of H and M has order 1080 with
-    center of order 3: the triple cover.  Everything else the scan can
+    center of order 3: the triple cover.  The closure grows by whole cosets
+    and gives up once it passes 1300 elements.  Everything else the scan can
     produce is rejected by that count (an inner twist reproduces H itself,
     and the chi-trivial outer twists land in the 120-element
     symmetric-group extension that char 5 happens to admit), so the scan is
     self-verifying.
 
-Elements are then bucketed by (order, trace), which separates all thirteen
-coarse classes: the scalars z*I and z^2*I (traces 3z and 3z^2, for the
-deterministic cube root z) are classes "3a" and "3b", and in orders 6, 12
-and 15 the trace picks the central twist.  The inverse of a class is read
+Element orders, in H, in K and in the cover alike, come from
+``element_orders``: one walk over the powers of an element gives the orders
+of all of them.  Elements are then bucketed by (order, trace), which
+separates all thirteen coarse classes: the scalars z*I and z^2*I (traces 3z
+and 3z^2, for the deterministic cube root z) are classes "3a" and "3b", and
+in orders 6, 12 and 15 the trace picks the central twist.  The inverse of a class is read
 from the representative's characteristic polynomial, whose t^2 coefficient
 is the trace of the inverse (determinant one).
 """
@@ -47,10 +50,10 @@ from .matrices import (
     classes_by_order_trace,
     closure,
     det3,
+    element_orders,
     identity,
     mat,
     mat_mul,
-    mat_order,
     scalar_mul,
 )
 from .rep3a6 import sl2_generators, sym_square, sym_square_group
@@ -63,7 +66,8 @@ def _mat_key(m: Matrix):
 def _tetrahedral_normalizer(h: list[Matrix]) -> list[Matrix]:
     p = h[0][0][0].p
     e = identity(p, 3)
-    invol = [m for m in h if mat_order(m, 10) == 2]
+    orders = element_orders(h)
+    invol = [m for m in h if orders[m] == 2]
     u = invol[0]
     v = next(m for m in invol if m not in (u,) and mat_mul(u, m) == mat_mul(m, u))
     v4 = {e, u, v, mat_mul(u, v)}
@@ -137,8 +141,9 @@ def triple_cover_group() -> list[Matrix]:
     if len(h) != 60:
         raise AssertionError(f"expected 60 elements, got {len(h)}")
     k = _tetrahedral_normalizer(h)
-    order2 = [m for m in k if mat_order(m, 15) == 2]
-    order3 = [m for m in k if mat_order(m, 15) == 3]
+    orders = element_orders(k)
+    order2 = [m for m in k if orders[m] == 2]
+    order3 = [m for m in k if orders[m] == 3]
     k1, k2 = order2[0], order3[0]
     e = identity(p, 3)
     model = fp2_make(p)

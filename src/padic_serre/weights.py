@@ -31,7 +31,7 @@ from math import lcm
 from typing import NamedTuple, Optional
 
 from .arith import Fp2Elem, is_prime
-from .errors import InconsistencyError
+from .errors import InconsistencyError, SchemaError, json_int
 
 
 class Triple(NamedTuple):
@@ -101,12 +101,23 @@ class InertiaProfile:
 
     @classmethod
     def from_json(cls, payload) -> "InertiaProfile":
+        """Integers go through ``json_int`` (ValueError); a triple that is
+        not three values or flags that are not two strings: SchemaError."""
+        niveau = json_int(payload["niveau"])
+        triples = tuple(tuple(json_int(x) for x in t) for t in payload.get("triples", []))
+        if any(len(t) != 3 for t in triples):
+            raise SchemaError(f"exponent triples {triples} must each have three values")
+        flags = payload.get("flags", ["none", "none"])
+        if not (isinstance(flags, list) and len(flags) == 2
+                and all(isinstance(f, str) for f in flags)):
+            raise SchemaError(f"flags {flags!r} must be a list of two strings")
+        k, m = payload.get("k"), payload.get("m")
         return cls(
-            niveau=int(payload["niveau"]),
-            triples=tuple(tuple(int(x) for x in t) for t in payload.get("triples", [])),
-            k=payload.get("k"),
-            m=payload.get("m"),
-            flags=tuple(payload.get("flags", ["none", "none"])),
+            niveau=niveau,
+            triples=triples,
+            k=None if k is None else json_int(k),
+            m=None if m is None else json_int(m),
+            flags=tuple(flags),
             provenance=payload.get("provenance", ""),
         )
 

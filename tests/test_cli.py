@@ -196,6 +196,81 @@ def test_malformed_case_fields_exit_2(tmp_path, capsys, section, edit):
     assert capsys.readouterr().out == ""
 
 
+CERTIFICATE = {"f": ["-2", "0", "0", "1"], "g": ["-2", "2", "0", "1"], "p": 2,
+               "evidence_f": ["eisenstein-after-shift", 0],
+               "evidence_g": ["eisenstein-after-shift", 0]}
+
+
+def _first_frobenius_row(payload, **fields):
+    payload["frobenius_inputs"][0].update(fields)
+
+
+def _floats(rows):
+    return [[float(x) for x in row] for row in rows]
+
+
+# each value is a schema error, not something to coerce with int() or to
+# report as a golden mismatch or an inconsistency; "artin_power" and
+# "residue_degree" sit on a row of cycle type (5, 1) with residue degree 5
+@pytest.mark.parametrize("case,edit", [
+    ("5-17-1", lambda d: d.update(p=5.0)),
+    ("5-17-1", lambda d: _first_frobenius_row(d, artin_power=1.5)),
+    ("5-17-1", lambda d: _first_frobenius_row(d, residue_degree=5.0)),
+    ("5-17-1", lambda d: d.update(nebentype=dict(d["nebentype"], k=True))),
+    ("5-17-1", lambda d: d.update(certificates=[dict(CERTIFICATE, p=2.0)])),
+    ("5-17-1", lambda d: d.update(certificates=[
+        dict(CERTIFICATE, evidence_f=["irreducible-mod-q", 7.5])])),
+    ("3-13-9", lambda d: d["expected"].update(level={"13": 1.0})),
+    ("3-13-9", lambda d: d["expected"].update(level=[["13", 1]])),
+    ("3-13-9", lambda d: d["expected"].update(weights=_floats(d["expected"]["weights"]))),
+    ("5-17-1", lambda d: d["expected"].update(frobenius_classes={"2.0": "15bd"})),
+    ("5-17-1", lambda d: d["inertia_profile"].update(niveau=1.0)),
+    ("5-17-1", lambda d: d["inertia_profile"].update(triples=[[1.5, 0, 0]])),
+    ("5-17-1", lambda d: d["inertia_profile"].update(flags="ab")),
+], ids=["p-float", "artin-power-float", "residue-degree-float", "nebentype-k-bool",
+        "certificate-p-float", "evidence-q-float", "expected-level-float", "expected-level-list",
+        "expected-weights-float", "expected-ell-float", "niveau-float", "triple-float",
+        "flags-string"])
+def test_case_values_outside_the_schema_exit_2(tmp_path, capsys, case, edit):
+    payload = json.loads(json.dumps(load_bundled_case(case).raw))
+    edit(payload)
+    path = _write(tmp_path, "coerced.json", payload)
+    assert main(["verify-case", path]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_case_certificate_runs(tmp_path, capsys):
+    """The certificate request above is valid as written, so the exit 2 for
+    its float p or evidence argument comes from the schema alone."""
+    payload = dict(load_bundled_case("5-17-1").raw, certificates=[CERTIFICATE])
+    assert main(["verify-case", _write(tmp_path, "cert.json", payload)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["verdict"] for c in report["certificates"]] == ["certified"]
+
+
+def test_niveau_2_string_exponent_is_an_integer(tmp_path, capsys):
+    payload = load_bundled_case("5-17-1").raw
+    outputs = []
+    for k in (1, "1"):
+        profile = {"niveau": 2, "k": k, "m": 1, "flags": ["none", "none"]}
+        path = _write(tmp_path, "niveau2.json",
+                      dict(payload, inertia_profile=profile, expected=None))
+        assert main(["verify-case", path]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["weights"]
+
+
+@pytest.mark.parametrize("profile", [
+    {"niveau": 1.0, "triples": [[0, 0, 0]]},
+    {"niveau": 1, "triples": [[0, 0]]},
+    {"niveau": 1, "triples": [[0, 0, 0]], "flags": "ab"},
+], ids=["niveau-float", "short-triple", "flags-string"])
+def test_weights_rejects_malformed_profile(tmp_path, capsys, profile):
+    assert main(["weights", _write(tmp_path, "prof.json", profile), "--p", "5"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_level_rejects_non_integer_prime(tmp_path, capsys):
     data = _write(tmp_path, "lvl.json", {
         "level_data": [{"q": "x", "filtration": [{"order": 3, "fixed_dim": 1}]}]

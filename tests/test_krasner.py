@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from padic_serre.arith import ORD_INFINITY, ord_p
-from padic_serre.errors import EvidenceError, InconsistencyError
+from padic_serre.errors import EvidenceError, InconsistencyError, SchemaError
 from padic_serre.krasner import (
     certify_same_extension,
     is_eisenstein,
@@ -140,6 +140,20 @@ def test_evidence_validation():
     with pytest.raises(EvidenceError):
         validate_evidence(IntPoly([8, -6, 1]), 2, ("single-slope",), "f")
     assert validate_evidence(X3M2, 2, ("caller-assertion",), "f") is True
+
+
+@pytest.mark.parametrize("evidence", [("irreducible-mod-q", 7.5), ("irreducible-mod-q", True),
+                                      ("eisenstein-after-shift", "0.0"),
+                                      ("eisenstein-after-shift",)])
+def test_evidence_argument_must_be_an_integer(evidence):
+    with pytest.raises(SchemaError):
+        validate_evidence(X3M2, 2, evidence, "f")
+
+
+def test_evidence_argument_may_be_a_decimal_string():
+    # x^3 - 2 is irreducible mod 7 and Eisenstein at 2
+    assert validate_evidence(X3M2, 2, ("irreducible-mod-q", "7"), "f") is False
+    assert validate_evidence(X3M2, 2, ("eisenstein-after-shift", "0"), "f") is False
 
 
 def test_certify_displayed_pair():
