@@ -26,10 +26,10 @@ from math import lcm
 from typing import Optional
 
 from .arith import fp2_make, is_prime
-from .errors import InconsistencyError, SchemaError, json_int
+from .errors import InconsistencyError, SchemaError, json_int, read_json
 from .galois_local import LevelDatum, level
 from .hecke import EigenvalueRecord, check_attached
-from .krasner import certify_same_extension
+from .krasner import METHODS, certify_same_extension, parse_evidence
 from .polynomial import IntPoly, cycle_type_mod_ell, discriminant
 from .rep3a6 import (
     CoarseClassA6,
@@ -41,6 +41,7 @@ from .rep3a6 import (
 from .weights import DirichletCharacter, InertiaProfile, nebentype_factor, predicted_weights
 
 DEFAULT_ELL_MAX = 47
+FINE_ORDER5 = ("5a", "5b", "unknown")
 
 BUNDLED = (
     "2-3-55", "2-3-57", "2-3-58", "3-7-3", "3-13-9", "5-17-1",
@@ -56,7 +57,7 @@ class CaseFile:
     sextic: Optional[IntPoly]
     p: Optional[int]
     level_data: list[LevelDatum]
-    nebentype_kinds: list[str]
+    nebentype: Optional[DirichletCharacter]
     nebentype_k: int
     inertia_profile: Optional[InertiaProfile]
     frobenius_inputs: list[dict]
@@ -69,10 +70,12 @@ class CaseFile:
     def from_dict(cls, payload: dict) -> "CaseFile":
         try:
             name = payload["name"]
-            data_only = bool(payload.get("data_only", False))
+            data_only = payload.get("data_only", False)
+            if not isinstance(data_only, bool):
+                raise SchemaError(f"data_only {data_only!r} is not true or false")
             sextic = IntPoly.from_json(payload["sextic"]) if "sextic" in payload else None
             if data_only:
-                return cls(name, True, sextic, None, [], [], 0, None, [], None, None,
+                return cls(name, True, sextic, None, [], None, 0, None, [], None, None,
                            raw=payload)
             p = json_int(payload["p"])
             if not is_prime(p):
@@ -85,7 +88,7 @@ class CaseFile:
                 sextic=sextic,
                 p=p,
                 level_data=[LevelDatum.from_json(d) for d in payload["level_data"]],
-                nebentype_kinds=list(neb.get("kinds", [])),
+                nebentype=DirichletCharacter.from_json(neb.get("kinds", []), p),
                 nebentype_k=json_int(neb.get("k", 0)),
                 inertia_profile=profile,
                 frobenius_inputs=[_frobenius_input(e)
@@ -93,28 +96,22 @@ class CaseFile:
                 eigenvalues=[EigenvalueRecord.from_json(e, p)
                              for e in payload.get("eigenvalues") or []],
                 expected=_expected(payload.get("expected")),
-                certificates=[dict(req, p=json_int(req["p"]))
+                certificates=[_certificate_request(req)
                               for req in payload.get("certificates", [])],
                 raw=payload,
             )
-        except SchemaError:
-            raise
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed case file: {exc}") from exc
 
     @classmethod
-    def load(cls, path: str) -> "CaseFile":
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SchemaError(f"cannot read case file {path}: {exc}") from exc
-        return cls.from_dict(payload)
+    def load(cls, path) -> "CaseFile":
+        return cls.from_dict(read_json(path))
 
 
 def _frobenius_input(entry: dict) -> dict:
     """A copy of the entry with ell, and the stored cycle type, Artin power
-    and residue degree if any, read as integers."""
+    and residue degree if any, read as integers, and the order-5 class if
+    any checked against FINE_ORDER5."""
     out = dict(entry, ell=json_int(entry["ell"]))
     for key in ("artin_power", "residue_degree"):
         if key in entry:
@@ -123,7 +120,25 @@ def _frobenius_input(entry: dict) -> dict:
         if not isinstance(entry["cycle_type"], list):
             raise SchemaError(f"cycle_type {entry['cycle_type']!r} is not a list")
         out["cycle_type"] = tuple(json_int(x) for x in entry["cycle_type"])
+    if entry.get("fine_order5", "unknown") not in FINE_ORDER5:
+        raise SchemaError(f"fine_order5 {entry['fine_order5']!r} is not one of {FINE_ORDER5}")
     return out
+
+
+def _certificate_request(req: dict) -> dict:
+    """A certificate request as the keyword arguments of
+    ``certify_same_extension``."""
+    method = req.get("method", "prop1")
+    if method not in METHODS:
+        raise SchemaError(f"certificate method {method!r} is not one of {METHODS}")
+    return {
+        "f": IntPoly.from_json(req["f"]),
+        "g": IntPoly.from_json(req["g"]),
+        "p": json_int(req["p"]),
+        "evidence_f": parse_evidence(req["evidence_f"]),
+        "evidence_g": parse_evidence(req["evidence_g"]),
+        "method": method,
+    }
 
 
 def _expected(expected: Optional[dict]) -> Optional[dict]:
@@ -150,8 +165,7 @@ def bundled_case_names() -> tuple[str, ...]:
 def load_bundled_case(name: str) -> CaseFile:
     if name not in BUNDLED:
         raise SchemaError(f"unknown bundled case {name}")
-    text = resources.files("padic_serre").joinpath(f"cases/{name}.json").read_text()
-    return CaseFile.from_dict(json.loads(text))
+    return CaseFile.load(resources.files("padic_serre").joinpath(f"cases/{name}.json"))
 
 
 def _cycle_type_checked(case: CaseFile, entry: dict, disc: Optional[int]) -> tuple[int, ...]:
@@ -204,13 +218,13 @@ def _frobenius_entry_mod3(entry: dict, cycle_type, eps_sign: int, p: int) -> dic
     return out
 
 
-def _frobenius_section(case: CaseFile, eps: DirichletCharacter, ell_max: int) -> list[dict]:
+def _frobenius_section(case: CaseFile, ell_max: int) -> list[dict]:
     entries = [e for e in case.frobenius_inputs if e["ell"] <= ell_max]
     disc = discriminant(case.sextic) if entries and case.sextic is not None else None
     out = []
     for entry in entries:
         cycle_type = _cycle_type_checked(case, entry, disc)
-        sign = eps.sign_at(entry["ell"])
+        sign = case.nebentype.sign_at(entry["ell"])
         if case.p == 5:
             out.append(_frobenius_entry_mod5(entry, cycle_type, sign))
         elif case.p == 3:
@@ -261,18 +275,7 @@ def _golden_mismatches(case: CaseFile, report: dict) -> list[str]:
 
 
 def _certificate_section(case: CaseFile) -> list[dict]:
-    out = []
-    for req in case.certificates:
-        cert = certify_same_extension(
-            IntPoly.from_json(req["f"]),
-            IntPoly.from_json(req["g"]),
-            req["p"],
-            tuple(req["evidence_f"]),
-            tuple(req["evidence_g"]),
-            req.get("method", "prop1"),
-        )
-        out.append(cert.to_json())
-    return out
+    return [certify_same_extension(**req).to_json() for req in case.certificates]
 
 
 def verify_case(case: CaseFile, ell_max: int = DEFAULT_ELL_MAX) -> dict:
@@ -289,10 +292,9 @@ def verify_case(case: CaseFile, ell_max: int = DEFAULT_ELL_MAX) -> dict:
             "golden": {"checked": False, "mismatches": []},
         }
     exponents, n = level(case.level_data, p=case.p)
-    eps = DirichletCharacter(case.p, frozenset(case.nebentype_kinds))
-    nebentype_factor(case.nebentype_k, eps, n)
+    nebentype_factor(case.nebentype_k, case.nebentype, n)
     weights = predicted_weights(case.inertia_profile, case.p)
-    frob_section = _frobenius_section(case, eps, ell_max)
+    frob_section = _frobenius_section(case, ell_max)
     attachment = _attachment_section(case, frob_section)
     model = fp2_make(case.p)
     report = {
@@ -303,7 +305,8 @@ def verify_case(case: CaseFile, ell_max: int = DEFAULT_ELL_MAX) -> dict:
             "exponents": {str(q): e for q, e in sorted(exponents.items())},
             "N": str(n),
         },
-        "nebentype": {"kind": eps.kind, "conductor": eps.conductor, "k": case.nebentype_k},
+        "nebentype": {"kind": case.nebentype.kind, "conductor": case.nebentype.conductor,
+                      "k": case.nebentype_k},
         "weights": [list(w) for w in sorted(weights)],
         "weights_printed": [str(w) for w in sorted(weights)],
         "frobenius": frob_section,

@@ -9,8 +9,6 @@ strings, constant term first.  Exit codes: 0 success, 1 golden mismatch,
 from __future__ import annotations
 
 import argparse
-import json
-import re
 import sys
 
 from .casefile import (
@@ -21,9 +19,9 @@ from .casefile import (
     report_to_json,
     verify_case,
 )
-from .errors import InconsistencyError, SchemaError
+from .errors import InconsistencyError, SchemaError, read_json
 from .galois_local import LevelDatum, level
-from .krasner import METHODS, certify_same_extension, precision_report
+from .krasner import METHODS, certify_same_extension, parse_evidence, precision_report
 from .polynomial import IntPoly, newton_polygon
 from .weights import InertiaProfile, predicted_weights
 
@@ -33,24 +31,20 @@ EXIT_SCHEMA = 2
 EXIT_MATH = 3
 
 
-def _load_json(path: str):
+def _load(path: str, parse, key: str | None = None):
+    """parse applied to the JSON file at path, or to its field key if it has
+    one (so a case file serves too); SchemaError if parse cannot read it."""
+    payload = read_json(path)
+    if key is not None and isinstance(payload, dict) and key in payload:
+        payload = payload[key]
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot parse {path}: {exc}") from exc
-
-
-def _load_poly(path: str) -> IntPoly:
-    payload = _load_json(path)
-    try:
-        return IntPoly.from_json(payload)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad polynomial in {path}: {exc}") from exc
+        return parse(payload)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed input in {path}: {exc}") from exc
 
 
 def _emit(payload: dict, json_out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = report_to_json(payload)
     if json_out:
         with open(json_out, "w") as fh:
             fh.write(text)
@@ -58,42 +52,34 @@ def _emit(payload: dict, json_out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_evidence(spec: str):
-    """Evidence flags look like "eisenstein-after-shift:1",
-    "irreducible-mod-q:7", "single-slope" or "assert"."""
-    kind, _, arg = spec.partition(":")
+def _evidence_flag(spec: str) -> tuple:
+    """The flag "kind:arg" (or "kind", with "assert" short for
+    "caller-assertion") as the claim ["kind", arg]."""
+    kind, colon, arg = spec.partition(":")
     if kind == "assert":
-        return ("caller-assertion",)
-    if kind in ("single-slope", "caller-assertion"):
-        return (kind,)
-    if kind in ("eisenstein-after-shift", "irreducible-mod-q"):
-        if arg == "":
-            raise SchemaError(f"evidence {kind} needs an argument, e.g. {kind}:1")
-        if not re.fullmatch(r"[+-]?[0-9]+", arg):
-            raise SchemaError(f"evidence {kind} needs an integer argument, got {arg!r}")
-        return (kind, int(arg))
-    raise SchemaError(f"unknown evidence kind {spec!r}")
+        kind = "caller-assertion"
+    return parse_evidence([kind, arg] if colon else [kind])
 
 
 def cmd_polygon(args) -> int:
-    f = _load_poly(args.poly)
+    f = _load(args.poly, IntPoly.from_json)
     _emit(newton_polygon(f, args.p).to_json(), args.json_out)
     return EXIT_OK
 
 
 def cmd_precision(args) -> int:
-    f = _load_poly(args.poly)
+    f = _load(args.poly, IntPoly.from_json)
     _emit(precision_report(f, args.p, args.method).to_json(), args.json_out)
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
-    f = _load_poly(args.f)
-    g = _load_poly(args.g)
+    f = _load(args.f, IntPoly.from_json)
+    g = _load(args.g, IntPoly.from_json)
     cert = certify_same_extension(
         f, g, args.p,
-        _parse_evidence(args.evidence_f),
-        _parse_evidence(args.evidence_g),
+        _evidence_flag(args.evidence_f),
+        _evidence_flag(args.evidence_g),
         args.method,
     )
     _emit(cert.to_json(), args.json_out)
@@ -101,12 +87,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_level(args) -> int:
-    payload = _load_json(args.data)
-    try:
-        entries = payload["level_data"] if isinstance(payload, dict) else payload
-        data = [LevelDatum.from_json(d) for d in entries]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad level data: {exc}") from exc
+    data = _load(args.data, lambda d: [LevelDatum.from_json(x) for x in d], "level_data")
     exponents, n = level(data, p=args.p)
     _emit({"exponents": {str(q): e for q, e in sorted(exponents.items())},
            "N": str(n)}, args.json_out)
@@ -114,13 +95,7 @@ def cmd_level(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    payload = _load_json(args.profile)
-    if isinstance(payload, dict) and "inertia_profile" in payload:
-        payload = payload["inertia_profile"]
-    try:
-        profile = InertiaProfile.from_json(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad inertia profile: {exc}") from exc
+    profile = _load(args.profile, InertiaProfile.from_json, "inertia_profile")
     weights = predicted_weights(profile, args.p)
     _emit({"weights": [list(w) for w in sorted(weights)],
            "printed": [str(w) for w in sorted(weights)]}, args.json_out)
@@ -143,12 +118,7 @@ def cmd_frobenius(args) -> int:
 def cmd_verify_case(args) -> int:
     case = _load_case(args.case)
     report = verify_case(case, ell_max=args.ell_max)
-    text = report_to_json(report)
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report, args.json_out)
     if report["golden"]["mismatches"]:
         return EXIT_GOLDEN
     return EXIT_OK

@@ -1,11 +1,16 @@
-"""Exception types shared across the package, and the one rule for
-integers read from JSON (``json_int``).
+"""Exception types shared across the package, the one reader of JSON
+files (``read_json``) and the one rule for integers read from JSON
+(``json_int``).
 
-The CLI maps these onto its exit-code contract: schema/parse problems
+Outside input is parsed once, at load, by the type that owns it (a case
+file by ``CaseFile.from_dict``, an evidence claim by
+``krasner.parse_evidence``, anything else by its class's ``from_json``).
+The CLI maps the errors onto its exit-code contract: schema/parse problems
 exit 2, mathematical inconsistencies exit 3.  Exit 1 (a golden-value
 mismatch) is not an exception: ``verify-case`` reads it off the report.
 """
 
+import json
 import re
 
 
@@ -40,3 +45,12 @@ def json_int(c) -> int:
     if isinstance(c, str) and re.fullmatch(r"[+-]?[0-9]+", c):
         return int(c)
     raise ValueError(f"{c!r} is not an integer or a decimal string")
+
+
+def read_json(path):
+    """The JSON document at path; SchemaError if unreadable or not JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"cannot parse {path}: {exc}") from exc

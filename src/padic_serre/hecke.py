@@ -42,14 +42,13 @@ class EigenvalueRecord:
 
     @classmethod
     def from_json(cls, payload, p: int) -> "EigenvalueRecord":
-        try:
-            a = payload["a"]
-            if len(a) != 3:
-                raise SchemaError(f"expected three eigenvalues, got {len(a)}")
-            a1, a2, a3 = (Fp2Elem(p, json_int(c0), json_int(c1)) for c0, c1 in a)
-            return cls(json_int(payload["ell"]), a1, a2, a3)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed eigenvalue record: {exc}") from exc
+        """Integers go through ``json_int`` (ValueError); a record without
+        three eigenvalues: SchemaError."""
+        a = payload["a"]
+        if len(a) != 3:
+            raise SchemaError(f"expected three eigenvalues, got {len(a)}")
+        a1, a2, a3 = (Fp2Elem(p, json_int(c0), json_int(c1)) for c0, c1 in a)
+        return cls(json_int(payload["ell"]), a1, a2, a3)
 
     def to_json(self) -> dict:
         return {

@@ -29,6 +29,10 @@ this module validates:
   ("single-slope",)               Newton polygon is one slope with
                                   denominator equal to deg f
   ("caller-assertion",)           accepted but flagged in the report
+
+``parse_evidence`` reads a claim given as a list (a JSON array in a case
+file, the split ``kind:arg`` flag on the command line); a claim that does
+not parse is a SchemaError, one that f does not satisfy an EvidenceError.
 """
 
 from __future__ import annotations
@@ -67,30 +71,38 @@ def is_eisenstein(f: IntPoly, p: int) -> bool:
     return f.constant % (p * p) != 0 and f.constant != 0
 
 
-def _evidence_arg(evidence) -> int:
+def parse_evidence(claim) -> tuple:
+    """The claim ["kind"] or ["kind", arg] as a tuple, with the argument of
+    "eisenstein-after-shift" and "irreducible-mod-q" read by ``json_int``.
+    SchemaError for a claim that is not a list or tuple, an unknown kind,
+    or a missing, extra or non-integer argument."""
+    if not isinstance(claim, (list, tuple)) or not claim or claim[0] not in EVIDENCE_KINDS:
+        raise SchemaError(f"evidence {claim!r} is not a list starting with one of {EVIDENCE_KINDS}")
+    kind, *args = claim
+    arity = int(kind in ("eisenstein-after-shift", "irreducible-mod-q"))
+    if len(args) != arity:
+        raise SchemaError(f"evidence {kind} takes {arity} argument(s), got {args!r}")
     try:
-        return json_int(evidence[1])
-    except (IndexError, ValueError) as exc:
-        raise SchemaError(f"evidence {evidence!r} needs an integer argument") from exc
+        return (kind, *map(json_int, args))
+    except ValueError as exc:
+        raise SchemaError(f"evidence {kind} needs an integer argument, got {args!r}") from exc
 
 
 def validate_evidence(f: IntPoly, p: int, evidence, which: str) -> bool:
     """Check one evidence claim; returns True when the evidence was a bare
     caller assertion (so reports can flag it).  Raises EvidenceError when
-    the claim fails to validate, SchemaError when its argument is not an
-    integer under ``json_int``."""
-    if not evidence or evidence[0] not in EVIDENCE_KINDS:
-        raise EvidenceError(which, f"unknown evidence kind {evidence!r}")
-    kind = evidence[0]
+    the claim fails to validate, SchemaError when ``parse_evidence``
+    rejects it."""
+    kind, *args = parse_evidence(evidence)
     if kind == "caller-assertion":
         return True
     if kind == "eisenstein-after-shift":
-        a = _evidence_arg(evidence)
+        (a,) = args
         if not is_eisenstein(f.shift(a), p):
             raise EvidenceError(which, f"shift by {a} is not Eisenstein at {p}")
         return False
     if kind == "irreducible-mod-q":
-        q = _evidence_arg(evidence)
+        (q,) = args
         try:
             parts = cycle_type_mod_ell(f, q)
         except InconsistencyError as exc:

@@ -208,11 +208,12 @@ class DirichletCharacter:
     def kind(self) -> str:
         return "*".join(sorted(self.kinds)) if self.kinds else "trivial"
 
-    def is_trivial(self) -> bool:
-        return not self.kinds
-
     @classmethod
     def from_json(cls, payload, p: int) -> "DirichletCharacter":
+        """The product of the kinds listed in payload, a list of strings
+        (SchemaError otherwise); an unknown kind is an InconsistencyError."""
+        if not (isinstance(payload, list) and all(isinstance(k, str) for k in payload)):
+            raise SchemaError(f"nebentype kinds {payload!r} must be a list of strings")
         return cls(p, frozenset(payload))
 
     def sign_at(self, ell: int) -> int:

@@ -10,8 +10,9 @@ from padic_serre.casefile import (
     report_to_json,
     verify_case,
 )
-from padic_serre.cli import main
+from padic_serre.cli import _evidence_flag, main
 from padic_serre.errors import SchemaError
+from padic_serre.krasner import parse_evidence
 
 
 def _write(tmp_path, name, payload):
@@ -209,6 +210,15 @@ def _floats(rows):
     return [[float(x) for x in row] for row in rows]
 
 
+def _certificate(d, **fields):
+    d["certificates"] = [dict(CERTIFICATE, **fields)]
+
+
+def _certificate_without_f(d):
+    _certificate(d)
+    _drop(d["certificates"][0], "f")
+
+
 # each value is a schema error, not something to coerce with int() or to
 # report as a golden mismatch or an inconsistency; "artin_power" and
 # "residue_degree" sit on a row of cycle type (5, 1) with residue degree 5
@@ -227,16 +237,50 @@ def _floats(rows):
     ("5-17-1", lambda d: d["inertia_profile"].update(niveau=1.0)),
     ("5-17-1", lambda d: d["inertia_profile"].update(triples=[[1.5, 0, 0]])),
     ("5-17-1", lambda d: d["inertia_profile"].update(flags="ab")),
+    ("5-17-1", _certificate_without_f),
+    ("5-17-1", lambda d: _certificate(d, evidence_f=None)),
+    ("5-17-1", lambda d: _certificate(d, evidence_f="single-slope")),
+    ("5-17-1", lambda d: _certificate(d, evidence_f=["bogus"])),
+    ("5-17-1", lambda d: _certificate(d, evidence_f=["single-slope", 3])),
+    ("5-17-1", lambda d: _certificate(d, method="nope")),
+    ("5-17-1", lambda d: _certificate(d, f="x")),
+    ("5-17-1", lambda d: d["nebentype"].update(kinds="eps17")),
+    ("5-17-1", lambda d: d["nebentype"].update(kinds=[[]])),
+    ("5-17-1", lambda d: d.update(data_only="false")),
+    ("5-17-1", lambda d: d.update(data_only=0)),
+    ("5-17-1", lambda d: _first_frobenius_row(d, fine_order5=5)),
+    ("3-13-9", lambda d: _first_frobenius_row(d, fine_order5="5c")),
 ], ids=["p-float", "artin-power-float", "residue-degree-float", "nebentype-k-bool",
         "certificate-p-float", "evidence-q-float", "expected-level-float", "expected-level-list",
         "expected-weights-float", "expected-ell-float", "niveau-float", "triple-float",
-        "flags-string"])
+        "flags-string", "certificate-without-f", "evidence-null", "evidence-string",
+        "evidence-unknown-kind", "evidence-extra-argument", "certificate-method-unknown",
+        "certificate-f-string", "nebentype-kinds-string", "nebentype-kinds-nested",
+        "data-only-string", "data-only-zero", "fine-order5-int", "fine-order5-unknown-label"])
 def test_case_values_outside_the_schema_exit_2(tmp_path, capsys, case, edit):
     payload = json.loads(json.dumps(load_bundled_case(case).raw))
     edit(payload)
     path = _write(tmp_path, "coerced.json", payload)
     assert main(["verify-case", path]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_evidence_flag_and_case_file_claim_parse_alike():
+    assert _evidence_flag("irreducible-mod-q:7") == parse_evidence(["irreducible-mod-q", "7"])
+    assert _evidence_flag("irreducible-mod-q:7") == ("irreducible-mod-q", 7)
+    assert _evidence_flag("assert") == parse_evidence(["caller-assertion"])
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: _certificate(d, evidence_f=["irreducible-mod-q", 3]), "f: reduction mod 3"),
+    (lambda d: d["nebentype"].update(kinds=["eps99"]), "unknown character kinds"),
+], ids=["false-evidence", "unknown-nebentype-kind"])
+def test_well_formed_but_inconsistent_case_values_exit_3(tmp_path, capsys, edit, message):
+    payload = json.loads(json.dumps(load_bundled_case("5-17-1").raw))
+    edit(payload)
+    assert main(["verify-case", _write(tmp_path, "inconsistent.json", payload)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_case_certificate_runs(tmp_path, capsys):

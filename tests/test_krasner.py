@@ -144,7 +144,9 @@ def test_evidence_validation():
 
 @pytest.mark.parametrize("evidence", [("irreducible-mod-q", 7.5), ("irreducible-mod-q", True),
                                       ("eisenstein-after-shift", "0.0"),
-                                      ("eisenstein-after-shift",)])
+                                      ("eisenstein-after-shift",),
+                                      ("irreducible-mod-q", 7, 11), ("single-slope", 3),
+                                      ("bogus",), "single-slope", None])
 def test_evidence_argument_must_be_an_integer(evidence):
     with pytest.raises(SchemaError):
         validate_evidence(X3M2, 2, evidence, "f")
