@@ -8,12 +8,12 @@ lookups keyed by the pair of codes, each entry computed once on first use.
 Everything here is immutable and pure; rationals are ``fractions.Fraction``
 (always lowest terms, positive denominator), valuations are additive with
 ord_p(p) = 1, and ord_p(0) is a distinguished infinity that sorts above
-every rational.
+every rational.  ``Record`` is the base of the package's read-only value
+types.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -232,12 +232,51 @@ class Fp2Elem:
         return f"({self.c0} + {self.c1}*w mod {self.p})"
 
 
-@dataclass(frozen=True)
-class Fp2Model:
-    """Description of the F_{p^2} in use: the prime and the quadratic modulus."""
+class Record:
+    """Base of the package's value types.  The fields are the ``__slots__``,
+    in constructor order: ``__init__`` validates, then sets them all with
+    ``_set``, and from then on the record is read-only.  Equality, hash,
+    repr and pickling go by the field values."""
 
-    p: int
-    modulus: tuple[int, int]  # (b, c) of w^2 + b*w + c
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return (self.__class__, self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Fp2Model(Record):
+    """Description of the F_{p^2} in use: the prime and the quadratic modulus
+    (b, c) of w^2 + b*w + c."""
+
+    __slots__ = ("p", "modulus")
+
+    def __init__(self, p: int, modulus: tuple[int, int]):
+        self._set(p, modulus)
 
     def elem(self, c0: int, c1: int = 0) -> Fp2Elem:
         return Fp2Elem(self.p, c0, c1)

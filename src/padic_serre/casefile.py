@@ -20,13 +20,12 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from importlib import resources
+import os
 from math import lcm
 from typing import Optional
 
-from .arith import fp2_make, is_prime
-from .errors import InconsistencyError, SchemaError, json_int, read_json
+from .arith import Record, fp2_make, is_prime
+from .errors import InconsistencyError, SchemaError, json_int, json_list, read_json
 from .galois_local import LevelDatum, level
 from .hecke import EigenvalueRecord, check_attached
 from .krasner import METHODS, certify_same_extension, parse_evidence
@@ -48,23 +47,23 @@ BUNDLED = (
     "2-3-59", "2-5-17", "3-5-7", "3-5-8", "3-19-3", "13-19-1",
 )
 GOLDEN = BUNDLED[:6]
+CASES_DIR = os.path.join(os.path.dirname(__file__), "cases")
 
 
-@dataclass
-class CaseFile:
-    name: str
-    data_only: bool
-    sextic: Optional[IntPoly]
-    p: Optional[int]
-    level_data: list[LevelDatum]
-    nebentype: Optional[DirichletCharacter]
-    nebentype_k: int
-    inertia_profile: Optional[InertiaProfile]
-    frobenius_inputs: list[dict]
-    eigenvalues: Optional[list[EigenvalueRecord]]
-    expected: Optional[dict]
-    certificates: list = field(default_factory=list)
-    raw: dict = field(default_factory=dict)
+class CaseFile(Record):
+    __slots__ = ("name", "data_only", "sextic", "p", "level_data", "nebentype", "nebentype_k",
+                 "inertia_profile", "frobenius_inputs", "eigenvalues", "expected",
+                 "certificates", "raw")
+
+    def __init__(self, name: str, data_only: bool, sextic: Optional[IntPoly], p: Optional[int],
+                 level_data: list[LevelDatum], nebentype: Optional[DirichletCharacter],
+                 nebentype_k: int, inertia_profile: Optional[InertiaProfile],
+                 frobenius_inputs: list[dict], eigenvalues: Optional[list[EigenvalueRecord]],
+                 expected: Optional[dict], certificates: Optional[list] = None,
+                 raw: Optional[dict] = None):
+        self._set(name, data_only, sextic, p, level_data, nebentype, nebentype_k,
+                  inertia_profile, frobenius_inputs, eigenvalues, expected,
+                  [] if certificates is None else certificates, {} if raw is None else raw)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CaseFile":
@@ -82,22 +81,23 @@ class CaseFile:
                 raise SchemaError(f"p = {p} is not prime")
             neb = payload.get("nebentype", {"kinds": [], "k": 0})
             profile = InertiaProfile.from_json(payload["inertia_profile"])
+            eigenvalues = payload.get("eigenvalues")  # null reads as absent
             return cls(
                 name=name,
                 data_only=False,
                 sextic=sextic,
                 p=p,
-                level_data=[LevelDatum.from_json(d) for d in payload["level_data"]],
+                level_data=[LevelDatum.from_json(d) for d in json_list(payload["level_data"])],
                 nebentype=DirichletCharacter.from_json(neb.get("kinds", []), p),
                 nebentype_k=json_int(neb.get("k", 0)),
                 inertia_profile=profile,
                 frobenius_inputs=[_frobenius_input(e)
-                                  for e in payload.get("frobenius_inputs", [])],
+                                  for e in json_list(payload.get("frobenius_inputs", []))],
                 eigenvalues=[EigenvalueRecord.from_json(e, p)
-                             for e in payload.get("eigenvalues") or []],
+                             for e in json_list([] if eigenvalues is None else eigenvalues)],
                 expected=_expected(payload.get("expected")),
                 certificates=[_certificate_request(req)
-                              for req in payload.get("certificates", [])],
+                              for req in json_list(payload.get("certificates", []))],
                 raw=payload,
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -165,7 +165,7 @@ def bundled_case_names() -> tuple[str, ...]:
 def load_bundled_case(name: str) -> CaseFile:
     if name not in BUNDLED:
         raise SchemaError(f"unknown bundled case {name}")
-    return CaseFile.load(resources.files("padic_serre").joinpath(f"cases/{name}.json"))
+    return CaseFile.load(os.path.join(CASES_DIR, f"{name}.json"))
 
 
 def _cycle_type_checked(case: CaseFile, entry: dict, disc: Optional[int]) -> tuple[int, ...]:

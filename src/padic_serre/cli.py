@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .casefile import (
     CaseFile,
@@ -19,7 +20,7 @@ from .casefile import (
     report_to_json,
     verify_case,
 )
-from .errors import InconsistencyError, SchemaError, read_json
+from .errors import InconsistencyError, SchemaError, json_list, read_json
 from .galois_local import LevelDatum, level
 from .krasner import METHODS, certify_same_extension, parse_evidence, precision_report
 from .polynomial import IntPoly, newton_polygon
@@ -87,7 +88,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_level(args) -> int:
-    data = _load(args.data, lambda d: [LevelDatum.from_json(x) for x in d], "level_data")
+    data = _load(args.data, lambda d: [LevelDatum.from_json(x) for x in json_list(d)],
+                 "level_data")
     exponents, n = level(data, p=args.p)
     _emit({"exponents": {str(q): e for q, e in sorted(exponents.items())},
            "N": str(n)}, args.json_out)
@@ -186,9 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call and kept."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

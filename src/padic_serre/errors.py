@@ -1,6 +1,6 @@
 """Exception types shared across the package, the one reader of JSON
-files (``read_json``) and the one rule for integers read from JSON
-(``json_int``).
+files (``read_json``) and the one rule each for integers and lists read
+from JSON (``json_int``, ``json_list``).
 
 Outside input is parsed once, at load, by the type that owns it (a case
 file by ``CaseFile.from_dict``, an evidence claim by
@@ -45,6 +45,14 @@ def json_int(c) -> int:
     if isinstance(c, str) and re.fullmatch(r"[+-]?[0-9]+", c):
         return int(c)
     raise ValueError(f"{c!r} is not an integer or a decimal string")
+
+
+def json_list(c) -> list:
+    """The one rule for lists read from JSON: a list, never an object or a
+    string; ValueError otherwise."""
+    if isinstance(c, list):
+        return c
+    raise ValueError(f"{c!r} is not a list")
 
 
 def read_json(path):

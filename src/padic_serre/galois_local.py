@@ -20,10 +20,9 @@ tables with provenance strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime
+from .arith import Record, is_prime
 from .errors import InconsistencyError, json_int
 
 #: Fixed-subspace dimensions of the standard 3-dimensional actions that
@@ -36,20 +35,18 @@ FIXED_DIM_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class RamFiltration:
-    entries: tuple[tuple[int, int], ...]  # (order_i, fixed_dim_i)
-    dim: int = 3
+class RamFiltration(Record):
+    __slots__ = ("entries", "dim")  # entries: (order_i, fixed_dim_i) pairs
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries: tuple[tuple[int, int], ...], dim: int = 3):
+        if not entries:
             raise InconsistencyError("filtration needs at least the inertia entry")
         prev = None
         prev_fix = None
-        for order, fix in self.entries:
+        for order, fix in entries:
             if order < 1:
                 raise InconsistencyError("group orders must be positive")
-            if not 0 <= fix <= self.dim:
+            if not 0 <= fix <= dim:
                 raise InconsistencyError("fixed dimension out of range")
             if prev is not None:
                 if order > prev or prev % order != 0:
@@ -59,6 +56,7 @@ class RamFiltration:
                 if fix < prev_fix:
                     raise InconsistencyError("fixed dimensions must be non-decreasing")
             prev, prev_fix = order, fix
+        self._set(entries, dim)
 
     @classmethod
     def from_json(cls, payload, dim: int = 3) -> "RamFiltration":
@@ -69,14 +67,13 @@ class RamFiltration:
         return [{"order": o, "fixed_dim": f} for o, f in self.entries]
 
 
-@dataclass(frozen=True)
-class LevelDatum:
-    q: int
-    filtration: RamFiltration
+class LevelDatum(Record):
+    __slots__ = ("q", "filtration")
 
-    def __post_init__(self):
-        if not is_prime(self.q):
-            raise InconsistencyError(f"{self.q} is not prime")
+    def __init__(self, q: int, filtration: RamFiltration):
+        if not is_prime(q):
+            raise InconsistencyError(f"{q} is not prime")
+        self._set(q, filtration)
 
     @classmethod
     def from_json(cls, payload) -> "LevelDatum":

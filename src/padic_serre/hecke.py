@@ -16,20 +16,17 @@ indeterminate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arith import Fp2Elem, frobenius_conjugate
+from .arith import Fp2Elem, Record, frobenius_conjugate
 from .errors import InconsistencyError, SchemaError, json_int
 
 Cubic = list[Fp2Elem]
 
 
-@dataclass(frozen=True)
-class EigenvalueRecord:
-    ell: int
-    a1: Fp2Elem
-    a2: Fp2Elem
-    a3: Fp2Elem
+class EigenvalueRecord(Record):
+    __slots__ = ("ell", "a1", "a2", "a3")
+
+    def __init__(self, ell: int, a1: Fp2Elem, a2: Fp2Elem, a3: Fp2Elem):
+        self._set(ell, a1, a2, a3)
 
     @property
     def p(self) -> int:
@@ -88,11 +85,12 @@ def conjugate_cubic(cubic: Cubic) -> Cubic:
     return [frobenius_conjugate(c) for c in cubic]
 
 
-@dataclass(frozen=True)
-class AttachmentVerdict:
-    per_ell: dict
-    overall: str  # "attached" | "attached-up-to-conjugacy" | "not-attached"
-    indeterminate_ells: tuple[int, ...]
+class AttachmentVerdict(Record):
+    # overall: "attached" | "attached-up-to-conjugacy" | "not-attached"
+    __slots__ = ("per_ell", "overall", "indeterminate_ells")
+
+    def __init__(self, per_ell: dict, overall: str, indeterminate_ells: tuple[int, ...]):
+        self._set(per_ell, overall, indeterminate_ells)
 
     def to_json(self) -> dict:
         return {

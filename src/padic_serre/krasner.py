@@ -37,11 +37,10 @@ not parse is a SchemaError, one that f does not satisfy an EvidenceError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .arith import ORD_INFINITY, ord_p
+from .arith import ORD_INFINITY, Record, ord_p
 from .errors import EvidenceError, InconsistencyError, SchemaError, json_int
 from .polynomial import (
     IntPoly,
@@ -169,19 +168,18 @@ def precision_k(f: IntPoly, p: int, method: str = "prop1bis") -> int:
     return _strict_ceil(_method_bound(f, p, method))
 
 
-@dataclass(frozen=True)
-class PrecisionReport:
-    n: int
-    d: int
-    a: int
-    lam: Optional[Fraction]  # None when the root-difference slope was skipped
-    k_prop1: Optional[int]
-    k_prop1bis: int
-    bound_prop1: Optional[Fraction]
-    bound_prop1bis: Fraction
-    method_used: str
-    k_safe: Optional[int] = None
-    bound_safe: Optional[Fraction] = None
+class PrecisionReport(Record):
+    # lam, k_prop1 and bound_prop1 are None when the root-difference slope
+    # was skipped (method "prop1bis"); k_safe and bound_safe unless "safe"
+    __slots__ = ("n", "d", "a", "lam", "k_prop1", "k_prop1bis", "bound_prop1",
+                 "bound_prop1bis", "method_used", "k_safe", "bound_safe")
+
+    def __init__(self, n: int, d: int, a: int, lam: Optional[Fraction],
+                 k_prop1: Optional[int], k_prop1bis: int, bound_prop1: Optional[Fraction],
+                 bound_prop1bis: Fraction, method_used: str, k_safe: Optional[int] = None,
+                 bound_safe: Optional[Fraction] = None):
+        self._set(n, d, a, lam, k_prop1, k_prop1bis, bound_prop1, bound_prop1bis,
+                  method_used, k_safe, bound_safe)
 
     def to_json(self) -> dict:
         out = {
@@ -271,13 +269,13 @@ def weighted_resultant_margin(f: IntPoly, g: IntPoly, p: int) -> tuple:
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class Certificate:
-    verdict: str  # "certified" | "inconclusive"
-    k: int
-    method_used: str
-    congruence_order: object  # int or ORD_INFINITY
-    caller_assertions: tuple[str, ...] = field(default=())
+class Certificate(Record):
+    # verdict: "certified" | "inconclusive"; congruence_order: int or ORD_INFINITY
+    __slots__ = ("verdict", "k", "method_used", "congruence_order", "caller_assertions")
+
+    def __init__(self, verdict: str, k: int, method_used: str, congruence_order,
+                 caller_assertions: tuple[str, ...] = ()):
+        self._set(verdict, k, method_used, congruence_order, caller_assertions)
 
     def to_json(self) -> dict:
         cong = self.congruence_order

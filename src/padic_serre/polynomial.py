@@ -16,10 +16,9 @@ through precomputed rows x^(ell*i) mod r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime, ord_p
+from .arith import Record, is_prime, ord_p
 from .errors import InconsistencyError, json_int
 
 
@@ -209,14 +208,15 @@ def discriminant(f: IntPoly) -> int:
 # Newton polygons
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(Record):
     """Slope/multiplicity pairs (slopes strictly increasing) plus the
     multiplicity of the infinite slope coming from trailing zero
     coefficients (roots at 0)."""
 
-    segments: tuple[tuple[Fraction, int], ...]
-    infinite_mult: int = 0
+    __slots__ = ("segments", "infinite_mult")
+
+    def __init__(self, segments: tuple[tuple[Fraction, int], ...], infinite_mult: int = 0):
+        self._set(segments, infinite_mult)
 
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.segments) + self.infinite_mult

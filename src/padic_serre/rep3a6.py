@@ -11,18 +11,19 @@ Classes of the base group are collapsed by character value into
 with 3a/3b the central scalars z, z^2.  The trace character X over F_25
 (z the deterministic cube root of unity) is frozen below; the inverse-class
 involution was derived once with the matrix oracle in matrix_oracle.py and
-is frozen alongside it.  Class labels with order prime to 3 lift uniquely;
+is frozen alongside it.  The first mod-3 table is frozen too
+(``MOD3_CLASS_POLYS``); ``a6_mod3_class_polys`` still builds both tables by
+closure, as the oracle the frozen one is checked against.  Class labels with order prime to 3 lift uniquely;
 multiplying by the central scalar walks 1a->3a->3b, 2a->6a->6b,
 4a->12a->12b, 5ab->15ac->15bd.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .arith import Fp2Elem, cube_root_of_unity, fp2_make
+from .arith import Fp2Elem, Record, cube_root_of_unity, fp2_make
 from .errors import InconsistencyError
 from .matrices import Matrix, charpoly3_reversed, classes_by_order_trace, closure, det2, mat
 
@@ -54,19 +55,19 @@ INVERSE_CLASS = {
 }
 
 
-@dataclass(frozen=True)
-class CoarseClassA6:
-    label: str
-    fine_order3: Optional[str] = None  # "3-cycle" | "double-3-cycle"
-    fine_order5: Optional[str] = None  # "5a" | "5b" | "unknown"
+class CoarseClassA6(Record):
+    __slots__ = ("label", "fine_order3", "fine_order5")
 
-    def __post_init__(self):
-        if self.label not in A6_COARSE:
-            raise InconsistencyError(f"unknown coarse class {self.label}")
-        if self.fine_order3 is not None and self.label != "3ab":
+    def __init__(self, label: str,
+                 fine_order3: Optional[str] = None,   # "3-cycle" | "double-3-cycle"
+                 fine_order5: Optional[str] = None):  # "5a" | "5b" | "unknown"
+        if label not in A6_COARSE:
+            raise InconsistencyError(f"unknown coarse class {label}")
+        if fine_order3 is not None and label != "3ab":
             raise InconsistencyError("fine order-3 data only applies to 3ab")
-        if self.fine_order5 is not None and self.label != "5ab":
+        if fine_order5 is not None and label != "5ab":
             raise InconsistencyError("fine order-5 data only applies to 5ab")
+        self._set(label, fine_order3, fine_order5)
 
     @property
     def element_order(self) -> int:
@@ -220,15 +221,30 @@ def a6_mod3_class_polys() -> tuple[dict, dict]:
     return table, conjugate
 
 
+#: The first table of ``a6_mod3_class_polys``, frozen: class -> the
+#: coefficients of its charpoly as F_9 pairs (c0, c1).  The tests check it,
+#: and its Galois twin, against the closure.
+MOD3_CLASS_POLYS = {
+    label: [Fp2Elem(3, c0, c1) for c0, c1 in pairs]
+    for label, pairs in (
+        ("1a", ((1, 0), (0, 0), (0, 0), (2, 0))),
+        ("2a", ((1, 0), (1, 0), (2, 0), (2, 0))),
+        ("3ab", ((1, 0), (0, 0), (0, 0), (2, 0))),
+        ("4a", ((1, 0), (2, 0), (1, 0), (2, 0))),
+        ("5a", ((1, 0), (1, 2), (2, 1), (2, 0))),
+        ("5b", ((1, 0), (1, 1), (2, 2), (2, 0))),
+    )
+}
+
+
 def mod3_charpoly_candidates(cls: CoarseClassA6) -> list[list[Fp2Elem]]:
     """Charpoly candidates for a coarse class in the first mod-3 table.
 
     A resolved fine order-5 label gives one candidate; an unknown one gives
     both, in which case downstream checks can only conclude "equal or
     conjugate"."""
-    table = a6_mod3_class_polys()[0]
     if cls.label == "5ab":
         if cls.fine_order5 in ("5a", "5b"):
-            return [table[cls.fine_order5]]
-        return [table["5a"], table["5b"]]
-    return [table[cls.label]]
+            return [MOD3_CLASS_POLYS[cls.fine_order5]]
+        return [MOD3_CLASS_POLYS["5a"], MOD3_CLASS_POLYS["5b"]]
+    return [MOD3_CLASS_POLYS[cls.label]]

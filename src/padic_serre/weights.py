@@ -26,11 +26,10 @@ ambiguities always admit both choices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import lcm
 from typing import NamedTuple, Optional
 
-from .arith import Fp2Elem, is_prime
+from .arith import Fp2Elem, Record, is_prime
 from .errors import InconsistencyError, SchemaError, json_int
 
 
@@ -80,24 +79,24 @@ def p_restrict(A: int, B: int, C: int, p: int, flags=("none", "none")) -> set[Tr
     return out
 
 
-@dataclass(frozen=True)
-class InertiaProfile:
-    niveau: int
-    triples: tuple[tuple[int, int, int], ...] = ()  # niveau 1 exponents
-    k: Optional[int] = None                         # niveau 2 tame exponent
-    m: Optional[int] = None                         # niveau 2/3 fundamental exponent
-    flags: tuple[str, str] = ("none", "none")
-    provenance: str = ""
+class InertiaProfile(Record):
+    __slots__ = ("niveau", "triples", "k", "m", "flags", "provenance")
 
-    def __post_init__(self):
-        if self.niveau not in (1, 2, 3):
+    def __init__(self, niveau: int,
+                 triples: tuple[tuple[int, int, int], ...] = (),  # niveau 1 exponents
+                 k: Optional[int] = None,                         # niveau 2 tame exponent
+                 m: Optional[int] = None,                         # niveau 2/3 fundamental exponent
+                 flags: tuple[str, str] = ("none", "none"),
+                 provenance: str = ""):
+        if niveau not in (1, 2, 3):
             raise InconsistencyError("niveau must be 1, 2 or 3")
-        if self.niveau == 1 and not self.triples:
+        if niveau == 1 and not triples:
             raise InconsistencyError("niveau 1 profile needs exponent triples")
-        if self.niveau == 2 and (self.k is None or self.m is None):
+        if niveau == 2 and (k is None or m is None):
             raise InconsistencyError("niveau 2 profile needs k and m")
-        if self.niveau == 3 and self.m is None:
+        if niveau == 3 and m is None:
             raise InconsistencyError("niveau 3 profile needs m")
+        self._set(niveau, triples, k, m, flags, provenance)
 
     @classmethod
     def from_json(cls, payload) -> "InertiaProfile":
@@ -187,18 +186,17 @@ def legendre_symbol(a: int, q: int) -> int:
     return -1 if r == q - 1 else r
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+class DirichletCharacter(Record):
     """A product of the quadratic characters eps17, omega4, psi8 (values in
     {+-1}), evaluated at primes away from the conductor and embedded in F_p."""
 
-    p: int
-    kinds: frozenset = field(default_factory=frozenset)
+    __slots__ = ("p", "kinds")
 
-    def __post_init__(self):
-        unknown = set(self.kinds) - set(_CONDUCTORS)
+    def __init__(self, p: int, kinds: frozenset = frozenset()):
+        unknown = set(kinds) - set(_CONDUCTORS)
         if unknown:
             raise InconsistencyError(f"unknown character kinds {sorted(unknown)}")
+        self._set(p, kinds)
 
     @property
     def conductor(self) -> int:

@@ -10,6 +10,7 @@ from padic_serre.casefile import (
     report_to_json,
     verify_case,
 )
+from padic_serre import cli
 from padic_serre.cli import _evidence_flag, main
 from padic_serre.errors import SchemaError
 from padic_serre.krasner import parse_evidence
@@ -250,13 +251,20 @@ def _certificate_without_f(d):
     ("5-17-1", lambda d: d.update(data_only=0)),
     ("5-17-1", lambda d: _first_frobenius_row(d, fine_order5=5)),
     ("3-13-9", lambda d: _first_frobenius_row(d, fine_order5="5c")),
+    ("5-17-1", lambda d: d.update(certificates={})),
+    ("5-17-1", lambda d: d.update(certificates="")),
+    ("5-17-1", lambda d: d.update(level_data={})),
+    ("5-17-1", lambda d: d.update(frobenius_inputs={})),
+    ("5-17-1", lambda d: d.update(eigenvalues={})),
 ], ids=["p-float", "artin-power-float", "residue-degree-float", "nebentype-k-bool",
         "certificate-p-float", "evidence-q-float", "expected-level-float", "expected-level-list",
         "expected-weights-float", "expected-ell-float", "niveau-float", "triple-float",
         "flags-string", "certificate-without-f", "evidence-null", "evidence-string",
         "evidence-unknown-kind", "evidence-extra-argument", "certificate-method-unknown",
         "certificate-f-string", "nebentype-kinds-string", "nebentype-kinds-nested",
-        "data-only-string", "data-only-zero", "fine-order5-int", "fine-order5-unknown-label"])
+        "data-only-string", "data-only-zero", "fine-order5-int", "fine-order5-unknown-label",
+        "certificates-object", "certificates-string", "level-data-object",
+        "frobenius-inputs-object", "eigenvalues-object"])
 def test_case_values_outside_the_schema_exit_2(tmp_path, capsys, case, edit):
     payload = json.loads(json.dumps(load_bundled_case(case).raw))
     edit(payload)
@@ -321,6 +329,36 @@ def test_level_rejects_non_integer_prime(tmp_path, capsys):
     })
     assert main(["level", data]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("payload", [{}, {"level_data": {}}, {"level_data": "2"}],
+                         ids=["object", "level-data-object", "level-data-string"])
+def test_level_rejects_a_level_list_that_is_not_a_list(tmp_path, capsys, payload):
+    assert main(["level", _write(tmp_path, "lvl.json", payload)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_null_eigenvalues_read_as_absent():
+    payload = load_bundled_case("5-17-1").raw
+    assert CaseFile.from_dict(dict(payload, eigenvalues=None)).eigenvalues == []
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    calls = []
+
+    def counting_build_parser():
+        calls.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        assert main(["verify-case", "2-3-59"]) == 0
+        assert main(["verify-case", "5-17-1"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1
 
 
 def test_eigenvalue_record_needs_three_values(tmp_path, capsys):

@@ -1,6 +1,15 @@
+import os
+import pickle
+import subprocess
+import sys
 import types
 
+import pytest
+
 import padic_serre
+from padic_serre import CoarseClassA6, LevelDatum, NewtonPolygon, RamFiltration
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_all_exports_resolve_to_non_module_attributes():
@@ -9,3 +18,25 @@ def test_all_exports_resolve_to_non_module_attributes():
         value = getattr(padic_serre, name)
         assert not isinstance(value, types.ModuleType), name
 
+
+def test_cli_import_stays_lean():
+    # -S: no site hooks, which may preload any of these on their own
+    probe = ("import sys, padic_serre.cli; print(' '.join(m for m in"
+             " ('dataclasses', 'inspect', 'importlib.resources') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), check=True)
+    assert proc.stdout.split() == []
+
+
+def test_records_are_read_only_values():
+    datum = LevelDatum(13, RamFiltration(((3, 1),)))
+    assert datum == LevelDatum(13, RamFiltration(((3, 1),), dim=3))
+    assert hash(datum) == hash(LevelDatum(13, RamFiltration(((3, 1),))))
+    assert datum != LevelDatum(7, RamFiltration(((3, 1),)))
+    assert pickle.loads(pickle.dumps(datum)) == datum
+    assert repr(NewtonPolygon(())) == "NewtonPolygon(segments=(), infinite_mult=0)"
+    assert CoarseClassA6("1a").__eq__(("1a", None, None)) is NotImplemented
+    with pytest.raises(AttributeError):
+        datum.q = 7
+    with pytest.raises(AttributeError):
+        del datum.filtration

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +11,7 @@ from padic_serre.matrices import closure, det2, mat, mat_mul, trace
 from padic_serre.matrix_oracle import classified_cover, oracle_charpoly
 from padic_serre.rep3a6 import (
     COVER_COARSE,
+    MOD3_CLASS_POLYS,
     CoarseClassA6,
     a6_mod3_class_polys,
     central_twist,
@@ -172,3 +176,23 @@ def test_matrix_oracle_agrees_with_frozen_tables():
         assert info["inverse_label"] == inverse_class(cls)
         assert info["charpoly"] == frob_charpoly(cls, 1)
         assert oracle_charpoly(cls, -1) == frob_charpoly(cls, -1)
+
+
+def test_frozen_mod3_table_matches_the_closure():
+    table, conjugate = a6_mod3_class_polys()
+    ok = list(MOD3_CLASS_POLYS) == list(table)
+    for label, poly in MOD3_CLASS_POLYS.items():
+        ok &= poly == table[label]
+        ok &= [c.frobenius() for c in poly] == conjugate[label]
+    assert ok
+
+
+def test_p3_case_runs_no_closure():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = ("from padic_serre.casefile import load_bundled_case, verify_case\n"
+             "from padic_serre.rep3a6 import a6_mod3_class_polys\n"
+             "verify_case(load_bundled_case('3-13-9'))\n"
+             "print(a6_mod3_class_polys.cache_info().misses)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout.strip() == "0"
