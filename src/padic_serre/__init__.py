@@ -7,10 +7,7 @@ from types import ModuleType as _ModuleType
 from .arith import (
     ORD_INFINITY,
     Fp2Elem,
-    Fp2Model,
     cube_root_of_unity,
-    fp2_make,
-    frobenius_conjugate,
     ord_p,
 )
 from .errors import (

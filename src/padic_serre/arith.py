@@ -1,9 +1,11 @@
 """Exact arithmetic layer: p-adic valuations and the finite fields F_{p^2}.
 
-There is one finite-field element type, ``Fp2Elem``; an element of the prime
-field F_p is an ``Fp2Elem`` with c1 == 0.  Elements are interned, one object
-per value, keyed by the integer code c0 + p*c1; +, - and * are memoized
-lookups keyed by the pair of codes, each entry computed once on first use.
+There is one finite-field element type, ``Fp2Elem``, built directly as
+``Fp2Elem(p, c0, c1)``; an element of the prime field F_p is an ``Fp2Elem``
+with c1 == 0, and ``elements(p)`` lists a whole field.  Elements are
+interned, one object per value, keyed by the integer code c0 + p*c1; +, -
+and * are memoized lookups keyed by the pair of codes, each entry computed
+once on first use.
 
 Everything here is immutable and pure; rationals are ``fractions.Fraction``
 (always lowest terms, positive denominator), valuations are additive with
@@ -232,6 +234,13 @@ class Fp2Elem:
         return f"({self.c0} + {self.c1}*w mod {self.p})"
 
 
+def elements(p: int):
+    """Every element of F_{p^2}, c0 in the outer loop and c1 in the inner."""
+    for c0 in range(p):
+        for c1 in range(p):
+            yield Fp2Elem(p, c0, c1)
+
+
 class Record:
     """Base of the package's value types.  The fields are the ``__slots__``,
     in constructor order: ``__init__`` validates, then sets them all with
@@ -269,58 +278,17 @@ class Record:
         return f"{self.__class__.__name__}({fields})"
 
 
-class Fp2Model(Record):
-    """Description of the F_{p^2} in use: the prime and the quadratic modulus
-    (b, c) of w^2 + b*w + c."""
-
-    __slots__ = ("p", "modulus")
-
-    def __init__(self, p: int, modulus: tuple[int, int]):
-        self._set(p, modulus)
-
-    def elem(self, c0: int, c1: int = 0) -> Fp2Elem:
-        return Fp2Elem(self.p, c0, c1)
-
-    def zero(self) -> Fp2Elem:
-        return Fp2Elem(self.p, 0, 0)
-
-    def one(self) -> Fp2Elem:
-        return Fp2Elem(self.p, 1, 0)
-
-    def gen(self) -> Fp2Elem:
-        return Fp2Elem(self.p, 0, 1)
-
-    def elements(self):
-        for c0 in range(self.p):
-            for c1 in range(self.p):
-                yield Fp2Elem(self.p, c0, c1)
-
-    def modulus_coeffs(self) -> list[int]:
-        """Modulus as an ascending coefficient list [c, b, 1]."""
-        b, c = self.modulus
-        return [c, b, 1]
-
-
-def fp2_make(p: int) -> Fp2Model:
-    """Build the deterministic F_{p^2} model for a prime p."""
-    return Fp2Model(p, quadratic_modulus(p))
-
-
-def frobenius_conjugate(x: Fp2Elem) -> Fp2Elem:
-    return x.frobenius()
-
-
 def cube_root_of_unity(p: int) -> Fp2Elem:
     """A primitive cube root of unity mod p, as an element of F_{p^2}.
 
-    The first root of z^2 + z + 1 in the order of ``Fp2Model.elements``.
+    The first root of z^2 + z + 1 in the order of ``elements``.
     When 3 | p-1 that polynomial splits over F_p, so the root found lies in
     the prime field (c1 == 0).  Characteristic 3 has none.
     """
     _require_prime(p)
     if p == 3:
         raise InconsistencyError("no primitive cube root in characteristic 3")
-    for z in fp2_make(p).elements():
+    for z in elements(p):
         if not z * z + z + 1:
             return z
     raise AssertionError("unreachable: F_{p^2}^* is cyclic of order divisible by 3")

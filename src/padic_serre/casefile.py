@@ -24,7 +24,7 @@ import os
 from math import lcm
 from typing import Optional
 
-from .arith import Record, fp2_make, is_prime
+from .arith import Fp2Elem, Record, is_prime, quadratic_modulus
 from .errors import InconsistencyError, SchemaError, json_int, json_list, read_json
 from .galois_local import LevelDatum, level
 from .hecke import EigenvalueRecord, check_attached
@@ -36,6 +36,7 @@ from .rep3a6 import (
     frob_charpoly,
     frobenius_class,
     mod3_charpoly_candidates,
+    twist,
 )
 from .weights import DirichletCharacter, InertiaProfile, nebentype_factor, predicted_weights
 
@@ -53,17 +54,19 @@ CASES_DIR = os.path.join(os.path.dirname(__file__), "cases")
 class CaseFile(Record):
     __slots__ = ("name", "data_only", "sextic", "p", "level_data", "nebentype", "nebentype_k",
                  "inertia_profile", "frobenius_inputs", "eigenvalues", "expected",
-                 "certificates", "raw")
+                 "certificates", "note", "skipped_ells", "raw")
 
     def __init__(self, name: str, data_only: bool, sextic: Optional[IntPoly], p: Optional[int],
                  level_data: list[LevelDatum], nebentype: Optional[DirichletCharacter],
                  nebentype_k: int, inertia_profile: Optional[InertiaProfile],
                  frobenius_inputs: list[dict], eigenvalues: Optional[list[EigenvalueRecord]],
                  expected: Optional[dict], certificates: Optional[list] = None,
+                 note: str = "", skipped_ells: Optional[list[int]] = None,
                  raw: Optional[dict] = None):
         self._set(name, data_only, sextic, p, level_data, nebentype, nebentype_k,
                   inertia_profile, frobenius_inputs, eigenvalues, expected,
-                  [] if certificates is None else certificates, {} if raw is None else raw)
+                  [] if certificates is None else certificates, note,
+                  [] if skipped_ells is None else skipped_ells, {} if raw is None else raw)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CaseFile":
@@ -72,10 +75,14 @@ class CaseFile(Record):
             data_only = payload.get("data_only", False)
             if not isinstance(data_only, bool):
                 raise SchemaError(f"data_only {data_only!r} is not true or false")
+            note = payload.get("note", "")
+            if not isinstance(note, str):
+                raise SchemaError(f"note {note!r} is not a string")
+            skipped_ells = [json_int(ell) for ell in json_list(payload.get("skipped_ells", []))]
             sextic = IntPoly.from_json(payload["sextic"]) if "sextic" in payload else None
             if data_only:
                 return cls(name, True, sextic, None, [], None, 0, None, [], None, None,
-                           raw=payload)
+                           note=note, skipped_ells=skipped_ells, raw=payload)
             p = json_int(payload["p"])
             if not is_prime(p):
                 raise SchemaError(f"p = {p} is not prime")
@@ -98,6 +105,8 @@ class CaseFile(Record):
                 expected=_expected(payload.get("expected")),
                 certificates=[_certificate_request(req)
                               for req in json_list(payload.get("certificates", []))],
+                note=note,
+                skipped_ells=skipped_ells,
                 raw=payload,
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -188,32 +197,31 @@ def _cycle_type_checked(case: CaseFile, entry: dict, disc: Optional[int]) -> tup
     return stored
 
 
-def _frobenius_entry_mod5(entry: dict, cycle_type, eps_sign: int) -> dict:
-    cls = frobenius_class(cycle_type, entry.get("artin_power", 0),
-                          entry.get("residue_degree", lcm(*cycle_type)))
-    poly = frob_charpoly(cls, eps_sign)
-    return {
-        "ell": entry["ell"],
-        "cycle_type": list(cycle_type),
-        "class": cls,
-        "charpolys": [[[c.c0, c.c1] for c in poly]],
-    }
-
-
-def _frobenius_entry_mod3(entry: dict, cycle_type, eps_sign: int, p: int) -> dict:
-    base = coarse_from_cycle_type(cycle_type)
-    if base.label == "5ab" and entry.get("fine_order5") in ("5a", "5b"):
-        base = CoarseClassA6("5ab", None, entry["fine_order5"])
-    candidates = mod3_charpoly_candidates(base)
-    eps = fp2_make(p).elem(eps_sign)
-    twisted = [[(eps**k) * c for k, c in enumerate(poly)] for poly in candidates]
+def _frobenius_entry(entry: dict, cycle_type, eps_sign: int, p: int) -> dict:
+    """The report entry at one ell: the mod-p class of Frobenius, from the
+    cover table at p=5 and the symmetric-square table at p=3, and its
+    charpolys twisted by the nebentype sign.  Two candidates mean an
+    unresolved order-5 class."""
+    if p == 5:
+        label = frobenius_class(cycle_type, entry.get("artin_power", 0),
+                                entry.get("residue_degree", lcm(*cycle_type)))
+        candidates = [frob_charpoly(label, 1)]
+    elif p == 3:
+        base = coarse_from_cycle_type(cycle_type)
+        if base.label == "5ab" and entry.get("fine_order5") in ("5a", "5b"):
+            base = CoarseClassA6("5ab", None, entry["fine_order5"])
+        label = base.label if base.fine_order5 in (None, "unknown") else base.fine_order5
+        candidates = mod3_charpoly_candidates(base)
+    else:
+        raise InconsistencyError(f"no frozen class data for p = {p}; only p in (3, 5) is bundled")
+    polys = [twist(poly, eps_sign) for poly in candidates]
     out = {
         "ell": entry["ell"],
         "cycle_type": list(cycle_type),
-        "class": base.label if base.fine_order5 in (None, "unknown") else base.fine_order5,
-        "charpolys": [[[c.c0, c.c1] for c in poly] for poly in twisted],
+        "class": label,
+        "charpolys": [[[c.c0, c.c1] for c in poly] for poly in polys],
     }
-    if len(twisted) > 1:
+    if len(polys) > 1:
         out["note"] = "order-5 class unresolved: equal or conjugate"
     return out
 
@@ -221,29 +229,21 @@ def _frobenius_entry_mod3(entry: dict, cycle_type, eps_sign: int, p: int) -> dic
 def _frobenius_section(case: CaseFile, ell_max: int) -> list[dict]:
     entries = [e for e in case.frobenius_inputs if e["ell"] <= ell_max]
     disc = discriminant(case.sextic) if entries and case.sextic is not None else None
-    out = []
-    for entry in entries:
-        cycle_type = _cycle_type_checked(case, entry, disc)
-        sign = case.nebentype.sign_at(entry["ell"])
-        if case.p == 5:
-            out.append(_frobenius_entry_mod5(entry, cycle_type, sign))
-        elif case.p == 3:
-            out.append(_frobenius_entry_mod3(entry, cycle_type, sign, case.p))
-        else:
-            raise InconsistencyError(
-                f"no frozen class data for p = {case.p}; only p in (3, 5) is bundled"
-            )
-    return out
+    return [
+        _frobenius_entry(entry, _cycle_type_checked(case, entry, disc),
+                         case.nebentype.sign_at(entry["ell"]), case.p)
+        for entry in entries
+    ]
 
 
 def _attachment_section(case: CaseFile, frob_section: list[dict]):
     if not case.eigenvalues:
         return None
-    model = fp2_make(case.p)
-    frob_polys = {}
-    for entry in frob_section:
-        polys = [[model.elem(c0, c1) for c0, c1 in poly] for poly in entry["charpolys"]]
-        frob_polys[entry["ell"]] = polys
+    frob_polys = {
+        entry["ell"]: [[Fp2Elem(case.p, c0, c1) for c0, c1 in poly]
+                       for poly in entry["charpolys"]]
+        for entry in frob_section
+    }
     return check_attached(case.eigenvalues, frob_polys).to_json()
 
 
@@ -288,7 +288,7 @@ def verify_case(case: CaseFile, ell_max: int = DEFAULT_ELL_MAX) -> dict:
         return {
             "name": case.name,
             "data_only": True,
-            "note": case.raw.get("note", ""),
+            "note": case.note,
             "golden": {"checked": False, "mismatches": []},
         }
     exponents, n = level(case.level_data, p=case.p)
@@ -296,11 +296,11 @@ def verify_case(case: CaseFile, ell_max: int = DEFAULT_ELL_MAX) -> dict:
     weights = predicted_weights(case.inertia_profile, case.p)
     frob_section = _frobenius_section(case, ell_max)
     attachment = _attachment_section(case, frob_section)
-    model = fp2_make(case.p)
+    b, c = quadratic_modulus(case.p)
     report = {
         "name": case.name,
         "p": case.p,
-        "field_model": {"p": case.p, "quadratic_modulus": model.modulus_coeffs()},
+        "field_model": {"p": case.p, "quadratic_modulus": [c, b, 1]},
         "level": {
             "exponents": {str(q): e for q, e in sorted(exponents.items())},
             "N": str(n),
@@ -314,7 +314,7 @@ def verify_case(case: CaseFile, ell_max: int = DEFAULT_ELL_MAX) -> dict:
         "certificates": _certificate_section(case),
         "provenance": {
             "inertia_profile": case.inertia_profile.provenance,
-            "skipped_ells": case.raw.get("skipped_ells", []),
+            "skipped_ells": case.skipped_ells,
         },
     }
     report["golden"] = {

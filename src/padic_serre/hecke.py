@@ -16,7 +16,7 @@ indeterminate.
 
 from __future__ import annotations
 
-from .arith import Fp2Elem, Record, frobenius_conjugate
+from .arith import Fp2Elem, Record
 from .errors import InconsistencyError, SchemaError, json_int
 
 Cubic = list[Fp2Elem]
@@ -82,7 +82,7 @@ def solve_record(ell: int, cubic: Cubic, p: int) -> EigenvalueRecord:
 
 
 def conjugate_cubic(cubic: Cubic) -> Cubic:
-    return [frobenius_conjugate(c) for c in cubic]
+    return [c.frobenius() for c in cubic]
 
 
 class AttachmentVerdict(Record):

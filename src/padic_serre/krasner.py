@@ -152,22 +152,6 @@ def _strict_ceil(bound: Fraction) -> int:
     return b.numerator // b.denominator + 1
 
 
-def _method_bound(f: IntPoly, p: int, method: str) -> Fraction:
-    n, d, a = _check_input(f, p)
-    if method == "prop1":
-        return lambda_exact(f, p) + Fraction(d - a, n)
-    if method == "prop1bis":
-        return Fraction(2 * d - (n - 1) * a, n)
-    if method == "safe":
-        return lambda_exact(f, p) + Fraction(d, n)
-    raise ValueError(f"method must be one of {METHODS}")
-
-
-def precision_k(f: IntPoly, p: int, method: str = "prop1bis") -> int:
-    """Smallest integer k beating the chosen method's bound (strict)."""
-    return _strict_ceil(_method_bound(f, p, method))
-
-
 class PrecisionReport(Record):
     # lam, k_prop1 and bound_prop1 are None when the root-difference slope
     # was skipped (method "prop1bis"); k_safe and bound_safe unless "safe"
@@ -217,6 +201,12 @@ def precision_report(f: IntPoly, p: int, method: str = "prop1bis") -> PrecisionR
             k_safe=_strict_ceil(b_safe), bound_safe=b_safe,
         )
     return PrecisionReport(n, d, a, lam, k1, k_bis, b1, b_bis, method)
+
+
+def precision_k(f: IntPoly, p: int, method: str = "prop1bis") -> int:
+    """Smallest integer k beating the chosen method's bound (strict)."""
+    report = precision_report(f, p, method)
+    return {"prop1": report.k_prop1, "prop1bis": report.k_prop1bis, "safe": report.k_safe}[method]
 
 
 def resultant_margin(f: IntPoly, g: IntPoly, p: int) -> tuple:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import Fp2Elem, cube_root_of_unity, fp2_make
+from .arith import Fp2Elem, cube_root_of_unity, elements
 from .errors import InconsistencyError
 from .matrices import (
     Matrix,
@@ -146,9 +146,9 @@ def triple_cover_group() -> list[Matrix]:
     order3 = [m for m in k if orders[m] == 3]
     k1, k2 = order2[0], order3[0]
     e = identity(p, 3)
-    model = fp2_make(p)
+    one = Fp2Elem(p, 1, 0)
     z = cube_root_of_unity(p)
-    units = [model.elem(c0, c1) for c0 in range(p) for c1 in range(p)][1:]
+    units = list(elements(p))[1:]
     # order-3 images may carry a central cube-root twist; Klein images may not
     order3_twisted = [scalar_mul(z**j, m) for m in order3 for j in (0, 1, 2)]
     h_gens = [sym_square(g) for g in sl2_generators(p, (1,))]
@@ -159,7 +159,7 @@ def triple_cover_group() -> list[Matrix]:
                 continue
             d = det3(m0)
             for c in units:
-                if c * c * c * d != model.one():
+                if c * c * c * d != one:
                     continue
                 m = scalar_mul(c, m0)
                 if mat_mul(m, m) != e:

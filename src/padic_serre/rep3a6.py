@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional
 
-from .arith import Fp2Elem, Record, cube_root_of_unity, fp2_make
+from .arith import Fp2Elem, Record, cube_root_of_unity
 from .errors import InconsistencyError
 from .matrices import Matrix, charpoly3_reversed, classes_by_order_trace, closure, det2, mat
 
@@ -113,17 +113,16 @@ def frobenius_class(cycle_type, artin_power: int, residue_degree: int) -> str:
 
 @lru_cache(maxsize=None)
 def _mod5_table() -> dict[str, Fp2Elem]:
-    model = fp2_make(5)
     z = cube_root_of_unity(5)
     z2 = z * z
-    three = model.elem(3)
-    one = model.one()
+    three, minus_two = Fp2Elem(5, 3, 0), Fp2Elem(5, -2, 0)
+    one = Fp2Elem(5, 1, 0)
     return {
         "1a": three, "3a": three * z, "3b": three * z2,
         "2a": -one, "6a": -z, "6b": -z2,
-        "3cd": model.zero(),
+        "3cd": Fp2Elem(5, 0, 0),
         "4a": one, "12a": z, "12b": z2,
-        "5ab": model.elem(-2), "15ac": model.elem(-2) * z, "15bd": model.elem(-2) * z2,
+        "5ab": minus_two, "15ac": minus_two * z, "15bd": minus_two * z2,
     }
 
 
@@ -141,18 +140,19 @@ def inverse_class(cls: str) -> str:
     return INVERSE_CLASS[cls]
 
 
-def frob_charpoly(cls: str, eps_val: int, p: int = 5) -> list[Fp2Elem]:
+def twist(poly: list[Fp2Elem], eps_sign: int) -> list[Fp2Elem]:
+    """det(1 - eps*A*t) from the coefficients of det(1 - A*t), for a sign
+    eps = +1 or -1: the t^k coefficient times eps^k."""
+    return [c * eps_sign**k for k, c in enumerate(poly)]
+
+
+def frob_charpoly(cls: str, eps_val: int) -> list[Fp2Elem]:
     """Coefficients [1, c1, c2, c3] of det(1 - eps * rho(Frob) * t) over
-    F_25: 1 - eps*X(cls)*t + eps^2*X(cls^-1)*t^2 - eps^3*t^3."""
-    if p != 5:
-        raise InconsistencyError("the frozen character data is the mod-5 table")
+    F_25: the twist of 1 - X(cls)*t + X(cls^-1)*t^2 - t^3 by eps."""
     if eps_val not in (1, -1):
         raise InconsistencyError("eps_val must be +1 or -1")
-    model = fp2_make(5)
-    eps = model.elem(eps_val)
-    x = char_value(cls)
-    xinv = char_value(inverse_class(cls))
-    return [model.one(), -(eps * x), eps * eps * xinv, -(eps**3)]
+    one = Fp2Elem(5, 1, 0)
+    return twist([one, -char_value(cls), char_value(inverse_class(cls)), -one], eps_val)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_serre.arith import fp2_make, frobenius_conjugate
+from padic_serre.arith import Fp2Elem
 from padic_serre.casefile import GOLDEN, load_bundled_case, verify_case
 from padic_serre.cli import main
 from padic_serre.errors import EvidenceError
@@ -195,7 +195,7 @@ def _sweep_6c():
 
 def _sweep_6d():
     rng = random.Random(603)
-    one, w = fp2_make(3).one(), fp2_make(3).gen()
+    one, w = Fp2Elem(3, 1, 0), Fp2Elem(3, 0, 1)
     sl2_f9 = closure(sl2_generators(3, (one, w)))
     elems = sorted(sl2_f9, key=lambda m: tuple((x.c0, x.c1) for r in m for x in r))
     failures = 0
@@ -211,7 +211,7 @@ def _sweep_6d():
 
 def _sweep_6e():
     t1, t2 = a6_mod3_class_polys()
-    return all([frobenius_conjugate(c) for c in t1[cls]] == t2[cls] for cls in t1)
+    return all([c.frobenius() for c in t1[cls]] == t2[cls] for cls in t1)
 
 
 def _sweep_6f():
@@ -219,12 +219,11 @@ def _sweep_6f():
     failures = 0
     for _ in range(1000):
         p = rng.choice([3, 5])
-        model = fp2_make(p)
         ells = [ell for ell in (2, 3, 7, 11, 13) if ell % p]
         polys = {}
         for ell in ells:
-            polys[ell] = [[model.one()] + [model.elem(rng.randrange(p), rng.randrange(p))
-                                           for _ in range(3)]]
+            polys[ell] = [[Fp2Elem(p, 1, 0)] + [Fp2Elem(p, rng.randrange(p), rng.randrange(p))
+                                                for _ in range(3)]]
         records = [solve_record(ell, polys[ell][0], p) for ell in ells]
         if check_attached(records, polys).overall != "attached":
             failures += 1
@@ -321,11 +320,10 @@ def test_criterion_7_matrix_oracle_agreement():
 
 def test_criterion_8_attachment_discriminates():
     report = verify_case(load_bundled_case("5-17-1"), ell_max=47)
-    model = fp2_make(5)
     frob_polys = {}
     for entry in report["frobenius"]:
         frob_polys[entry["ell"]] = [
-            [model.elem(c0, c1) for c0, c1 in poly] for poly in entry["charpolys"]
+            [Fp2Elem(5, c0, c1) for c0, c1 in poly] for poly in entry["charpolys"]
         ]
     records = [solve_record(ell, polys[0], 5) for ell, polys in sorted(frob_polys.items())]
     verdict = check_attached(records, frob_polys)
@@ -334,7 +332,7 @@ def test_criterion_8_attachment_discriminates():
     rng = random.Random(608)
     for i, rec in enumerate(records):
         for slot in range(3):
-            bump = model.elem(rng.randrange(1, 5), rng.randrange(5))
+            bump = Fp2Elem(5, rng.randrange(1, 5), rng.randrange(5))
             a = [rec.a1, rec.a2, rec.a3]
             a[slot] = a[slot] + bump
             mutated = records[:i] + [EigenvalueRecord(rec.ell, *a)] + records[i + 1:]

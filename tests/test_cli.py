@@ -256,6 +256,9 @@ def _certificate_without_f(d):
     ("5-17-1", lambda d: d.update(level_data={})),
     ("5-17-1", lambda d: d.update(frobenius_inputs={})),
     ("5-17-1", lambda d: d.update(eigenvalues={})),
+    ("3-13-9", lambda d: d.update(skipped_ells={"a": 1})),
+    ("3-13-9", lambda d: d.update(skipped_ells=["a"])),
+    ("2-3-59", lambda d: d.update(note=1)),
 ], ids=["p-float", "artin-power-float", "residue-degree-float", "nebentype-k-bool",
         "certificate-p-float", "evidence-q-float", "expected-level-float", "expected-level-list",
         "expected-weights-float", "expected-ell-float", "niveau-float", "triple-float",
@@ -264,7 +267,8 @@ def _certificate_without_f(d):
         "certificate-f-string", "nebentype-kinds-string", "nebentype-kinds-nested",
         "data-only-string", "data-only-zero", "fine-order5-int", "fine-order5-unknown-label",
         "certificates-object", "certificates-string", "level-data-object",
-        "frobenius-inputs-object", "eigenvalues-object"])
+        "frobenius-inputs-object", "eigenvalues-object", "skipped-ells-object",
+        "skipped-ells-letter", "note-int"])
 def test_case_values_outside_the_schema_exit_2(tmp_path, capsys, case, edit):
     payload = json.loads(json.dumps(load_bundled_case(case).raw))
     edit(payload)
@@ -282,7 +286,8 @@ def test_evidence_flag_and_case_file_claim_parse_alike():
 @pytest.mark.parametrize("edit,message", [
     (lambda d: _certificate(d, evidence_f=["irreducible-mod-q", 3]), "f: reduction mod 3"),
     (lambda d: d["nebentype"].update(kinds=["eps99"]), "unknown character kinds"),
-], ids=["false-evidence", "unknown-nebentype-kind"])
+    (lambda d: d.update(p=7), "no frozen class data for p = 7"),
+], ids=["false-evidence", "unknown-nebentype-kind", "p-without-class-data"])
 def test_well_formed_but_inconsistent_case_values_exit_3(tmp_path, capsys, edit, message):
     payload = json.loads(json.dumps(load_bundled_case("5-17-1").raw))
     edit(payload)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from padic_serre.arith import Fp2Elem, fp2_make
+from padic_serre.arith import Fp2Elem
 from padic_serre.errors import InconsistencyError, SchemaError
 from padic_serre.hecke import (
     EigenvalueRecord,
@@ -12,20 +12,18 @@ from padic_serre.hecke import (
     solve_record,
 )
 
-F25 = fp2_make(5)
 
-
-def _random_cubic(rng, model):
-    p = model.p
-    return [model.one()] + [model.elem(rng.randrange(p), rng.randrange(p)) for _ in range(3)]
+def _random_cubic(rng, p):
+    return [Fp2Elem(p, 1, 0)] + [Fp2Elem(p, rng.randrange(p), rng.randrange(p)) for _ in range(3)]
 
 
 def test_hecke_poly_trivial_representation():
     ell = 7
     li = Fp2Elem(5, 7, 0)
-    rec = EigenvalueRecord(ell, F25.elem(3), F25.elem(3) * li.inverse(),
+    rec = EigenvalueRecord(ell, Fp2Elem(5, 3, 0), Fp2Elem(5, 3, 0) * li.inverse(),
                            li.inverse() ** 3)
-    assert hecke_poly(rec, 5) == [F25.one(), F25.elem(-3), F25.elem(3), F25.elem(-1)]
+    assert hecke_poly(rec, 5) == [Fp2Elem(5, 1, 0), Fp2Elem(5, -3, 0),
+                                  Fp2Elem(5, 3, 0), Fp2Elem(5, -1, 0)]
 
 
 def test_hecke_poly_coefficient_pattern():
@@ -34,28 +32,26 @@ def test_hecke_poly_coefficient_pattern():
     rng = random.Random(70)
     for _ in range(100):
         ell = rng.choice([2, 3, 7, 11, 13])
-        model = F25
-        rec = EigenvalueRecord(ell, *(_random_cubic(rng, model)[1:]))
+        rec = EigenvalueRecord(ell, *(_random_cubic(rng, 5)[1:]))
         base = hecke_poly(rec, 5)
-        delta = model.elem(rng.randrange(1, 5), rng.randrange(5))
+        delta = Fp2Elem(5, rng.randrange(1, 5), rng.randrange(5))
         bumped = EigenvalueRecord(ell, rec.a1, rec.a2 + delta, rec.a3)
         diff = [b - a for a, b in zip(base, hecke_poly(bumped, 5))]
-        li = model.elem(ell)
-        assert diff == [model.zero(), model.zero(), li * delta, model.zero()]
+        li = Fp2Elem(5, ell, 0)
+        assert diff == [Fp2Elem(5, 0, 0), Fp2Elem(5, 0, 0), li * delta, Fp2Elem(5, 0, 0)]
 
 
 def test_hecke_poly_rejects_ell_divisible_by_p():
-    rec = EigenvalueRecord(5, F25.one(), F25.one(), F25.one())
+    rec = EigenvalueRecord(5, Fp2Elem(5, 1, 0), Fp2Elem(5, 1, 0), Fp2Elem(5, 1, 0))
     with pytest.raises(InconsistencyError):
         hecke_poly(rec, 5)
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_round_trip_attached(p):
-    model = fp2_make(p)
     rng = random.Random(71 + p)
     ells = [ell for ell in (2, 3, 7, 11, 13, 17, 19) if ell % p][:5]
-    polys = {ell: [_random_cubic(rng, model)] for ell in ells}
+    polys = {ell: [_random_cubic(rng, p)] for ell in ells}
     records = [solve_record(ell, polys[ell][0], p) for ell in ells]
     verdict = check_attached(records, polys)
     assert verdict.overall == "attached"
@@ -65,7 +61,7 @@ def test_round_trip_attached(p):
 def test_perturbation_detected():
     rng = random.Random(72)
     ells = [2, 3, 7]
-    polys = {ell: [_random_cubic(rng, F25)] for ell in ells}
+    polys = {ell: [_random_cubic(rng, 5)] for ell in ells}
     records = [solve_record(ell, polys[ell][0], 5) for ell in ells]
     bad = records[1]
     records[1] = EigenvalueRecord(bad.ell, bad.a1 + 1, bad.a2, bad.a3)
@@ -80,9 +76,9 @@ def test_global_conjugation_detected():
     ells = [2, 3, 7, 11]
     polys = {}
     for ell in ells:
-        cubic = _random_cubic(rng, F25)
+        cubic = _random_cubic(rng, 5)
         while conjugate_cubic(cubic) == cubic:
-            cubic = _random_cubic(rng, F25)
+            cubic = _random_cubic(rng, 5)
         polys[ell] = [cubic]
     records = [solve_record(ell, polys[ell][0], 5).conjugate() for ell in ells]
     verdict = check_attached(records, polys)
@@ -94,7 +90,7 @@ def test_verdict_equivariance_under_conjugation():
     rng = random.Random(74)
     for _ in range(50):
         ells = [2, 3, 7]
-        polys = {ell: [_random_cubic(rng, F25)] for ell in ells}
+        polys = {ell: [_random_cubic(rng, 5)] for ell in ells}
         records = [solve_record(ell, polys[ell][0], 5) for ell in ells]
         if rng.random() < 0.5:
             i = rng.randrange(3)
@@ -110,8 +106,8 @@ def test_verdict_equivariance_under_conjugation():
 
 def test_two_candidate_entries():
     rng = random.Random(75)
-    cubic = _random_cubic(rng, F25)
-    other = _random_cubic(rng, F25)
+    cubic = _random_cubic(rng, 5)
+    other = _random_cubic(rng, 5)
     polys = {7: [other, cubic]}
     rec = solve_record(7, cubic, 5)
     verdict = check_attached([rec], polys)
@@ -120,18 +116,18 @@ def test_two_candidate_entries():
 
 
 def test_missing_ell_rejected():
-    rec = solve_record(7, [F25.one()] + [F25.zero()] * 3, 5)
+    rec = solve_record(7, [Fp2Elem(5, 1, 0)] + [Fp2Elem(5, 0, 0)] * 3, 5)
     with pytest.raises(InconsistencyError):
-        check_attached([rec], {11: [[F25.one()] + [F25.zero()] * 3]})
+        check_attached([rec], {11: [[Fp2Elem(5, 1, 0)] + [Fp2Elem(5, 0, 0)] * 3]})
 
 
 def test_solve_record_requires_unit_constant():
     with pytest.raises(InconsistencyError):
-        solve_record(7, [F25.elem(2)] + [F25.zero()] * 3, 5)
+        solve_record(7, [Fp2Elem(5, 2, 0)] + [Fp2Elem(5, 0, 0)] * 3, 5)
 
 
 def test_record_json_round_trip():
-    rec = EigenvalueRecord(7, F25.elem(1, 2), F25.elem(3, 4), F25.elem(0, 1))
+    rec = EigenvalueRecord(7, Fp2Elem(5, 1, 2), Fp2Elem(5, 3, 4), Fp2Elem(5, 0, 1))
     assert EigenvalueRecord.from_json(rec.to_json(), 5) == rec
 
 
