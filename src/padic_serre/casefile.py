@@ -54,24 +54,25 @@ CASES_DIR = os.path.join(os.path.dirname(__file__), "cases")
 class CaseFile(Record):
     __slots__ = ("name", "data_only", "sextic", "p", "level_data", "nebentype", "nebentype_k",
                  "inertia_profile", "frobenius_inputs", "eigenvalues", "expected",
-                 "certificates", "note", "skipped_ells", "raw")
+                 "certificates", "note", "skipped_ells")
 
     def __init__(self, name: str, data_only: bool, sextic: Optional[IntPoly], p: Optional[int],
                  level_data: list[LevelDatum], nebentype: Optional[DirichletCharacter],
                  nebentype_k: int, inertia_profile: Optional[InertiaProfile],
                  frobenius_inputs: list[dict], eigenvalues: Optional[list[EigenvalueRecord]],
                  expected: Optional[dict], certificates: Optional[list] = None,
-                 note: str = "", skipped_ells: Optional[list[int]] = None,
-                 raw: Optional[dict] = None):
+                 note: str = "", skipped_ells: Optional[list[int]] = None):
         self._set(name, data_only, sextic, p, level_data, nebentype, nebentype_k,
                   inertia_profile, frobenius_inputs, eigenvalues, expected,
                   [] if certificates is None else certificates, note,
-                  [] if skipped_ells is None else skipped_ells, {} if raw is None else raw)
+                  [] if skipped_ells is None else skipped_ells)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CaseFile":
         try:
             name = payload["name"]
+            if not isinstance(name, str):
+                raise SchemaError(f"name {name!r} is not a string")
             data_only = payload.get("data_only", False)
             if not isinstance(data_only, bool):
                 raise SchemaError(f"data_only {data_only!r} is not true or false")
@@ -82,7 +83,7 @@ class CaseFile(Record):
             sextic = IntPoly.from_json(payload["sextic"]) if "sextic" in payload else None
             if data_only:
                 return cls(name, True, sextic, None, [], None, 0, None, [], None, None,
-                           note=note, skipped_ells=skipped_ells, raw=payload)
+                           note=note, skipped_ells=skipped_ells)
             p = json_int(payload["p"])
             if not is_prime(p):
                 raise SchemaError(f"p = {p} is not prime")
@@ -107,7 +108,6 @@ class CaseFile(Record):
                               for req in json_list(payload.get("certificates", []))],
                 note=note,
                 skipped_ells=skipped_ells,
-                raw=payload,
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed case file: {exc}") from exc
@@ -227,6 +227,10 @@ def _frobenius_entry(entry: dict, cycle_type, eps_sign: int, p: int) -> dict:
 
 
 def _frobenius_section(case: CaseFile, ell_max: int) -> list[dict]:
+    ells = [e["ell"] for e in case.frobenius_inputs]
+    for ell in ells:
+        if ells.count(ell) > 1:
+            raise InconsistencyError(f"duplicate ell {ell} in frobenius_inputs")
     entries = [e for e in case.frobenius_inputs if e["ell"] <= ell_max]
     disc = discriminant(case.sextic) if entries and case.sextic is not None else None
     return [

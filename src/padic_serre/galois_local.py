@@ -63,9 +63,6 @@ class RamFiltration(Record):
         entries = tuple((json_int(e["order"]), json_int(e["fixed_dim"])) for e in payload)
         return cls(entries, dim)
 
-    def to_json(self) -> list[dict]:
-        return [{"order": o, "fixed_dim": f} for o, f in self.entries]
-
 
 class LevelDatum(Record):
     __slots__ = ("q", "filtration")

@@ -115,6 +115,8 @@ def check_attached(records: list[EigenvalueRecord], frob_polys: dict) -> Attachm
     all_direct = True
     all_conjugate = True
     for rec in records:
+        if rec.ell in per_ell:
+            raise InconsistencyError(f"duplicate ell {rec.ell} in eigenvalue records")
         if rec.ell not in frob_polys:
             raise InconsistencyError(f"no Frobenius polynomial supplied for ell = {rec.ell}")
         candidates = frob_polys[rec.ell]

@@ -9,13 +9,13 @@ Classes of the base group are collapsed by character value into
     1a 3a 3b 2a 6a 6b 3cd 4a 12a 12b 5ab 15ac 15bd
 
 with 3a/3b the central scalars z, z^2.  The trace character X over F_25
-(z the deterministic cube root of unity) is frozen below; the inverse-class
-involution was derived once with the matrix oracle in matrix_oracle.py and
-is frozen alongside it.  The first mod-3 table is frozen too
+(z the deterministic cube root of unity) and the inverse-class involution
+are frozen below; the tests check both against the explicit cover that
+matrix_oracle.py builds.  The first mod-3 table is frozen too
 (``MOD3_CLASS_POLYS``); ``a6_mod3_class_polys`` still builds both tables by
-closure, as the oracle the frozen one is checked against.  Class labels with order prime to 3 lift uniquely;
-multiplying by the central scalar walks 1a->3a->3b, 2a->6a->6b,
-4a->12a->12b, 5ab->15ac->15bd.
+closure, as the oracle the frozen one is checked against.  Class labels
+with order prime to 3 lift uniquely; multiplying by the central scalar
+walks 1a->3a->3b, 2a->6a->6b, 4a->12a->12b, 5ab->15ac->15bd.
 """
 
 from __future__ import annotations

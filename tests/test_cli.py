@@ -15,6 +15,8 @@ from padic_serre.cli import _evidence_flag, main
 from padic_serre.errors import SchemaError
 from padic_serre.krasner import parse_evidence
 
+from bundled_json import case_json
+
 
 def _write(tmp_path, name, payload):
     path = tmp_path / name
@@ -157,8 +159,7 @@ def test_reports_are_byte_identical(tmp_path):
 
 
 def test_golden_mismatch_exit_code(tmp_path, capsys):
-    case = load_bundled_case("3-13-9")
-    payload = dict(case.raw)
+    payload = case_json("3-13-9")
     payload["expected"] = dict(payload["expected"], level={"13": 1})
     path = _write(tmp_path, "tampered.json", payload)
     assert main(["verify-case", path]) == 1
@@ -170,11 +171,8 @@ def test_schema_error_exit_code(tmp_path):
 
 
 def test_inconsistent_case_exit_code(tmp_path):
-    case = load_bundled_case("3-13-9")
-    payload = dict(case.raw)
-    rows = [dict(r) for r in payload["frobenius_inputs"]]
-    rows[0]["cycle_type"] = [6]
-    payload["frobenius_inputs"] = rows
+    payload = case_json("3-13-9")
+    payload["frobenius_inputs"][0]["cycle_type"] = [6]
     path = _write(tmp_path, "inconsistent.json", payload)
     assert main(["verify-case", path]) == 3
 
@@ -191,7 +189,7 @@ def _drop(row, key):
     ("level_data", lambda row: _drop(row["filtration"][0], "fixed_dim")),
 ], ids=["no-ell", "ell-x", "ell-float", "cycle-type-letter", "no-fixed-dim"])
 def test_malformed_case_fields_exit_2(tmp_path, capsys, section, edit):
-    payload = json.loads(json.dumps(load_bundled_case("3-13-9").raw))
+    payload = case_json("3-13-9")
     edit(payload[section][0])
     path = _write(tmp_path, "malformed.json", payload)
     assert main(["verify-case", path]) == 2
@@ -201,6 +199,9 @@ def test_malformed_case_fields_exit_2(tmp_path, capsys, section, edit):
 CERTIFICATE = {"f": ["-2", "0", "0", "1"], "g": ["-2", "2", "0", "1"], "p": 2,
                "evidence_f": ["eisenstein-after-shift", 0],
                "evidence_g": ["eisenstein-after-shift", 0]}
+
+
+EIGENVALUES_AT_2 = {"ell": 2, "a": [[1, 0], [0, 1], [2, 3]]}
 
 
 def _first_frobenius_row(payload, **fields):
@@ -259,6 +260,8 @@ def _certificate_without_f(d):
     ("3-13-9", lambda d: d.update(skipped_ells={"a": 1})),
     ("3-13-9", lambda d: d.update(skipped_ells=["a"])),
     ("2-3-59", lambda d: d.update(note=1)),
+    ("3-13-9", lambda d: d.update(name=["x"])),
+    ("3-13-9", lambda d: d.update(name=1)),
 ], ids=["p-float", "artin-power-float", "residue-degree-float", "nebentype-k-bool",
         "certificate-p-float", "evidence-q-float", "expected-level-float", "expected-level-list",
         "expected-weights-float", "expected-ell-float", "niveau-float", "triple-float",
@@ -268,9 +271,9 @@ def _certificate_without_f(d):
         "data-only-string", "data-only-zero", "fine-order5-int", "fine-order5-unknown-label",
         "certificates-object", "certificates-string", "level-data-object",
         "frobenius-inputs-object", "eigenvalues-object", "skipped-ells-object",
-        "skipped-ells-letter", "note-int"])
+        "skipped-ells-letter", "note-int", "name-list", "name-int"])
 def test_case_values_outside_the_schema_exit_2(tmp_path, capsys, case, edit):
-    payload = json.loads(json.dumps(load_bundled_case(case).raw))
+    payload = case_json(case)
     edit(payload)
     path = _write(tmp_path, "coerced.json", payload)
     assert main(["verify-case", path]) == 2
@@ -287,9 +290,14 @@ def test_evidence_flag_and_case_file_claim_parse_alike():
     (lambda d: _certificate(d, evidence_f=["irreducible-mod-q", 3]), "f: reduction mod 3"),
     (lambda d: d["nebentype"].update(kinds=["eps99"]), "unknown character kinds"),
     (lambda d: d.update(p=7), "no frozen class data for p = 7"),
-], ids=["false-evidence", "unknown-nebentype-kind", "p-without-class-data"])
+    (lambda d: d["frobenius_inputs"].append(dict(d["frobenius_inputs"][0], artin_power=2)),
+     "duplicate ell 2 in frobenius_inputs"),
+    (lambda d: d.update(eigenvalues=[EIGENVALUES_AT_2] * 2),
+     "duplicate ell 2 in eigenvalue records"),
+], ids=["false-evidence", "unknown-nebentype-kind", "p-without-class-data",
+        "repeated-frobenius-ell", "repeated-eigenvalue-ell"])
 def test_well_formed_but_inconsistent_case_values_exit_3(tmp_path, capsys, edit, message):
-    payload = json.loads(json.dumps(load_bundled_case("5-17-1").raw))
+    payload = case_json("5-17-1")
     edit(payload)
     assert main(["verify-case", _write(tmp_path, "inconsistent.json", payload)]) == 3
     captured = capsys.readouterr()
@@ -299,14 +307,14 @@ def test_well_formed_but_inconsistent_case_values_exit_3(tmp_path, capsys, edit,
 def test_case_certificate_runs(tmp_path, capsys):
     """The certificate request above is valid as written, so the exit 2 for
     its float p or evidence argument comes from the schema alone."""
-    payload = dict(load_bundled_case("5-17-1").raw, certificates=[CERTIFICATE])
+    payload = dict(case_json("5-17-1"), certificates=[CERTIFICATE])
     assert main(["verify-case", _write(tmp_path, "cert.json", payload)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert [c["verdict"] for c in report["certificates"]] == ["certified"]
 
 
 def test_niveau_2_string_exponent_is_an_integer(tmp_path, capsys):
-    payload = load_bundled_case("5-17-1").raw
+    payload = case_json("5-17-1")
     outputs = []
     for k in (1, "1"):
         profile = {"niveau": 2, "k": k, "m": 1, "flags": ["none", "none"]}
@@ -344,7 +352,7 @@ def test_level_rejects_a_level_list_that_is_not_a_list(tmp_path, capsys, payload
 
 
 def test_null_eigenvalues_read_as_absent():
-    payload = load_bundled_case("5-17-1").raw
+    payload = case_json("5-17-1")
     assert CaseFile.from_dict(dict(payload, eigenvalues=None)).eigenvalues == []
 
 
@@ -367,14 +375,14 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
 
 
 def test_eigenvalue_record_needs_three_values(tmp_path, capsys):
-    payload = dict(load_bundled_case("5-17-1").raw, eigenvalues=[{"ell": 2, "a": [[1, 0]]}])
+    payload = dict(case_json("5-17-1"), eigenvalues=[{"ell": 2, "a": [[1, 0]]}])
     path = _write(tmp_path, "short-record.json", payload)
     assert main(["verify-case", path]) == 2
     assert capsys.readouterr().out == ""
 
 
 def test_eigenvalue_records_are_parsed_at_load():
-    payload = load_bundled_case("5-17-1").raw
+    payload = case_json("5-17-1")
     records = [{"ell": 2, "a": [[1, 0], [0, 1], [2, 3]]}]
     case = CaseFile.from_dict(dict(payload, eigenvalues=records))
     assert [r.to_json() for r in case.eigenvalues] == records

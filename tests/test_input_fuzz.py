@@ -20,8 +20,10 @@ import io
 import json
 import random
 
-from padic_serre.casefile import GOLDEN, bundled_case_names, load_bundled_case
+from padic_serre.casefile import GOLDEN, bundled_case_names
 from padic_serre.cli import main
+
+from bundled_json import case_json
 
 SEED = 20041
 PER_INPUT = 8
@@ -47,15 +49,15 @@ def _inputs() -> list[tuple[str, object, list[str]]]:
     """(label, valid payload, argv with {} where the payload's path goes)."""
     out = []
     for name in bundled_case_names():
-        payload = json.loads(json.dumps(load_bundled_case(name).raw))
+        payload = case_json(name)
         if name in GOLDEN:
             payload["certificates"] = [CERTIFICATE]
         out.append((name, payload, ["verify-case", "{}"]))
-    case = load_bundled_case("3-13-9").raw
+    case = case_json("3-13-9")
     out.append(("level", {"level_data": case["level_data"]}, ["level", "{}"]))
     out.append(("profile", case["inertia_profile"], ["weights", "{}", "--p", "3"]))
     out.append(("niveau-2", {"niveau": 2, "k": 1, "m": 2}, ["weights", "{}", "--p", "5"]))
-    out.append(("polygon", load_bundled_case("5-17-1").raw["sextic"],
+    out.append(("polygon", case_json("5-17-1")["sextic"],
                 ["polygon", "{}", "--p", "5"]))
     out.append(("precision", X3M2, ["precision", "{}", "--p", "2", "--method", "safe"]))
     out.append(("certify", ["-2", "2", "0", "1"],
