@@ -227,11 +227,11 @@ def _frobenius_entry(entry: dict, cycle_type, eps_sign: int, p: int) -> dict:
 
 
 def _frobenius_section(case: CaseFile, ell_max: int) -> list[dict]:
-    ells = [e["ell"] for e in case.frobenius_inputs]
-    for ell in ells:
-        if ells.count(ell) > 1:
-            raise InconsistencyError(f"duplicate ell {ell} in frobenius_inputs")
-    entries = [e for e in case.frobenius_inputs if e["ell"] <= ell_max]
+    inputs = sorted(case.frobenius_inputs, key=lambda e: e["ell"])
+    for a, b in zip(inputs, inputs[1:]):
+        if a["ell"] == b["ell"]:
+            raise InconsistencyError(f"duplicate ell {a['ell']} in frobenius_inputs")
+    entries = [e for e in inputs if e["ell"] <= ell_max]
     disc = discriminant(case.sextic) if entries and case.sextic is not None else None
     return [
         _frobenius_entry(entry, _cycle_type_checked(case, entry, disc),

@@ -109,12 +109,13 @@ def check_attached(records: list[EigenvalueRecord], frob_polys: dict) -> Attachm
     "match", "conjugate-match" (the Galois twin matches) or "mismatch".
     Overall: "attached" when everything matches outright,
     "attached-up-to-conjugacy" when one global conjugation fixes it.
+    Records are read in order of ell, so ``indeterminate_ells`` is sorted.
     """
     per_ell = {}
     indeterminate = []
     all_direct = True
     all_conjugate = True
-    for rec in records:
+    for rec in sorted(records, key=lambda r: r.ell):
         if rec.ell in per_ell:
             raise InconsistencyError(f"duplicate ell {rec.ell} in eigenvalue records")
         if rec.ell not in frob_polys:

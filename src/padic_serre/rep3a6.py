@@ -187,26 +187,20 @@ def sl2_generators(p: int, entries) -> list[Matrix]:
     return [mat([[one, t], [zero, one]]) for t in ts] + [mat([[one, zero], [t, one]]) for t in ts]
 
 
-def sym_square_group(p: int, entries) -> set[Matrix]:
-    """The symmetric-square image of the group generated by
-    ``sl2_generators(p, entries)``: the closure is taken in SL_2, then mapped."""
-    return {sym_square(m) for m in closure(sl2_generators(p, entries))}
-
-
 @lru_cache(maxsize=None)
 def a6_mod3_class_polys() -> tuple[dict, dict]:
     """The two Galois-conjugate tables class -> charpoly over F_9 for the
     3-dimensional mod-3 representations.
 
-    Built as the symmetric-square image of SL_2(F_9), closed over its four
-    transvection generators (the central sign dies, leaving the simple group
-    of order 360 inside SL_3(F_9)).  Images are bucketed by (order, trace);
-    each order is one class except 5, whose two classes are separated by
-    their distinct conjugate traces, labelled so that "5a" takes the
-    lexicographically smaller one.  Keys: 1a, 2a, 3ab (both fine types
-    share a unipotent charpoly), 4a, 5a, 5b.
+    Built as the closure in SL_3(F_9) of the symmetric squares of the four
+    transvection generators of SL_2(F_9): the image of SL_2(F_9), where the
+    central sign dies, leaving the simple group of order 360.  Images are
+    bucketed by (order, trace); each order is one class except 5, whose two
+    classes are separated by their distinct conjugate traces, labelled so
+    that "5a" takes the lexicographically smaller one.  Keys: 1a, 2a, 3ab
+    (both fine types share a unipotent charpoly), 4a, 5a, 5b.
     """
-    images = sym_square_group(3, (1, Fp2Elem(3, 0, 1)))
+    images = closure([sym_square(g) for g in sl2_generators(3, (1, Fp2Elem(3, 0, 1)))])
     if len(images) != 360:
         raise AssertionError(f"expected 360 images, got {len(images)}")
     classes = classes_by_order_trace(images)

@@ -11,21 +11,24 @@ mod p-1 the top (resp. bottom) block is ambiguous; a flag resolves it:
     "peu"/"none"  both choices admitted
 
 Inertia profiles come in three niveaux.  Niveau 1 supplies the (A, B, C)
-exponents directly (one per triangularization).  Niveau 2 supplies a tame
-exponent k mod p-1 and m mod p^2-1: every decomposition mu = r + s*p
-(mod p^2-1, with r, s in [0, p^2-2] and 0 <= r-s <= p-1) and every
-placement (k,r,s), (r,k,s), (r,s,k) contributes.  Niveau 3 supplies m mod
-p^3-1: every r = t+d1, s = t+d2 (0 <= d1, d2 <= p-1) with
-r + s*p + t*p^2 = mu (mod p^3-1) contributes the descending rearrangement
-of (r, s, t).  In both cases mu runs over the full conjugate orbit
-{m, p*m, ...}: the characters come as an unordered Galois-conjugate
-family, so which member gets called m must not matter (a single label can
-even fail to decompose while its conjugate succeeds).  Niveau 2 and 3
-ambiguities always admit both choices.
+exponents directly (one per triangularization).  Niveau h = 2 or 3 supplies
+m mod p^h-1 (niveau 2 also a tame exponent k).  A decomposition of mu
+writes the h exponents as t plus a digit d_i in [0, p-1], the top digit 0:
+mu = t*(1 + p + ... + p^(h-1)) + d_0 + d_1*p (mod p^h-1).  That sum of
+powers divides p^h-1, so the higher digits fix d_0 modulo it, and d_0 must
+be below p; t is then fixed mod p-1, all that p_restrict reads.  One t per
+digit tuple: O(1) work per orbit member at niveau 2, O(p) at niveau 3.
+Niveau 2 places (r, s) = (t+d_0, t) and k as (k,r,s), (r,k,s), (r,s,k);
+niveau 3 reads the descending rearrangement of (t+d_0, t+d_1, t).  mu runs
+over the full conjugate orbit {m, p*m, ...}: the characters come as an
+unordered Galois-conjugate family, so which member gets called m must not
+matter (a single label can even fail to decompose while its conjugate
+succeeds).  Niveau 2 and 3 ambiguities always admit both choices.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from math import lcm
 from typing import NamedTuple, Optional
 
@@ -101,15 +104,18 @@ class InertiaProfile(Record):
     @classmethod
     def from_json(cls, payload) -> "InertiaProfile":
         """Integers go through ``json_int`` (ValueError); a triple that is
-        not three values or flags that are not two strings: SchemaError."""
+        not three values, flags that are not two of FLAGS or a provenance
+        that is not a string: SchemaError."""
         niveau = json_int(payload["niveau"])
         triples = tuple(tuple(json_int(x) for x in t) for t in payload.get("triples", []))
         if any(len(t) != 3 for t in triples):
             raise SchemaError(f"exponent triples {triples} must each have three values")
         flags = payload.get("flags", ["none", "none"])
-        if not (isinstance(flags, list) and len(flags) == 2
-                and all(isinstance(f, str) for f in flags)):
-            raise SchemaError(f"flags {flags!r} must be a list of two strings")
+        if not (isinstance(flags, list) and len(flags) == 2 and all(f in FLAGS for f in flags)):
+            raise SchemaError(f"flags {flags!r} must be a list of two of {FLAGS}")
+        provenance = payload.get("provenance", "")
+        if not isinstance(provenance, str):
+            raise SchemaError(f"provenance {provenance!r} is not a string")
         k, m = payload.get("k"), payload.get("m")
         return cls(
             niveau=niveau,
@@ -117,59 +123,47 @@ class InertiaProfile(Record):
             k=None if k is None else json_int(k),
             m=None if m is None else json_int(m),
             flags=tuple(flags),
-            provenance=payload.get("provenance", ""),
+            provenance=provenance,
         )
 
 
-def _check_genuine_niveau(profile: InertiaProfile, p: int) -> None:
-    if profile.niveau == 2:
-        mod = p * p - 1
-        if (profile.m * p - profile.m) % mod == 0:
-            raise InconsistencyError("m is fixed by x -> p*x: not genuinely niveau 2")
-    if profile.niveau == 3:
-        mod = p**3 - 1
-        orbit = {profile.m % mod, profile.m * p % mod, profile.m * p * p % mod}
-        if len(orbit) != 3:
-            raise InconsistencyError("m does not have a full orbit: not genuinely niveau 3")
+_NOT_GENUINE = {
+    2: "m is fixed by x -> p*x: not genuinely niveau 2",
+    3: "m does not have a full orbit: not genuinely niveau 3",
+}
+
+
+def _orbit(profile: InertiaProfile, p: int) -> set[int]:
+    """The conjugate orbit {m, p*m, ...} mod p^h - 1 of a niveau-h profile;
+    InconsistencyError unless it has h members."""
+    h = profile.niveau
+    mod = p**h - 1
+    orbit = {profile.m * p**i % mod for i in range(h)}
+    if len(orbit) != h:
+        raise InconsistencyError(_NOT_GENUINE[h])
+    return orbit
 
 
 def predicted_weights(profile: InertiaProfile, p: int) -> set[Triple]:
     """Union of p_restrict over every admissible exponent reading of the
-    profile; see the module docstring for the niveau 2/3 enumeration."""
-    _check_genuine_niveau(profile, p)
+    profile; see the module docstring for the niveau 2/3 digit rule."""
     out: set[Triple] = set()
     if profile.niveau == 1:
         for A, B, C in profile.triples:
             out |= p_restrict(A, B, C, p, profile.flags)
         return out
-    both = ("none", "none")
-    if profile.niveau == 2:
-        mod = p * p - 1
-        k = profile.k % (p - 1)
-        found = False
-        for mu in {profile.m % mod, profile.m * p % mod}:
-            for s in range(mod):
-                r = (mu - s * p) % mod
-                if 0 <= r - s <= p - 1:
-                    found = True
-                    for A, B, C in ((k, r, s), (r, k, s), (r, s, k)):
-                        out |= p_restrict(A, B, C, p, both)
-        if not found:
-            raise InconsistencyError("decomposition impossible")
-        return out
-    mod = p**3 - 1
-    orbit = {profile.m % mod, profile.m * p % mod, profile.m * p * p % mod}
-    found = False
+    h, k = profile.niveau, profile.k
+    orbit = _orbit(profile, p)
+    unit = (p**h - 1) // (p - 1)  # 1 + p + ... + p^(h-1)
     for mu in orbit:
-        for t in range(mod):
-            for d1 in range(p):
-                for d2 in range(p):
-                    r, s = t + d1, t + d2
-                    if (r + s * p + t * p * p) % mod == mu:
-                        found = True
-                        A, B, _ = sorted((r, s, t), reverse=True)
-                        out |= p_restrict(A, B, t, p, both)
-    if not found:
+        for middle in product(range(p), repeat=h - 2):  # the digits d_1 .. d_(h-2)
+            t, d0 = divmod(mu - sum(d * p**i for i, d in enumerate(middle, 1)), unit)
+            if d0 < p:
+                exps = sorted((t + d for d in (d0, *middle, 0)), reverse=True)
+                readings = [exps] if h == 3 else [(k, *exps), (exps[0], k, exps[1]), (*exps, k)]
+                for A, B, C in readings:
+                    out |= p_restrict(A, B, C, p)
+    if not out:
         raise InconsistencyError("decomposition impossible")
     return out
 

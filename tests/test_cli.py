@@ -239,6 +239,8 @@ def _certificate_without_f(d):
     ("5-17-1", lambda d: d["inertia_profile"].update(niveau=1.0)),
     ("5-17-1", lambda d: d["inertia_profile"].update(triples=[[1.5, 0, 0]])),
     ("5-17-1", lambda d: d["inertia_profile"].update(flags="ab")),
+    ("5-17-1", lambda d: d["inertia_profile"].update(flags=["none", "bogus"])),
+    ("5-17-1", lambda d: d["inertia_profile"].update(provenance=7)),
     ("5-17-1", _certificate_without_f),
     ("5-17-1", lambda d: _certificate(d, evidence_f=None)),
     ("5-17-1", lambda d: _certificate(d, evidence_f="single-slope")),
@@ -265,7 +267,7 @@ def _certificate_without_f(d):
 ], ids=["p-float", "artin-power-float", "residue-degree-float", "nebentype-k-bool",
         "certificate-p-float", "evidence-q-float", "expected-level-float", "expected-level-list",
         "expected-weights-float", "expected-ell-float", "niveau-float", "triple-float",
-        "flags-string", "certificate-without-f", "evidence-null", "evidence-string",
+        "flags-string", "flag-unknown", "provenance-int", "certificate-without-f", "evidence-null", "evidence-string",
         "evidence-unknown-kind", "evidence-extra-argument", "certificate-method-unknown",
         "certificate-f-string", "nebentype-kinds-string", "nebentype-kinds-nested",
         "data-only-string", "data-only-zero", "fine-order5-int", "fine-order5-unknown-label",
@@ -330,7 +332,8 @@ def test_niveau_2_string_exponent_is_an_integer(tmp_path, capsys):
     {"niveau": 1.0, "triples": [[0, 0, 0]]},
     {"niveau": 1, "triples": [[0, 0]]},
     {"niveau": 1, "triples": [[0, 0, 0]], "flags": "ab"},
-], ids=["niveau-float", "short-triple", "flags-string"])
+    {"niveau": 2, "k": 1, "m": 2, "flags": ["none", "bogus"]},
+], ids=["niveau-float", "short-triple", "flags-string", "niveau-2-flag-unknown"])
 def test_weights_rejects_malformed_profile(tmp_path, capsys, profile):
     assert main(["weights", _write(tmp_path, "prof.json", profile), "--p", "5"]) == 2
     assert capsys.readouterr().out == ""

@@ -34,7 +34,7 @@ from padic_serre.matrices import (
     scalar_mul,
 )
 from padic_serre.matrix_oracle import EXTRA_INVOLUTION, _mat_key, triple_cover_group
-from padic_serre.rep3a6 import sl2_generators, sym_square, sym_square_group
+from padic_serre.rep3a6 import sl2_generators, sym_square
 
 P = 5
 
@@ -102,7 +102,8 @@ def _intertwiner(k1, im1, k2, im2):
 
 
 def _derive_extra_involution():
-    h = sorted(sym_square_group(P, (1,)), key=_mat_key)
+    h_gens = [sym_square(g) for g in sl2_generators(P, (1,))]
+    h = sorted(closure(h_gens), key=_mat_key)
     assert len(h) == 60
     k = _tetrahedral_normalizer(h)
     orders = element_orders(k)
@@ -115,7 +116,6 @@ def _derive_extra_involution():
     units = list(elements(P))[1:]
     # order-3 images may carry a central cube-root twist; Klein images may not
     order3_twisted = [scalar_mul(z**j, m) for m in order3 for j in (0, 1, 2)]
-    h_gens = [sym_square(g) for g in sl2_generators(P, (1,))]
     for im1 in order2:
         for im2 in order3_twisted:
             m0 = _intertwiner(k1, im1, k2, im2)
@@ -147,7 +147,7 @@ def _frozen():
 
 
 def _involution_of_h():
-    h = sorted(sym_square_group(P, (1,)), key=_mat_key)
+    h = sorted(closure([sym_square(g) for g in sl2_generators(P, (1,))]), key=_mat_key)
     orders = element_orders(h)
     return next(m for m in h if orders[m] == 2)
 

@@ -8,15 +8,16 @@ alters any element, representative or ordering fails here."""
 import hashlib
 
 from padic_serre.arith import Fp2Elem
+from padic_serre.matrices import closure
 from padic_serre.matrix_oracle import classified_cover, oracle_charpoly, triple_cover_group
-from padic_serre.rep3a6 import COVER_COARSE, a6_mod3_class_polys, sym_square_group
+from padic_serre.rep3a6 import COVER_COARSE, a6_mod3_class_polys, sl2_generators, sym_square
 
 GROUP_SHA256 = {
     "triple_cover_group": "6837f1a63d1052a63e3921e0ed9134c237ff75b3ddc47d443f4034019a2711e7",
     "classified_cover": "567bd9b08193daada7127f53e734390cf4e5807ed36c81e6be9433731ef9cf11",
     "oracle_charpoly_minus": "0f0b8f726af115792ed5cc1101091a5cf28d4db91037e96d88f4d235fd49da5d",
     "a6_mod3_class_polys": "0fff4cb161194a730a06fb9ef2854cd60514a4e592018abbda050fe3528d91f3",
-    "sym_square_group_3": "7f9f26202c5dce223fa3d6773838c60afd715254542b1a6094c75a6083b2c5a6",
+    "sym_square_group_3": "fff65305aa933af928ccc606a8be5d6a817db7af76152b14f397c23d56834411",
 }
 
 
@@ -30,7 +31,8 @@ def _snapshots() -> dict:
         "classified_cover": classified_cover(),
         "oracle_charpoly_minus": [(label, oracle_charpoly(label, -1)) for label in COVER_COARSE],
         "a6_mod3_class_polys": a6_mod3_class_polys(),
-        "sym_square_group_3": list(sym_square_group(3, (1, Fp2Elem(3, 0, 1)))),
+        "sym_square_group_3": list(
+            closure([sym_square(g) for g in sl2_generators(3, (1, Fp2Elem(3, 0, 1)))])),
     }
 
 

@@ -10,7 +10,7 @@ from padic_serre import matrices, matrix_oracle
 from padic_serre.arith import Fp2Elem
 from padic_serre.matrices import closure, element_orders, identity, mat_mul
 from padic_serre.matrix_oracle import classified_cover, triple_cover_group
-from padic_serre.rep3a6 import a6_mod3_class_polys, sl2_generators, sym_square_group
+from padic_serre.rep3a6 import a6_mod3_class_polys, sl2_generators, sym_square
 
 W9 = Fp2Elem(3, 0, 1)
 RANDOM_SETS = [f"cover-{size}-{i}" for size in (2, 3) for i in range(4)]
@@ -84,8 +84,8 @@ def test_closure_raises_past_cap():
 @pytest.mark.parametrize(
     "group",
     [
-        lambda: sym_square_group(5, (1,)),
-        lambda: sym_square_group(3, (1, W9)),
+        lambda: closure([sym_square(g) for g in sl2_generators(5, (1,))]),
+        lambda: closure([sym_square(g) for g in sl2_generators(3, (1, W9))]),
         triple_cover_group,
     ],
     ids=["H", "mod3-image", "cover"],

@@ -1,9 +1,12 @@
+import json
 import random
+import signal
 from itertools import product
 
 import pytest
 
 from padic_serre.arith import Fp2Elem
+from padic_serre.cli import main
 from padic_serre.errors import InconsistencyError
 from padic_serre.weights import (
     DirichletCharacter,
@@ -152,6 +155,99 @@ def test_predicted_weights_niveau3_small():
 def test_predicted_weights_niveau3_rejects_short_orbit():
     with pytest.raises(InconsistencyError):
         predicted_weights(InertiaProfile(niveau=3, m=0), 2)
+
+
+def _niveau2_scan(k, m, p):
+    # enumeration over s, O(p^2): the reference for the digit rule at niveau 2
+    out = set()
+    mod = p * p - 1
+    k = k % (p - 1)
+    for mu in {m % mod, m * p % mod}:
+        for s in range(mod):
+            r = (mu - s * p) % mod
+            if 0 <= r - s <= p - 1:
+                for A, B, C in ((k, r, s), (r, k, s), (r, s, k)):
+                    out |= p_restrict(A, B, C, p)
+    return out
+
+
+def _reference_weights(profile, p):
+    """predicted_weights by enumeration: the genuine-niveau checks, then
+    the scan over s at niveau 2 and the O(p^5) oracle at niveau 3."""
+    m = profile.m
+    if profile.niveau == 2:
+        if (m * p - m) % (p * p - 1) == 0:
+            raise InconsistencyError("m is fixed by x -> p*x: not genuinely niveau 2")
+        out = _niveau2_scan(profile.k, m, p)
+    else:
+        mod = p**3 - 1
+        if len({m % mod, m * p % mod, m * p * p % mod}) != 3:
+            raise InconsistencyError("m does not have a full orbit: not genuinely niveau 3")
+        out = _niveau3_oracle(m, p)
+    if not out:
+        raise InconsistencyError("decomposition impossible")
+    return out
+
+
+def _seeded_profiles():
+    """208 profiles: 20 per prime at niveau 2, and at niveau 3 20 per prime
+    up to 7 and 4 at 11 and 13 (the oracle is O(p^5)).  m cycles through a
+    residue, a negative value, a value past p^h - 1 and a multiple of
+    1 + p + ... + p^(h-1), whose orbit is degenerate; k is any integer."""
+    rng = random.Random(20041012)
+    for p in (2, 3, 5, 7, 11, 13):
+        for niveau, count in ((2, 20), (3, 20 if p <= 7 else 4)):
+            mod = p**niveau - 1
+            for i in range(count):
+                m = (rng.randrange(mod), rng.randrange(-5 * mod, 0),
+                     rng.randrange(mod, 5 * mod),
+                     mod // (p - 1) * rng.randrange(-2, 2 * p))[i % 4]
+                k = rng.randrange(-3 * p, 3 * p) if niveau == 2 else None
+                yield p, InertiaProfile(niveau=niveau, k=k, m=m)
+
+
+def _outcome(fn, profile, p):
+    try:
+        return fn(profile, p)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_predicted_weights_match_the_enumerations():
+    profiles = list(_seeded_profiles())
+    assert len(profiles) >= 200
+    outcomes = []
+    for p, profile in profiles:
+        got = _outcome(predicted_weights, profile, p)
+        assert got == _outcome(_reference_weights, profile, p), (p, profile)
+        outcomes.append(got if isinstance(got, tuple) else "weights")
+    assert set(outcomes) == {
+        "weights",
+        (InconsistencyError, "m is fixed by x -> p*x: not genuinely niveau 2"),
+        (InconsistencyError, "m does not have a full orbit: not genuinely niveau 3"),
+    }
+
+
+@pytest.mark.parametrize("profile,p", [
+    ({"niveau": 3, "m": 123456789}, 1009),
+    ({"niveau": 2, "k": 7, "m": 98765432123}, 100003),
+], ids=["niveau-3-p-1009", "niveau-2-p-100003"])
+def test_weights_command_at_large_p_within_2_s(tmp_path, capsys, profile, p):
+    def expire(signum, frame):
+        raise TimeoutError(f"weights at p = {p} ran past 2 s")
+
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        code = main(["weights", str(path), "--p", str(p)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 3)
+    if code == 0:
+        assert json.loads(capsys.readouterr().out)["weights"]
 
 
 def test_char_eval_examples():
