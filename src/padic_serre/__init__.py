@@ -48,7 +48,6 @@ from .polynomial import (
     resolvent_cubic,
     resultant,
     root_diff_poly,
-    shift,
 )
 from .rep3a6 import (
     CoarseClassA6,

@@ -3,7 +3,7 @@
 Subcommands: polygon, precision, certify, level, weights, frobenius,
 verify-case.  Polynomials travel as JSON arrays of decimal coefficient
 strings, constant term first.  Exit codes: 0 success, 1 golden mismatch,
-2 parse or schema error, 3 mathematical inconsistency.
+2 parse or schema error (a non-prime --p too), 3 mathematical inconsistency.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import sys
 from functools import lru_cache
 
+from .arith import is_prime
 from .casefile import (
     CaseFile,
     DEFAULT_ELL_MAX,
@@ -197,6 +198,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "p", None) is not None and not is_prime(args.p):
+            raise SchemaError(f"--p {args.p} is not prime")
         return args.func(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -120,7 +120,9 @@ def validate_evidence(f: IntPoly, p: int, evidence, which: str) -> bool:
     return False
 
 
-def _check_input(f: IntPoly, p: int) -> tuple[int, int, int]:
+def _invariants(f: IntPoly, p: int, with_lambda: bool) -> tuple:
+    """(n, d, a, lambda) of f, lambda None unless with_lambda; then d is read
+    off the root-difference polynomial, whose constant term is +-disc f."""
     if not f.is_monic():
         raise InconsistencyError("polynomial must be monic")
     n = f.degree
@@ -128,28 +130,30 @@ def _check_input(f: IntPoly, p: int) -> tuple[int, int, int]:
         raise InconsistencyError("degree must be at least 2")
     if f.constant == 0:
         raise InconsistencyError("constant term must be nonzero")
+    if with_lambda:
+        diffs = root_diff_poly(f)
+        lam = newton_polygon(diffs, p).largest_finite_slope()
+        return n, ord_p(diffs.constant, p), ord_p(f.constant, p), lam
     disc = discriminant(f)
     if disc == 0:
         raise InconsistencyError("polynomial is not squarefree")
-    return n, ord_p(disc, p), ord_p(f.constant, p)
+    return n, ord_p(disc, p), ord_p(f.constant, p), None
 
 
 def lambda_exact(f: IntPoly, p: int) -> Fraction:
     """max ord_p(a_i - a_j) over root pairs: the largest finite slope of the
     Newton polygon of the root-difference polynomial."""
-    _check_input(f, p)
-    return newton_polygon(root_diff_poly(f), p).largest_finite_slope()
+    return _invariants(f, p, True)[3]
 
 
 def lambda_upper_bound(f: IntPoly, p: int) -> Fraction:
     """(d - (n-2)a)/n, valid whenever f is monic irreducible."""
-    n, d, a = _check_input(f, p)
+    n, d, a, _ = _invariants(f, p, False)
     return Fraction(d - (n - 2) * a, n)
 
 
-def _strict_ceil(bound: Fraction) -> int:
-    b = Fraction(bound)
-    return b.numerator // b.denominator + 1
+def _strict_ceil(bound: Optional[Fraction]) -> Optional[int]:
+    return None if bound is None else bound.numerator // bound.denominator + 1
 
 
 class PrecisionReport(Record):
@@ -186,27 +190,38 @@ class PrecisionReport(Record):
 def precision_report(f: IntPoly, p: int, method: str = "prop1bis") -> PrecisionReport:
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    n, d, a = _check_input(f, p)
+    n, d, a, lam = _invariants(f, p, method != "prop1bis")
     b_bis = Fraction(2 * d - (n - 1) * a, n)
-    k_bis = _strict_ceil(b_bis)
-    if method == "prop1bis":
-        return PrecisionReport(n, d, a, None, None, k_bis, None, b_bis, method)
-    lam = lambda_exact(f, p)
-    b1 = lam + Fraction(d - a, n)
-    k1 = _strict_ceil(b1)
-    if method == "safe":
-        b_safe = lam + Fraction(d, n)
-        return PrecisionReport(
-            n, d, a, lam, k1, k_bis, b1, b_bis, method,
-            k_safe=_strict_ceil(b_safe), bound_safe=b_safe,
-        )
-    return PrecisionReport(n, d, a, lam, k1, k_bis, b1, b_bis, method)
+    b1 = None if lam is None else lam + Fraction(d - a, n)
+    b_safe = lam + Fraction(d, n) if method == "safe" else None
+    return PrecisionReport(n, d, a, lam, _strict_ceil(b1), _strict_ceil(b_bis), b1, b_bis,
+                           method, _strict_ceil(b_safe), b_safe)
 
 
 def precision_k(f: IntPoly, p: int, method: str = "prop1bis") -> int:
     """Smallest integer k beating the chosen method's bound (strict)."""
-    report = precision_report(f, p, method)
-    return {"prop1": report.k_prop1, "prop1bis": report.k_prop1bis, "safe": report.k_safe}[method]
+    return getattr(precision_report(f, p, method), "k_" + method)
+
+
+def _pair_degree(f: IntPoly, g: IntPoly) -> int:
+    if not (f.is_monic() and g.is_monic()) or f.degree != g.degree:
+        raise InconsistencyError("need monic polynomials of equal degree")
+    return f.degree
+
+
+def _congruence_order(f: IntPoly, g: IntPoly, p: int):
+    """min ord_p(g_i - f_i) over the non-leading coefficients of f and g."""
+    return min((ord_p(b - c, p) for c, b in zip(f.coeffs[:-1], g.coeffs[:-1])),
+               default=ORD_INFINITY)
+
+
+def _resultant_lhs(f: IntPoly, g: IntPoly, p: int) -> tuple:
+    """n and ord_p(Res(f, g))/n, for f with a nonzero constant term."""
+    n = _pair_degree(f, g)
+    if f.constant == 0:
+        raise InconsistencyError("constant term of f must be nonzero")
+    r = resultant(f, g)
+    return n, ORD_INFINITY if r == 0 else Fraction(ord_p(r, p), n)
 
 
 def resultant_margin(f: IntPoly, g: IntPoly, p: int) -> tuple:
@@ -218,17 +233,8 @@ def resultant_margin(f: IntPoly, g: IntPoly, p: int) -> tuple:
     sits at the constant coefficient, only the weighted form
     (see weighted_resultant_margin) is actually guaranteed.
     """
-    if not (f.is_monic() and g.is_monic()) or f.degree != g.degree:
-        raise InconsistencyError("need monic polynomials of equal degree")
-    n = f.degree
-    if f.constant == 0:
-        raise InconsistencyError("constant term of f must be nonzero")
-    r = resultant(f, g)
-    lhs = ORD_INFINITY if r == 0 else Fraction(ord_p(r, p), n)
-    diffs = [g.coeffs[i] - f.coeffs[i] for i in range(n)]
-    mins = min((ord_p(di, p) for di in diffs), default=ORD_INFINITY)
-    rhs = ORD_INFINITY if mins == ORD_INFINITY else Fraction(ord_p(f.constant, p), n) + mins
-    return lhs, rhs
+    n, lhs = _resultant_lhs(f, g, p)
+    return lhs, _congruence_order(f, g, p) + Fraction(ord_p(f.constant, p), n)
 
 
 def weighted_resultant_margin(f: IntPoly, g: IntPoly, p: int) -> tuple:
@@ -240,14 +246,8 @@ def weighted_resultant_margin(f: IntPoly, g: IntPoly, p: int) -> tuple:
     irreducible over Q_p, or Eisenstein); for arbitrary monic integral f
     only the unweighted min of the difference valuations is a lower bound.
     """
-    if not (f.is_monic() and g.is_monic()) or f.degree != g.degree:
-        raise InconsistencyError("need monic polynomials of equal degree")
-    n = f.degree
-    if f.constant == 0:
-        raise InconsistencyError("constant term of f must be nonzero")
+    n, lhs = _resultant_lhs(f, g, p)
     a = ord_p(f.constant, p)
-    r = resultant(f, g)
-    lhs = ORD_INFINITY if r == 0 else Fraction(ord_p(r, p), n)
     rhs = ORD_INFINITY
     for i in range(n):
         di = g.coeffs[i] - f.coeffs[i]
@@ -293,15 +293,13 @@ def certify_same_extension(
     "inconclusive" -- never "different extensions", since the bounds are
     only sufficient.  Pass method="safe" for the conservative radius.
     """
-    if f.degree != g.degree or not (f.is_monic() and g.is_monic()):
-        raise InconsistencyError("need monic polynomials of equal degree")
+    _pair_degree(f, g)
     flagged = []
     if validate_evidence(f, p, evidence_f, "f"):
         flagged.append("f")
     if validate_evidence(g, p, evidence_g, "g"):
         flagged.append("g")
     k = precision_k(f, p, method)
-    diffs = [b - a for a, b in zip(f.coeffs[:-1], g.coeffs[:-1])]
-    cong = min((ord_p(di, p) for di in diffs), default=ORD_INFINITY)
+    cong = _congruence_order(f, g, p)
     verdict = "certified" if cong >= k else "inconclusive"
     return Certificate(verdict, k, method, cong, tuple(flagged))

@@ -137,10 +137,6 @@ class IntPoly:
         return cls([json_int(c) for c in payload])
 
 
-def shift(f: IntPoly, a: int) -> IntPoly:
-    return f.shift(a)
-
-
 # ---------------------------------------------------------------------------
 # resultants and discriminants
 
@@ -307,13 +303,13 @@ def root_diff_poly(f: IntPoly) -> IntPoly:
     n = f.degree
     if n < 2 or not f.is_monic():
         raise ValueError("root_diff_poly needs a monic polynomial of degree >= 2")
-    if discriminant(f) == 0:
-        raise InconsistencyError("polynomial is not squarefree")
     npts = n * n + 1
     points = [(t, resultant(f, f.shift(t))) for t in range(npts)]
     full = _interpolate_int(points)
     if any(full[:n]) or len(full) != n * n + 1:
         raise AssertionError("resultant lacks the expected x^n factor")
+    if full[n] == 0:  # +-disc f: a repeated root leaves a further factor x
+        raise InconsistencyError("polynomial is not squarefree")
     return IntPoly(full[n:])
 
 

@@ -13,7 +13,7 @@ from padic_serre.casefile import (
 from padic_serre import cli
 from padic_serre.cli import _evidence_flag, main
 from padic_serre.errors import SchemaError
-from padic_serre.krasner import parse_evidence
+from padic_serre.krasner import METHODS, parse_evidence
 
 from bundled_json import case_json
 
@@ -66,6 +66,28 @@ def test_precision_command(tmp_path, capsys):
 def test_precision_rejects_non_monic(tmp_path, capsys):
     poly = _write(tmp_path, "f.json", ["-2", "0", "0", "2"])
     assert main(["precision", poly, "--p", "2"]) == 3
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_precision_rejects_repeated_root(tmp_path, capsys, method):
+    # (x-1)^2 (x+2): monic with a nonzero constant term, but not squarefree
+    poly = _write(tmp_path, "f.json", ["2", "-3", "0", "1"])
+    assert main(["precision", poly, "--p", "2", "--method", method]) == 3
+    assert "polynomial is not squarefree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["1", "0", "-3", "4"])
+def test_non_prime_p_exits_2(tmp_path, capsys, p):
+    poly = _write(tmp_path, "f.json", ["-2", "0", "0", "1"])
+    profile = _write(tmp_path, "w.json", {"niveau": 2, "k": 0, "m": 1})
+    data = _write(tmp_path, "l.json", {"level_data": []})
+    for argv in (["polygon", poly], ["precision", poly, "--method", "safe"],
+                 ["certify", poly, poly, "--evidence-f", "single-slope",
+                  "--evidence-g", "single-slope"],
+                 ["weights", profile], ["level", data]):
+        assert main(argv + [f"--p={p}"]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"--p {p} is not prime" in captured.err
 
 
 def test_certify_command(tmp_path, capsys):

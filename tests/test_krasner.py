@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from padic_serre import krasner, polynomial
 from padic_serre.arith import ORD_INFINITY, ord_p
 from padic_serre.errors import EvidenceError, InconsistencyError, SchemaError
 from padic_serre.krasner import (
+    Certificate,
     certify_same_extension,
     is_eisenstein,
     lambda_exact,
@@ -16,10 +18,12 @@ from padic_serre.krasner import (
     validate_evidence,
     weighted_resultant_margin,
 )
-from padic_serre.polynomial import IntPoly, discriminant, newton_polygon
+from padic_serre.polynomial import IntPoly, discriminant, newton_polygon, root_diff_poly
 
 X3M2 = IntPoly([-2, 0, 0, 1])
 X2M2 = IntPoly([-2, 0, 1])
+T_5_17 = IntPoly([-13, -11, 5, 0, 0, -2, 1])  # the sextic ramified at 5 and 17
+E6 = IntPoly([6, 12, 0, -18, 3, 0, 1])        # Eisenstein at 3
 EIS = ("eisenstein-after-shift", 0)
 
 
@@ -217,3 +221,76 @@ def test_krasner_soundness_smoke():
         for poly in (f, g):
             np = newton_polygon(poly, p)
             assert np.segments == ((Fraction(1, n), n),)
+
+
+# (f, p, (n, d, a, lambda, k_prop1, k_prop1bis, k_safe)), as computed with
+# d = ord_p(disc f) from the discriminant itself
+PINNED_INVARIANTS = [
+    (X3M2, 2, (3, 2, 1, Fraction(1, 3), 1, 1, 2)),
+    (X2M2, 2, (2, 3, 1, Fraction(3, 2), 3, 3, 4)),
+    (T_5_17, 5, (6, 8, 0, Fraction(2, 5), 2, 3, 2)),
+    (T_5_17, 17, (6, 2, 0, Fraction(1, 2), 1, 1, 1)),
+    (E6, 3, (6, 6, 1, Fraction(1, 4), 2, 2, 2)),
+]
+
+
+def test_root_data_path_computes_no_discriminant(monkeypatch):
+    # with lambda, d is read off the root-difference polynomial
+    def refuse(f):
+        raise AssertionError("discriminant called")
+
+    monkeypatch.setattr(polynomial, "discriminant", refuse)
+    monkeypatch.setattr(krasner, "discriminant", refuse)
+    for f, p, (n, d, a, lam, k1, k_bis, k_safe) in PINNED_INVARIANTS:
+        for method in ("prop1", "safe"):
+            rep = precision_report(f, p, method)
+            assert (rep.n, rep.d, rep.a, rep.lam) == (n, d, a, lam)
+            assert (rep.k_prop1, rep.k_prop1bis) == (k1, k_bis)
+        assert rep.k_safe == k_safe
+        assert lambda_exact(f, p) == lam
+    cert = certify_same_extension(X3M2, IntPoly([-2, 2, 0, 1]), 2, EIS, EIS)
+    assert cert == Certificate("certified", 1, "prop1", 1)
+    cert = certify_same_extension(E6, E6 + IntPoly([54]), 3, EIS, ("caller-assertion",))
+    assert cert == Certificate("certified", 2, "prop1", 3, ("g",))
+
+
+def test_translation_keeps_root_differences():
+    # f(x+c) has the roots of f moved by -c: the same differences, so the
+    # same root-difference polynomial, d and lambda; only a may change
+    rng = random.Random(24)
+    checked = 0
+    for _ in range(30):
+        f = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(2, 6))] + [1])
+        if f.constant == 0 or discriminant(f) == 0:
+            continue
+        p = rng.choice([2, 3, 5])
+        rep = precision_report(f, p, "prop1")
+        diffs = root_diff_poly(f)
+        for c in rng.sample(range(-5, 6), 2):
+            if f(c) == 0:
+                continue
+            g = f.shift(c)
+            assert root_diff_poly(g) == diffs
+            shifted = precision_report(g, p, "prop1")
+            assert (shifted.d, shifted.lam) == (rep.d, rep.lam)
+            checked += 1
+    assert checked >= 30
+
+
+def test_safe_certificate_implies_prop1_certificate():
+    rng = random.Random(25)
+    certified = 0
+    for _ in range(60):
+        p = rng.choice([2, 3, 5])
+        n = rng.randint(2, 4)
+        f = _random_eisenstein(rng, p, n)
+        if discriminant(f) == 0:
+            continue
+        g = f + IntPoly([c * p ** rng.randint(1, 5) for c in
+                         (rng.randint(-4, 4) for _ in range(n))])
+        if not is_eisenstein(g, p):
+            continue
+        if certify_same_extension(f, g, p, EIS, EIS, "safe").verdict == "certified":
+            assert certify_same_extension(f, g, p, EIS, EIS, "prop1").verdict == "certified"
+            certified += 1
+    assert certified >= 10

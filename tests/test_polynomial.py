@@ -161,8 +161,10 @@ def test_root_diff_poly_structure():
 
 
 def test_root_diff_poly_requires_squarefree():
-    with pytest.raises(InconsistencyError):
-        root_diff_poly(IntPoly([1, 2, 1]))
+    # (x+1)^2, and (x-1)^2 (x+2), whose constant term is nonzero
+    for f in (IntPoly([1, 2, 1]), IntPoly([2, -3, 0, 1])):
+        with pytest.raises(InconsistencyError, match="polynomial is not squarefree"):
+            root_diff_poly(f)
 
 
 def test_resolvent_cubic_anchor():
