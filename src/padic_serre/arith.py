@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .errors import InconsistencyError
+from .errors import InconsistencyError, SchemaError
 
 #: Value of ord_p(0); compares above every rational.
 ORD_INFINITY = float("inf")
@@ -28,19 +28,29 @@ ORD_INFINITY = float("inf")
 Rational = Union[int, Fraction]
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; inputs here are desk-scale."""
+    """Trial division by the first 13 primes, then Miller-Rabin to those
+    bases, which is exact below _PRIME_LIMIT (Sorenson and Webster, *Math.
+    Comp.* 86, 2017); SchemaError from there on."""
     if n < 2:
         return False
-    if n < 4:
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:  # a composite this small has a prime factor up to 41
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _PRIME_LIMIT:
+        raise SchemaError(f"{n} is not below {_PRIME_LIMIT}, the limit of the primality test")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for b in _BASES:
+        x = pow(b, d, n)
+        if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(s)):
             return False
-        d += 2
     return True
 
 

@@ -5,14 +5,17 @@ cyclic subgroup), and the one classifier of group elements, by (order,
 trace).
 
 Matrices are tuples of row tuples of Fp2Elem, so they hash and can be
-dictionary keys during closure walks.  Elements are interned, so comparing
-matrices compares entries by identity, and each entry of a product costs
-table lookups in the F_{p^2} memo rather than new element objects.
+dictionary keys.  Every product runs on flat tuples of entry codes
+(``Fp2Elem._code``) by lookups in per-field rows of the codes of x_i*x_j and
+x_i+x_j, row i made by the ``Fp2Elem`` operators when first needed; the
+group walks encode once and decode at the end.
 """
 
 from __future__ import annotations
 
-from math import gcd
+import operator
+from functools import lru_cache
+from math import gcd, isqrt
 
 from .arith import Fp2Elem
 
@@ -23,19 +26,67 @@ def mat(rows) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = tuple(zip(*b))
-    rest = range(1, len(b))
-    rows = []
-    for row in a:
-        out = []
-        for col in cols:
-            s = row[0] * col[0]
-            for t in rest:
-                s = s + row[t] * col[t]
+class _Rows(dict):
+    """Row i: the codes of op(x_i, x_j) for every code j, built on first lookup."""
+
+    def __init__(self, op, elems):
+        self.op, self.elems = op, elems
+
+    def __missing__(self, i):
+        row = self[i] = [self.op(self.elems[i], y)._code for y in self.elems]
+        return row
+
+
+@lru_cache(maxsize=None)
+def _tables(p: int) -> tuple[list[Fp2Elem], _Rows, _Rows]:
+    """The elements of F_{p^2} by code, and the rows of * and +."""
+    elems = [Fp2Elem(p, code % p, code // p) for code in range(p * p)]
+    return elems, _Rows(operator.mul, elems), _Rows(operator.add, elems)
+
+
+def _encode(a: Matrix, p: int, n: int) -> tuple[int, ...]:
+    codes = tuple([x._code for row in a if len(row) == n for x in row if x.p == p])
+    if len(a) != n or len(codes) != n * n:
+        raise ValueError(f"expected a {n}x{n} matrix over F_{p}^2")
+    return codes
+
+
+def _decode(code: tuple[int, ...], elems: list[Fp2Elem], n: int) -> Matrix:
+    flat = [elems[c] for c in code]
+    return tuple([tuple(flat[i:i + n]) for i in range(0, n * n, n)])
+
+
+def _product(a: tuple[int, ...], b: tuple[int, ...], mul: _Rows, add: _Rows) -> tuple[int, ...]:
+    """The product of two square matrices given as flat code tuples."""
+    if len(a) == 9:
+        m0, m1, m2, m3, m4, m5, m6, m7, m8 = [mul[x] for x in a]
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+        return (
+            add[add[m0[b0]][m1[b3]]][m2[b6]],
+            add[add[m0[b1]][m1[b4]]][m2[b7]],
+            add[add[m0[b2]][m1[b5]]][m2[b8]],
+            add[add[m3[b0]][m4[b3]]][m5[b6]],
+            add[add[m3[b1]][m4[b4]]][m5[b7]],
+            add[add[m3[b2]][m4[b5]]][m5[b8]],
+            add[add[m6[b0]][m7[b3]]][m8[b6]],
+            add[add[m6[b1]][m7[b4]]][m8[b7]],
+            add[add[m6[b2]][m7[b5]]][m8[b8]],
+        )
+    n = isqrt(len(a))
+    out = []
+    for i in range(0, n * n, n):
+        for j in range(n):
+            s = mul[a[i]][b[j]]
+            for t in range(1, n):
+                s = add[s][mul[a[i + t]][b[t * n + j]]]
             out.append(s)
-        rows.append(tuple(out))
-    return tuple(rows)
+    return tuple(out)
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    p, n = a[0][0].p, len(a)
+    elems, mul, add = _tables(p)
+    return _decode(_product(_encode(a, p, n), _encode(b, p, n), mul, add), elems, n)
 
 
 def identity(p: int, n: int) -> Matrix:
@@ -90,10 +141,12 @@ def closure(generators, cap: int = 100000) -> set[Matrix]:
     since H*r*t lies in the group exactly when r*t does.  (Butler,
     *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991.)"""
     gens = list(generators)
-    group = [identity(gens[0][0][0].p, len(gens[0]))]
+    p, n = gens[0][0][0].p, len(gens[0])
+    elems, mul, add = _tables(p)
+    group = [_encode(identity(p, n), p, n)]
     seen = set(group)
-    used: list[Matrix] = []
-    for g in gens:
+    used: list[tuple[int, ...]] = []
+    for g in [_encode(m, p, n) for m in gens]:
         if g in seen:
             continue
         used.append(g)
@@ -101,13 +154,14 @@ def closure(generators, cap: int = 100000) -> set[Matrix]:
         reps = [g]
         for r in reps:
             if r not in seen:
-                coset = [mat_mul(x, r) for x in h]
+                coset = [_product(x, r, mul, add) for x in h]
                 group.extend(coset)
                 seen.update(coset)
                 if len(seen) > cap:
                     raise ValueError("closure exceeded cap")
-                reps.extend(mat_mul(r, t) for t in used)
-    return seen
+                reps.extend(_product(r, t, mul, add) for t in used)
+    # set iteration order depends on the order of insertion: insert in walk order
+    return set([_decode(code, elems, n) for code in group])
 
 
 def element_orders(group) -> dict[Matrix, int]:
@@ -116,18 +170,23 @@ def element_orders(group) -> dict[Matrix, int]:
     Walks the powers of each element whose order is not yet known; when a
     has order n, a^k has order n / gcd(k, n), so one walk settles the whole
     cyclic subgroup."""
-    orders: dict[Matrix, int] = {}
-    for a in group:
+    group = list(group)
+    if not group:
+        return {}
+    p, dim = group[0][0][0].p, len(group[0])
+    elems, mul, add = _tables(p)
+    e = _encode(identity(p, dim), p, dim)
+    orders: dict[tuple[int, ...], int] = {}
+    for a in [_encode(m, p, dim) for m in group]:
         if a in orders:
             continue
-        e = identity(a[0][0].p, len(a))
         powers = [a]
         while powers[-1] != e:
-            powers.append(mat_mul(powers[-1], a))
+            powers.append(_product(powers[-1], a, mul, add))
         n = len(powers)
         for k, x in enumerate(powers, 1):
             orders[x] = n // gcd(k, n)
-    return orders
+    return {_decode(code, elems, dim): order for code, order in orders.items()}
 
 
 def classes_by_order_trace(group) -> dict[tuple[int, Fp2Elem], list[Matrix]]:

@@ -3,6 +3,7 @@ import pickle
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,52 @@ from padic_serre.arith import (
     Fp2Elem,
     cube_root_of_unity,
     elements,
+    is_prime,
     ord_p,
     quadratic_modulus,
 )
-from padic_serre.errors import InconsistencyError
+from padic_serre.errors import InconsistencyError, SchemaError
+
+
+def _trial_division(n):
+    """The old ``is_prime``: trial division by 2 and the odd numbers."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_is_prime_matches_trial_division_below_200000():
+    assert [n for n in range(200_000) if is_prime(n) != _trial_division(n)] == []
+
+
+@pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051])
+def test_strong_pseudoprimes_are_composite(n):
+    # a Carmichael number, and the least strong pseudoprimes to the first
+    # 4 and to the first 9 prime bases
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [10**12 + 39, 10**16 + 61])
+def test_large_primes_in_under_10_ms(n):
+    start = time.perf_counter()
+    assert is_prime(n)
+    assert time.perf_counter() - start < 0.01
+
+
+def test_is_prime_refuses_past_its_proven_limit():
+    assert is_prime(10**24 + 7)
+    assert not is_prime((10**12 + 39) ** 2)
+    with pytest.raises(SchemaError, match="3317044064679887385961981"):
+        is_prime(10**25 + 13)
 
 
 def test_ord_examples():

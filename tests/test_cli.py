@@ -1,4 +1,5 @@
 import json
+import signal
 
 import pytest
 
@@ -424,3 +425,25 @@ def test_bundled_expected_blocks_cite_sources():
 def test_unknown_bundled_case():
     with pytest.raises(SchemaError):
         load_bundled_case("9-9-9")
+
+
+@pytest.mark.parametrize("q,code", [(10**16 + 61, 3), (10**25 + 13, 2)],
+                         ids=["prime-17-digits", "past-the-primality-limit"])
+def test_large_level_prime_within_2_s(tmp_path, capsys, q, code):
+    """A 17-digit prime q is tested in bounded time (the case is then
+    inconsistent); a q past the proven range of the test is a schema error."""
+    def expire(signum, frame):
+        raise TimeoutError(f"verify-case with q = {q} ran past 2 s")
+
+    payload = case_json("5-17-1")
+    payload["level_data"][0]["q"] = q
+    path = _write(tmp_path, "large-q.json", payload)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        assert main(["verify-case", path]) == code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    if code == 2:
+        assert "3317044064679887385961981" in capsys.readouterr().err

@@ -1,12 +1,13 @@
-"""The group primitives against naive references: Dimino's closure against a
-breadth-first closure, ``element_orders`` against counting powers, and a
-deterministic budget of 3x3 products for the whole group build."""
+"""The group primitives against naive references: the code kernel behind
+``mat_mul`` against the entrywise ``Fp2Elem`` loop, Dimino's closure against
+a breadth-first closure, ``element_orders`` against counting powers, and an
+exact count of 3x3 products for the whole group build."""
 
 import random
 
 import pytest
 
-from padic_serre import matrices, matrix_oracle
+from padic_serre import matrices
 from padic_serre.arith import Fp2Elem
 from padic_serre.matrices import closure, element_orders, identity, mat_mul
 from padic_serre.matrix_oracle import classified_cover, triple_cover_group
@@ -14,6 +15,23 @@ from padic_serre.rep3a6 import a6_mod3_class_polys, sl2_generators, sym_square
 
 W9 = Fp2Elem(3, 0, 1)
 RANDOM_SETS = [f"cover-{size}-{i}" for size in (2, 3) for i in range(4)]
+
+
+def _loop_mul(a, b):
+    """The entrywise product by the Fp2Elem operators, the reference for the
+    code kernel."""
+    cols = tuple(zip(*b))
+    rest = range(1, len(b))
+    rows = []
+    for row in a:
+        out = []
+        for col in cols:
+            s = row[0] * col[0]
+            for t in rest:
+                s = s + row[t] * col[t]
+            out.append(s)
+        rows.append(tuple(out))
+    return tuple(rows)
 
 
 def _bfs_closure(generators):
@@ -25,7 +43,7 @@ def _bfs_closure(generators):
         nxt = []
         for x in frontier:
             for g in gens:
-                y = mat_mul(x, g)
+                y = _loop_mul(x, g)
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -37,7 +55,7 @@ def _brute_order(a):
     e = identity(a[0][0].p, len(a))
     x, n = a, 1
     while x != e:
-        x, n = mat_mul(x, a), n + 1
+        x, n = _loop_mul(x, a), n + 1
     return n
 
 
@@ -54,6 +72,41 @@ def _generator_sets():
     for name in RANDOM_SETS:
         sets[name] = rng.sample(cover, int(name.split("-")[1]))
     return sets
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", [2, 3])
+def test_mat_mul_matches_the_entrywise_loop(p, n):
+    rng = random.Random(f"mat_mul/{p}/{n}")
+
+    def random_matrix():
+        return tuple(tuple(Fp2Elem(p, rng.randrange(p), rng.randrange(p)) for _ in range(n))
+                     for _ in range(n))
+
+    for _ in range(200):
+        a, b = random_matrix(), random_matrix()
+        assert mat_mul(a, b) == _loop_mul(a, b)
+
+
+def test_mat_mul_rejects_mixed_fields_and_shapes():
+    a = identity(5, 3)
+    with pytest.raises(ValueError):
+        mat_mul(a, identity(3, 3))
+    with pytest.raises(ValueError):
+        mat_mul(a, identity(5, 2))
+    with pytest.raises(ValueError):
+        mat_mul(a, a[:2] + (a[2][:2],))
+
+
+def test_sl2_f7_closure_and_orders():
+    """A third field, F_49, whose lookup rows are built on demand here."""
+    gens = sl2_generators(7, (1,))
+    group = closure(gens)
+    assert len(group) == 336
+    assert group == _bfs_closure(gens)
+    orders = element_orders(group)
+    assert set(orders) == group
+    assert all(orders[m] == _brute_order(m) for m in group)
 
 
 @pytest.mark.parametrize("name", ["SL2(F5)", "SL2(F9)", "cyclic", "redundant"] + RANDOM_SETS)
@@ -100,18 +153,21 @@ def test_element_orders_match_power_counting(group):
 
 def test_group_build_product_budget(monkeypatch):
     """The cover, its classification and the mod-3 tables, rebuilt from
-    scratch, in at most 6,000 3x3 products (16,473 with a breadth-first
-    closure and an order walk per element)."""
+    scratch, take exactly 3,439 products (1,157 + 1,428 + 854), counted at
+    the code kernel every product goes through; 16,473 with a breadth-first
+    closure and an order walk per element."""
     classified_cover()  # the classification below reads the cached cover
     calls = []
+    product = matrices._product
 
-    def counted(a, b):
+    def counted(a, b, mul, add):
         calls.append(None)
-        return mat_mul(a, b)
+        return product(a, b, mul, add)
 
-    monkeypatch.setattr(matrices, "mat_mul", counted)
-    monkeypatch.setattr(matrix_oracle, "mat_mul", counted)
+    monkeypatch.setattr(matrices, "_product", counted)
     assert len(triple_cover_group.__wrapped__()) == 1080
+    assert len(calls) == 1157
     assert len(classified_cover.__wrapped__()) == 13
+    assert len(calls) == 1157 + 1428
     a6_mod3_class_polys.__wrapped__()
-    assert 0 < len(calls) <= 6000
+    assert len(calls) == 3439 <= 6000
