@@ -5,58 +5,75 @@ cyclic subgroup), and the one classifier of group elements, by (order,
 trace).
 
 Matrices are tuples of row tuples of Fp2Elem, so they hash and can be
-dictionary keys.  Every product runs on flat tuples of entry codes
-(``Fp2Elem._code``) by lookups in per-field rows of the codes of x_i*x_j and
-x_i+x_j, row i made by the ``Fp2Elem`` operators when first needed; the
-group walks encode once and decode at the end.
+dictionary keys.  Inside, a matrix is the flat tuple of its entries' codes
+c0 + p*c1 (``Fp2Elem._code``): every product is a chain of lookups in
+per-field rows of the codes of x_i*x_j and x_i+x_j, each row computed in
+integers when first needed, and the closure, order and (order, trace) walks
+run on codes.  The public functions encode at entry and decode their
+results; the cover and mod-3 builds decode only class representatives.
 """
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .arith import Fp2Elem
+from .arith import Fp2Elem, quadratic_modulus
 
 Matrix = tuple[tuple[Fp2Elem, ...], ...]
+Code = tuple[int, ...]  # a matrix as the flat tuple of its entries' codes
 
 
 def mat(rows) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-class _Rows(dict):
-    """Row i: the codes of op(x_i, x_j) for every code j, built on first lookup."""
+class _Lazy(dict):
+    """Entry i made by make(i) on first lookup."""
 
-    def __init__(self, op, elems):
-        self.op, self.elems = op, elems
+    def __init__(self, make):
+        self.make = make
 
     def __missing__(self, i):
-        row = self[i] = [self.op(self.elems[i], y)._code for y in self.elems]
-        return row
+        value = self[i] = self.make(i)
+        return value
 
 
 @lru_cache(maxsize=None)
-def _tables(p: int) -> tuple[list[Fp2Elem], _Rows, _Rows]:
-    """The elements of F_{p^2} by code, and the rows of * and +."""
-    elems = [Fp2Elem(p, code % p, code // p) for code in range(p * p)]
-    return elems, _Rows(operator.mul, elems), _Rows(operator.add, elems)
+def _tables(p: int) -> tuple[_Lazy, _Lazy, _Lazy]:
+    """The elements of F_{p^2} by code c0 + p*c1, and the rows of * and +:
+    row i lists the codes of x_i*x_j and x_i+x_j for every code j, computed
+    in integers with w^2 = -b*w - c, never through the ``Fp2Elem`` memos."""
+    b, c = quadratic_modulus(p)
+
+    def mul_row(i):
+        x0, x1 = i % p, i // p
+        return [(x0 * y0 - c * x1 * y1) % p + p * ((x0 * y1 + x1 * y0 - b * x1 * y1) % p)
+                for y1 in range(p) for y0 in range(p)]
+
+    def add_row(i):
+        x0, x1 = i % p, i // p
+        return [(x0 + y0) % p + p * ((x1 + y1) % p) for y1 in range(p) for y0 in range(p)]
+
+    return _Lazy(lambda i: Fp2Elem(p, i % p, i // p)), _Lazy(mul_row), _Lazy(add_row)
 
 
-def _encode(a: Matrix, p: int, n: int) -> tuple[int, ...]:
-    codes = tuple([x._code for row in a if len(row) == n for x in row if x.p == p])
-    if len(a) != n or len(codes) != n * n:
-        raise ValueError(f"expected a {n}x{n} matrix over F_{p}^2")
-    return codes
+def _encode(ms: list[Matrix]) -> tuple[list[Code], int]:
+    """The flat code tuples of square matrices over one F_{p^2}, and p."""
+    p, n = ms[0][0][0].p, len(ms[0])
+    codes = [tuple([x._code for row in m if len(row) == n for x in row if x.p == p]) for m in ms]
+    if any(len(m) != n or len(code) != n * n for m, code in zip(ms, codes)):
+        raise ValueError(f"expected {n}x{n} matrices over F_{p}^2")
+    return codes, p
 
 
-def _decode(code: tuple[int, ...], elems: list[Fp2Elem], n: int) -> Matrix:
+def _decode(code: Code, p: int) -> Matrix:
+    elems, n = _tables(p)[0], isqrt(len(code))
     flat = [elems[c] for c in code]
     return tuple([tuple(flat[i:i + n]) for i in range(0, n * n, n)])
 
 
-def _product(a: tuple[int, ...], b: tuple[int, ...], mul: _Rows, add: _Rows) -> tuple[int, ...]:
+def _product(a: Code, b: Code, mul: _Lazy, add: _Lazy) -> Code:
     """The product of two square matrices given as flat code tuples."""
     if len(a) == 9:
         m0, m1, m2, m3, m4, m5, m6, m7, m8 = [mul[x] for x in a]
@@ -84,9 +101,8 @@ def _product(a: tuple[int, ...], b: tuple[int, ...], mul: _Rows, add: _Rows) -> 
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    p, n = a[0][0].p, len(a)
-    elems, mul, add = _tables(p)
-    return _decode(_product(_encode(a, p, n), _encode(b, p, n), mul, add), elems, n)
+    (x, y), p = _encode([a, b])
+    return _decode(_product(x, y, *_tables(p)[1:]), p)
 
 
 def identity(p: int, n: int) -> Matrix:
@@ -131,22 +147,20 @@ def charpoly3_reversed(a: Matrix) -> list[Fp2Elem]:
     return [one, -trace(a), m01 + m02 + m12, -det3(a)]
 
 
-def closure(generators, cap: int = 100000) -> set[Matrix]:
-    """The group generated by invertible matrices over a finite field, by
-    Dimino's algorithm; raises ValueError if it grows past cap.
+def _dimino(gens: list[Code], p: int, cap: int) -> list[Code]:
+    """The group generated by invertible code matrices, in the order of
+    Dimino's walk; raises ValueError if it grows past cap.
 
     Each generator not yet in the group H built so far extends it by whole
     right cosets H*r: every new element costs one product h*r, and every
     coset representative r one product r*t per generator t taken so far,
     since H*r*t lies in the group exactly when r*t does.  (Butler,
     *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991.)"""
-    gens = list(generators)
-    p, n = gens[0][0][0].p, len(gens[0])
-    elems, mul, add = _tables(p)
-    group = [_encode(identity(p, n), p, n)]
+    mul, add = _tables(p)[1:]
+    group = _encode([identity(p, isqrt(len(gens[0])))])[0]
     seen = set(group)
-    used: list[tuple[int, ...]] = []
-    for g in [_encode(m, p, n) for m in gens]:
+    used: list[Code] = []
+    for g in gens:
         if g in seen:
             continue
         used.append(g)
@@ -160,24 +174,19 @@ def closure(generators, cap: int = 100000) -> set[Matrix]:
                 if len(seen) > cap:
                     raise ValueError("closure exceeded cap")
                 reps.extend(_product(r, t, mul, add) for t in used)
-    # set iteration order depends on the order of insertion: insert in walk order
-    return set([_decode(code, elems, n) for code in group])
+    return group
 
 
-def element_orders(group) -> dict[Matrix, int]:
-    """Multiplicative order of every element of a finite matrix group.
+def _orders(group: list[Code], p: int) -> dict[Code, int]:
+    """The multiplicative order of every code matrix of a finite group.
 
     Walks the powers of each element whose order is not yet known; when a
     has order n, a^k has order n / gcd(k, n), so one walk settles the whole
     cyclic subgroup."""
-    group = list(group)
-    if not group:
-        return {}
-    p, dim = group[0][0][0].p, len(group[0])
-    elems, mul, add = _tables(p)
-    e = _encode(identity(p, dim), p, dim)
-    orders: dict[tuple[int, ...], int] = {}
-    for a in [_encode(m, p, dim) for m in group]:
+    mul, add = _tables(p)[1:]
+    (e,), _ = _encode([identity(p, isqrt(len(group[0])))])
+    orders: dict[Code, int] = {}
+    for a in group:
         if a in orders:
             continue
         powers = [a]
@@ -186,7 +195,39 @@ def element_orders(group) -> dict[Matrix, int]:
         n = len(powers)
         for k, x in enumerate(powers, 1):
             orders[x] = n // gcd(k, n)
-    return {_decode(code, elems, dim): order for code, order in orders.items()}
+    return orders
+
+
+def _classes(group: list[Code], p: int) -> dict[tuple[int, Fp2Elem], list[Code]]:
+    """The code matrices of a finite group bucketed by (order, trace), in the
+    order of group; a trace is a chain of + lookups on the diagonal codes."""
+    orders = _orders(group, p)
+    elems, _, add = _tables(p)
+    step = isqrt(len(group[0])) + 1
+    buckets: dict[tuple[int, int], list[Code]] = {}
+    for a in group:
+        t = a[0]
+        for d in a[step::step]:
+            t = add[t][d]
+        buckets.setdefault((orders[a], t), []).append(a)
+    return {(order, elems[t]): members for (order, t), members in buckets.items()}
+
+
+def closure(generators, cap: int = 100000) -> set[Matrix]:
+    """The group generated by invertible matrices over a finite field, by
+    Dimino's algorithm; raises ValueError if it grows past cap."""
+    codes, p = _encode(list(generators))
+    # set iteration order depends on the order of insertion: insert in walk order
+    return set([_decode(a, p) for a in _dimino(codes, p, cap)])
+
+
+def element_orders(group) -> dict[Matrix, int]:
+    """Multiplicative order of every element of a finite matrix group."""
+    group = list(group)
+    if not group:
+        return {}
+    codes, p = _encode(group)
+    return {_decode(a, p): order for a, order in _orders(codes, p).items()}
 
 
 def classes_by_order_trace(group) -> dict[tuple[int, Fp2Elem], list[Matrix]]:
@@ -194,8 +235,8 @@ def classes_by_order_trace(group) -> dict[tuple[int, Fp2Elem], list[Matrix]]:
 
     Buckets and their members keep the iteration order of ``group``, so the
     first member of each bucket is a deterministic representative."""
-    orders = element_orders(group)
-    buckets: dict[tuple[int, Fp2Elem], list[Matrix]] = {}
-    for m in group:
-        buckets.setdefault((orders[m], trace(m)), []).append(m)
-    return buckets
+    group = list(group)
+    if not group:
+        return {}
+    codes, p = _encode(group)
+    return {key: [_decode(a, p) for a in members] for key, members in _classes(codes, p).items()}

@@ -20,14 +20,15 @@ Construction, from scratch each run (deterministic):
     sizes checked in ``classified_cover`` pin the group as the triple cover
     of A_6.
 
-Element orders come from ``element_orders``: one walk over the powers of an
-element gives the orders of all of them.  Elements are then bucketed by
-(order, trace), which separates all thirteen coarse classes: the scalars
-z*I and z^2*I (traces 3z and 3z^2, for the deterministic cube root z) are
-classes "3a" and "3b", and in orders 6, 12 and 15 the trace picks the
-central twist.  The inverse of a class is read from the representative's
-characteristic polynomial, whose t^2 coefficient is the trace of the
-inverse (determinant one).
+The cover is kept as sorted flat tuples of entry codes, built once.  The
+order walks (one walk over the powers of an element gives the orders of all
+of them) and the bucketing by (order, trace) run on codes, and only the
+class representatives are decoded.  (order, trace) separates all thirteen
+coarse classes: the scalars z*I and z^2*I (traces 3z and 3z^2, for the
+deterministic cube root z) are classes "3a" and "3b", and in orders 6, 12
+and 15 the trace picks the central twist.  The inverse of a class is read
+from the representative's characteristic polynomial, whose t^2 coefficient
+is the trace of the inverse (determinant one).
 """
 
 from __future__ import annotations
@@ -37,10 +38,13 @@ from functools import lru_cache
 from .arith import Fp2Elem, cube_root_of_unity
 from .errors import InconsistencyError
 from .matrices import (
+    Code,
     Matrix,
+    _classes,
+    _decode,
+    _dimino,
+    _encode,
     charpoly3_reversed,
-    classes_by_order_trace,
-    closure,
     det3,
     identity,
     mat,
@@ -54,13 +58,10 @@ from .rep3a6 import sl2_generators, sym_square
 EXTRA_INVOLUTION = ((2, 0), (4, 3), (2, 0), (3, 4), (0, 0), (2, 1), (2, 0), (1, 2), (2, 0))
 
 
-def _mat_key(m: Matrix):
-    return tuple((x.c0, x.c1) for row in m for x in row)
-
-
 @lru_cache(maxsize=None)
-def triple_cover_group() -> list[Matrix]:
-    """The 1080-element cover in SL_3(F_25), sorted deterministically."""
+def _cover_codes() -> list[Code]:
+    """The 1080-element cover in SL_3(F_25) as flat code tuples, built and
+    checked once, sorted by the entries' pairs (c0, c1) row by row."""
     p = 5
     entries = [Fp2Elem(p, c0, c1) for c0, c1 in EXTRA_INVOLUTION]
     m = mat([entries[0:3], entries[3:6], entries[6:9]])
@@ -69,12 +70,20 @@ def triple_cover_group() -> list[Matrix]:
         raise AssertionError("the extra generator is not an involution")
     if det3(m) != Fp2Elem(p, 1, 0):
         raise AssertionError("the extra generator does not have determinant 1")
-    group = closure([sym_square(g) for g in sl2_generators(p, (1,))] + [m], cap=1080)
+    gens, _ = _encode([sym_square(g) for g in sl2_generators(p, (1,))] + [m])
+    group = _dimino(gens, p, cap=1080)
     if len(group) != 1080:
         raise AssertionError(f"expected 1080 elements, got {len(group)}")
-    if scalar_mul(cube_root_of_unity(p), e) not in group:
+    if _encode([scalar_mul(cube_root_of_unity(p), e)])[0][0] not in group:
         raise AssertionError("the center does not contain the cube roots of unity")
-    return sorted(group, key=_mat_key)
+    rank = [code % p * p + code // p for code in range(p * p)]  # code -> c0*p + c1
+    return sorted(group, key=lambda a: [rank[code] for code in a])
+
+
+@lru_cache(maxsize=None)
+def triple_cover_group() -> list[Matrix]:
+    """The 1080-element cover in SL_3(F_25), sorted deterministically."""
+    return [_decode(a, 5) for a in _cover_codes()]
 
 
 def _cover_label(order: int, tr: Fp2Elem, z: Fp2Elem) -> str:
@@ -98,18 +107,19 @@ def classified_cover() -> dict[str, dict]:
     tables."""
     z = cube_root_of_unity(5)
     out = {}
-    for (order, tr), ms in classes_by_order_trace(triple_cover_group()).items():
+    for (order, tr), members in _classes(_cover_codes(), 5).items():
         label = _cover_label(order, tr, z)
         if label in out:
             raise AssertionError(f"class {label} has mixed traces")
-        charpoly = charpoly3_reversed(ms[0])
+        representative = _decode(members[0], 5)
+        charpoly = charpoly3_reversed(representative)
         out[label] = {
-            "size": len(ms),
+            "size": len(members),
             "trace": tr,
             "charpoly": charpoly,
             # the inverse has the same order, and its trace is charpoly[2]
             "inverse_label": _cover_label(order, charpoly[2], z),
-            "representative": ms[0],
+            "representative": representative,
         }
     expected_sizes = {
         "1a": 1, "3a": 1, "3b": 1, "2a": 45, "6a": 45, "6b": 45, "3cd": 240,

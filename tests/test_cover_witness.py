@@ -1,5 +1,5 @@
 """The cover's frozen third generator against the derivation it came from,
-and the checks ``triple_cover_group`` makes of it.
+and the checks the cover build makes of it.
 
 Reference: inside H = Sym^2(SL_2(F_5)), take a Klein four-subgroup V and its
 normalizer K, a 12-element tetrahedral subgroup.  The extra involution M
@@ -33,10 +33,16 @@ from padic_serre.matrices import (
     mat_mul,
     scalar_mul,
 )
-from padic_serre.matrix_oracle import EXTRA_INVOLUTION, _mat_key, triple_cover_group
+from padic_serre.matrix_oracle import EXTRA_INVOLUTION
 from padic_serre.rep3a6 import sl2_generators, sym_square
 
 P = 5
+
+
+def _mat_key(m):
+    """The entries' pairs (c0, c1) row by row: the order of the sorted cover,
+    and the layout of ``EXTRA_INVOLUTION``."""
+    return tuple((x.c0, x.c1) for row in m for x in row)
 
 
 def _tetrahedral_normalizer(h):
@@ -160,4 +166,4 @@ def _involution_of_h():
 def test_a_wrong_witness_is_rejected(monkeypatch, witness, message):
     monkeypatch.setattr(matrix_oracle, "EXTRA_INVOLUTION", _mat_key(witness()))
     with pytest.raises(AssertionError, match=message):
-        triple_cover_group.__wrapped__()
+        matrix_oracle._cover_codes.__wrapped__()

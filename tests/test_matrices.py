@@ -1,16 +1,34 @@
 """The group primitives against naive references: the code kernel behind
-``mat_mul`` against the entrywise ``Fp2Elem`` loop, Dimino's closure against
-a breadth-first closure, ``element_orders`` against counting powers, and an
-exact count of 3x3 products for the whole group build."""
+``mat_mul`` against the entrywise ``Fp2Elem`` loop (also over a large field,
+in a fresh interpreter), Dimino's closure against a breadth-first closure,
+``element_orders`` against counting powers, the three public walks against
+the same walks on ``Fp2Elem`` matrices, and an exact count of 3x3 products
+for the whole group build."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from math import gcd
+from pathlib import Path
 
 import pytest
 
-from padic_serre import matrices
+import padic_serre
+from padic_serre import matrices, matrix_oracle
 from padic_serre.arith import Fp2Elem
-from padic_serre.matrices import closure, element_orders, identity, mat_mul
-from padic_serre.matrix_oracle import classified_cover, triple_cover_group
+from padic_serre.matrices import (
+    classes_by_order_trace,
+    closure,
+    element_orders,
+    identity,
+    mat,
+    mat_mul,
+    trace,
+)
+from padic_serre.matrix_oracle import EXTRA_INVOLUTION, classified_cover, triple_cover_group
 from padic_serre.rep3a6 import a6_mod3_class_polys, sl2_generators, sym_square
 
 W9 = Fp2Elem(3, 0, 1)
@@ -59,6 +77,54 @@ def _brute_order(a):
     return n
 
 
+def _matrix_closure(generators):
+    """Dimino's closure on ``Fp2Elem`` matrices, multiplied by ``_loop_mul``:
+    the group as a set filled in walk order."""
+    gens = list(generators)
+    group = [identity(gens[0][0][0].p, len(gens[0]))]
+    seen = set(group)
+    used = []
+    for g in gens:
+        if g in seen:
+            continue
+        used.append(g)
+        h = list(group)
+        reps = [g]
+        for r in reps:
+            if r not in seen:
+                coset = [_loop_mul(x, r) for x in h]
+                group.extend(coset)
+                seen.update(coset)
+                reps.extend(_loop_mul(r, t) for t in used)
+    return set(group)
+
+
+def _matrix_orders(group):
+    """One power walk per cyclic subgroup on ``Fp2Elem`` matrices, in the
+    order of group."""
+    orders = {}
+    for a in group:
+        if a in orders:
+            continue
+        e = identity(a[0][0].p, len(a))
+        powers = [a]
+        while powers[-1] != e:
+            powers.append(_loop_mul(powers[-1], a))
+        n = len(powers)
+        for k, x in enumerate(powers, 1):
+            orders[x] = n // gcd(k, n)
+    return orders
+
+
+def _matrix_classes(group):
+    """Buckets by (orders[m], trace(m)) in the order of group."""
+    orders = _matrix_orders(group)
+    buckets = {}
+    for m in group:
+        buckets.setdefault((orders[m], trace(m)), []).append(m)
+    return buckets
+
+
 def _generator_sets():
     cover = triple_cover_group()
     rng = random.Random(20041018)
@@ -74,7 +140,7 @@ def _generator_sets():
     return sets
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("n", [2, 3])
 def test_mat_mul_matches_the_entrywise_loop(p, n):
     rng = random.Random(f"mat_mul/{p}/{n}")
@@ -151,12 +217,71 @@ def test_element_orders_match_power_counting(group):
         assert orders[m] == _brute_order(m)
 
 
+def _cover_generators():
+    c = [Fp2Elem(5, c0, c1) for c0, c1 in EXTRA_INVOLUTION]
+    return [sym_square(g) for g in sl2_generators(5, (1,))] + [mat([c[0:3], c[3:6], c[6:9]])]
+
+
+@pytest.mark.parametrize("gens", [
+    lambda: [sym_square(g) for g in sl2_generators(5, (1,))],
+    lambda: [sym_square(g) for g in sl2_generators(3, (1, W9))],
+    _cover_generators,
+    lambda: sl2_generators(7, (1,)),
+], ids=["H", "mod3-image", "cover", "SL2(F7)"])
+def test_code_walks_match_the_matrix_walks(gens):
+    """Same elements in the same order, same keys, bucket order and member
+    order."""
+    gens = gens()
+    reference = _matrix_closure(gens)
+    assert list(closure(gens)) == list(reference)
+    group = list(reference)
+    assert list(element_orders(group).items()) == list(_matrix_orders(group).items())
+    assert list(classes_by_order_trace(group).items()) == list(_matrix_classes(group).items())
+
+
+def test_large_field_rows_are_integer_arithmetic():
+    """At p = 211 a row has 44,521 entries.  The first 2x2 product in a fresh
+    interpreter builds its rows from integer formulas: well under a second
+    and 40 MB of peak RSS, and equal to the entrywise loop."""
+    script = textwrap.dedent("""
+        import json, random, resource, sys, time
+        from padic_serre.arith import Fp2Elem
+        from padic_serre.matrices import mat_mul
+        rng = random.Random(211)
+        a, b = [[[rng.randrange(211), rng.randrange(211)] for _ in range(4)] for _ in range(2)]
+        def matrix(pairs):
+            x = [Fp2Elem(211, c0, c1) for c0, c1 in pairs]
+            return ((x[0], x[1]), (x[2], x[3]))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        start = time.perf_counter()
+        product = mat_mul(matrix(a), matrix(b))
+        seconds = time.perf_counter() - start
+        grown_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+        pairs = [[x.c0, x.c1] for row in product for x in row]
+        json.dump({"a": a, "b": b, "product": pairs, "seconds": seconds, "kb": grown_kb}, sys.stdout)
+    """)
+    src = str(Path(padic_serre.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    run = json.loads(out.stdout)
+
+    def matrix(pairs):
+        x = [Fp2Elem(211, c0, c1) for c0, c1 in pairs]
+        return ((x[0], x[1]), (x[2], x[3]))
+
+    want = _loop_mul(matrix(run["a"]), matrix(run["b"]))
+    assert run["product"] == [[x.c0, x.c1] for row in want for x in row]
+    assert run["seconds"] < 0.6
+    assert run["kb"] < 40 * 1024
+
+
 def test_group_build_product_budget(monkeypatch):
     """The cover, its classification and the mod-3 tables, rebuilt from
     scratch, take exactly 3,439 products (1,157 + 1,428 + 854), counted at
     the code kernel every product goes through; 16,473 with a breadth-first
-    closure and an order walk per element."""
-    classified_cover()  # the classification below reads the cached cover
+    closure and an order walk per element.  The cover's codes are cached
+    apart from the decoded cover, so their builder is the one rebuilt."""
+    classified_cover()  # the classification below reads the cached cover codes
     calls = []
     product = matrices._product
 
@@ -165,7 +290,7 @@ def test_group_build_product_budget(monkeypatch):
         return product(a, b, mul, add)
 
     monkeypatch.setattr(matrices, "_product", counted)
-    assert len(triple_cover_group.__wrapped__()) == 1080
+    assert len(matrix_oracle._cover_codes.__wrapped__()) == 1080
     assert len(calls) == 1157
     assert len(classified_cover.__wrapped__()) == 13
     assert len(calls) == 1157 + 1428
