@@ -1,16 +1,17 @@
-"""Small-matrix helpers over F_{p^2}: products, characteristic polynomials,
-the closure of finitely generated matrix groups (Dimino's coset algorithm),
-the orders of all elements of a finite group (at most one power walk per
-cyclic subgroup), and the one classifier of group elements, by (order,
-trace).
+"""Small-matrix helpers over F_{p^2}: characteristic polynomials,
+determinants and traces of matrices of ``Fp2Elem``, and the private group
+layer behind the explicit groups of matrix_oracle and rep3a6.
 
 Matrices are tuples of row tuples of Fp2Elem, so they hash and can be
-dictionary keys.  Inside, a matrix is the flat tuple of its entries' codes
-c0 + p*c1 (``Fp2Elem._code``): every product is a chain of lookups in
-per-field rows of the codes of x_i*x_j and x_i+x_j, each row computed in
-integers when first needed, and the closure, order and (order, trace) walks
-run on codes.  The public functions encode at entry and decode their
-results; the cover and mod-3 builds decode only class representatives.
+dictionary keys.  In the group layer a matrix is the flat tuple of its
+entries' codes c0 + p*c1 (``Fp2Elem._code``): every product is a chain of
+lookups in per-field rows of the codes of x_i*x_j and x_i+x_j, each row
+computed in integers when first needed.  ``_group`` is the one builder: it
+encodes the generators, closes them by Dimino's coset algorithm, checks the
+size and returns the codes sorted by the entries' pairs (c0, c1) row by row.
+The order walks (at most one power walk per cyclic subgroup) and the
+bucketing by (order, trace) run on that list, and callers decode only the
+class representatives they need.
 """
 
 from __future__ import annotations
@@ -100,11 +101,6 @@ def _product(a: Code, b: Code, mul: _Lazy, add: _Lazy) -> Code:
     return tuple(out)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    (x, y), p = _encode([a, b])
-    return _decode(_product(x, y, *_tables(p)[1:]), p)
-
-
 def identity(p: int, n: int) -> Matrix:
     one = Fp2Elem(p, 1, 0)
     zero = Fp2Elem(p, 0, 0)
@@ -177,8 +173,20 @@ def _dimino(gens: list[Code], p: int, cap: int) -> list[Code]:
     return group
 
 
+def _group(gens: list[Matrix], size: int) -> list[Code]:
+    """The group of size elements generated by invertible matrices over one
+    F_{p^2}, as code tuples sorted by the entries' pairs (c0, c1) row by row;
+    raises AssertionError on another count."""
+    codes, p = _encode(gens)
+    group = _dimino(codes, p, cap=size)
+    if len(group) != size:
+        raise AssertionError(f"expected {size} elements, got {len(group)}")
+    rank = [code % p * p + code // p for code in range(p * p)]  # code -> c0*p + c1
+    return sorted(group, key=lambda a: [rank[code] for code in a])
+
+
 def _orders(group: list[Code], p: int) -> dict[Code, int]:
-    """The multiplicative order of every code matrix of a finite group.
+    """The multiplicative order of every element of a ``_group``.
 
     Walks the powers of each element whose order is not yet known; when a
     has order n, a^k has order n / gcd(k, n), so one walk settles the whole
@@ -199,8 +207,8 @@ def _orders(group: list[Code], p: int) -> dict[Code, int]:
 
 
 def _classes(group: list[Code], p: int) -> dict[tuple[int, Fp2Elem], list[Code]]:
-    """The code matrices of a finite group bucketed by (order, trace), in the
-    order of group; a trace is a chain of + lookups on the diagonal codes."""
+    """The elements of a ``_group`` bucketed by (order, trace), in the order
+    of group; a trace is a chain of + lookups on the diagonal codes."""
     orders = _orders(group, p)
     elems, _, add = _tables(p)
     step = isqrt(len(group[0])) + 1
@@ -211,32 +219,3 @@ def _classes(group: list[Code], p: int) -> dict[tuple[int, Fp2Elem], list[Code]]
             t = add[t][d]
         buckets.setdefault((orders[a], t), []).append(a)
     return {(order, elems[t]): members for (order, t), members in buckets.items()}
-
-
-def closure(generators, cap: int = 100000) -> set[Matrix]:
-    """The group generated by invertible matrices over a finite field, by
-    Dimino's algorithm; raises ValueError if it grows past cap."""
-    codes, p = _encode(list(generators))
-    # set iteration order depends on the order of insertion: insert in walk order
-    return set([_decode(a, p) for a in _dimino(codes, p, cap)])
-
-
-def element_orders(group) -> dict[Matrix, int]:
-    """Multiplicative order of every element of a finite matrix group."""
-    group = list(group)
-    if not group:
-        return {}
-    codes, p = _encode(group)
-    return {_decode(a, p): order for a, order in _orders(codes, p).items()}
-
-
-def classes_by_order_trace(group) -> dict[tuple[int, Fp2Elem], list[Matrix]]:
-    """Bucket the elements of a finite matrix group by (order, trace).
-
-    Buckets and their members keep the iteration order of ``group``, so the
-    first member of each bucket is a deterministic representative."""
-    group = list(group)
-    if not group:
-        return {}
-    codes, p = _encode(group)
-    return {key: [_decode(a, p) for a in members] for key, members in _classes(codes, p).items()}

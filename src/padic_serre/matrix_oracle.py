@@ -20,13 +20,13 @@ Construction, from scratch each run (deterministic):
     sizes checked in ``classified_cover`` pin the group as the triple cover
     of A_6.
 
-The cover is kept as sorted flat tuples of entry codes, built once.  The
-order walks (one walk over the powers of an element gives the orders of all
-of them) and the bucketing by (order, trace) run on codes, and only the
-class representatives are decoded.  (order, trace) separates all thirteen
-coarse classes: the scalars z*I and z^2*I (traces 3z and 3z^2, for the
-deterministic cube root z) are classes "3a" and "3b", and in orders 6, 12
-and 15 the trace picks the central twist.  The inverse of a class is read
+The cover is kept as the sorted code tuples of ``matrices._group``, built
+once; the order walks (one walk over the powers of an element gives the
+orders of all of them) and the bucketing by (order, trace) run on codes, and
+only the class representatives are decoded.  (order, trace) separates all
+thirteen coarse classes: the scalars z*I and z^2*I (traces 3z and 3z^2, for
+the deterministic cube root z) are classes "3a" and "3b", and in orders 6,
+12 and 15 the trace picks the central twist.  The inverse of a class is read
 from the representative's characteristic polynomial, whose t^2 coefficient
 is the trace of the inverse (determinant one).
 """
@@ -35,20 +35,19 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from . import matrices
 from .arith import Fp2Elem, cube_root_of_unity
 from .errors import InconsistencyError
 from .matrices import (
     Code,
-    Matrix,
     _classes,
     _decode,
-    _dimino,
     _encode,
+    _group,
     charpoly3_reversed,
     det3,
     identity,
     mat,
-    mat_mul,
     scalar_mul,
 )
 from .rep3a6 import sl2_generators, sym_square
@@ -60,30 +59,22 @@ EXTRA_INVOLUTION = ((2, 0), (4, 3), (2, 0), (3, 4), (0, 0), (2, 1), (2, 0), (1, 
 
 @lru_cache(maxsize=None)
 def _cover_codes() -> list[Code]:
-    """The 1080-element cover in SL_3(F_25) as flat code tuples, built and
-    checked once, sorted by the entries' pairs (c0, c1) row by row."""
+    """The 1080-element cover in SL_3(F_25) as sorted flat code tuples,
+    built and checked once."""
     p = 5
     entries = [Fp2Elem(p, c0, c1) for c0, c1 in EXTRA_INVOLUTION]
     m = mat([entries[0:3], entries[3:6], entries[6:9]])
     e = identity(p, 3)
-    if mat_mul(m, m) != e:
+    (code, e_code, z_code), _ = _encode([m, e, scalar_mul(cube_root_of_unity(p), e)])
+    # resolved in matrices, like every other product of the build
+    if matrices._product(code, code, *matrices._tables(p)[1:]) != e_code:
         raise AssertionError("the extra generator is not an involution")
     if det3(m) != Fp2Elem(p, 1, 0):
         raise AssertionError("the extra generator does not have determinant 1")
-    gens, _ = _encode([sym_square(g) for g in sl2_generators(p, (1,))] + [m])
-    group = _dimino(gens, p, cap=1080)
-    if len(group) != 1080:
-        raise AssertionError(f"expected 1080 elements, got {len(group)}")
-    if _encode([scalar_mul(cube_root_of_unity(p), e)])[0][0] not in group:
+    group = _group([sym_square(g) for g in sl2_generators(p, (1,))] + [m], 1080)
+    if z_code not in group:
         raise AssertionError("the center does not contain the cube roots of unity")
-    rank = [code % p * p + code // p for code in range(p * p)]  # code -> c0*p + c1
-    return sorted(group, key=lambda a: [rank[code] for code in a])
-
-
-@lru_cache(maxsize=None)
-def triple_cover_group() -> list[Matrix]:
-    """The 1080-element cover in SL_3(F_25), sorted deterministically."""
-    return [_decode(a, 5) for a in _cover_codes()]
+    return group
 
 
 def _cover_label(order: int, tr: Fp2Elem, z: Fp2Elem) -> str:

@@ -12,10 +12,10 @@ with 3a/3b the central scalars z, z^2.  The trace character X over F_25
 (z the deterministic cube root of unity) and the inverse-class involution
 are frozen below; the tests check both against the explicit cover that
 matrix_oracle.py builds.  The first mod-3 table is frozen too
-(``MOD3_CLASS_POLYS``); ``a6_mod3_class_polys`` still builds both tables by
-closure, as the oracle the frozen one is checked against.  Class labels
-with order prime to 3 lift uniquely; multiplying by the central scalar
-walks 1a->3a->3b, 2a->6a->6b, 4a->12a->12b, 5ab->15ac->15bd.
+(``MOD3_CLASS_POLYS``); ``a6_mod3_class_polys`` still builds both tables
+from the group, as the oracle the frozen one is checked against.  Class
+labels with order prime to 3 lift uniquely; multiplying by the central
+scalar walks 1a->3a->3b, 2a->6a->6b, 4a->12a->12b, 5ab->15ac->15bd.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional
 
 from .arith import Fp2Elem, Record, cube_root_of_unity
 from .errors import InconsistencyError
-from .matrices import Matrix, _classes, _decode, _encode, charpoly3_reversed, closure, det2, mat
+from .matrices import Matrix, _classes, _decode, _group, charpoly3_reversed, det2, mat
 
 A6_COARSE = ("1a", "2a", "3ab", "4a", "5ab")
 COVER_COARSE = ("1a", "3a", "3b", "2a", "6a", "6b", "3cd", "4a", "12a", "12b", "5ab", "15ac", "15bd")
@@ -192,20 +192,16 @@ def a6_mod3_class_polys() -> tuple[dict, dict]:
     """The two Galois-conjugate tables class -> charpoly over F_9 for the
     3-dimensional mod-3 representations.
 
-    Built as the closure in SL_3(F_9) of the symmetric squares of the four
-    transvection generators of SL_2(F_9): the image of SL_2(F_9), where the
-    central sign dies, leaving the simple group of order 360.  Images are
-    bucketed by (order, trace); each order is one class except 5, whose two
-    classes are separated by their distinct conjugate traces, labelled so
-    that "5a" takes the lexicographically smaller one.  Keys: 1a, 2a, 3ab
+    Built as the group in SL_3(F_9) generated by the symmetric squares of
+    the four transvection generators of SL_2(F_9): the image of SL_2(F_9),
+    where the central sign dies, leaving the simple group of order 360.  Its
+    sorted codes are bucketed by (order, trace); each order is one class
+    except 5, whose two classes are separated by their distinct conjugate
+    traces, labelled so that "5a" takes the lexicographically smaller one.  Keys: 1a, 2a, 3ab
     (both fine types share a unipotent charpoly), 4a, 5a, 5b.
     """
-    images = closure([sym_square(g) for g in sl2_generators(3, (1, Fp2Elem(3, 0, 1)))])
-    if len(images) != 360:
-        raise AssertionError(f"expected 360 images, got {len(images)}")
-    # walked in the order of the closure's set: in Dimino's walk order the
-    # order walks would take 374 products instead of 372
-    classes = _classes(*_encode(list(images)))
+    images = _group([sym_square(g) for g in sl2_generators(3, (1, Fp2Elem(3, 0, 1)))], 360)
+    classes = _classes(images, 3)
     keys = sorted(classes, key=lambda k: (k[0], k[1].c0, k[1].c1))
     if [order for order, _ in keys] != [1, 2, 3, 4, 5, 5]:
         raise AssertionError(f"expected one class per order 1-4 and two of order 5: {keys}")
@@ -220,7 +216,7 @@ def a6_mod3_class_polys() -> tuple[dict, dict]:
 
 #: The first table of ``a6_mod3_class_polys``, frozen: class -> the
 #: coefficients of its charpoly as F_9 pairs (c0, c1).  The tests check it,
-#: and its Galois twin, against the closure.
+#: and its Galois twin, against the group.
 MOD3_CLASS_POLYS = {
     label: [Fp2Elem(3, c0, c1) for c0, c1 in pairs]
     for label, pairs in (

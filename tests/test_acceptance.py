@@ -29,7 +29,7 @@ from padic_serre.krasner import (
     precision_report,
     resultant_margin,
 )
-from padic_serre.matrices import closure, det2, trace
+from padic_serre.matrices import det2, trace
 from padic_serre.matrix_oracle import classified_cover, oracle_charpoly
 from padic_serre.polynomial import IntPoly, cycle_type_mod_ell, discriminant, newton_polygon
 from padic_serre.rep3a6 import (
@@ -43,6 +43,8 @@ from padic_serre.rep3a6 import (
     sym_square_charpoly,
 )
 from padic_serre.weights import Triple, p_restrict
+
+from matrix_reference import _mat_key, _matrix_closure
 
 X3M2 = IntPoly([-2, 0, 0, 1])
 T_5_17 = IntPoly([-13, -11, 5, 0, 0, -2, 1])
@@ -196,8 +198,7 @@ def _sweep_6c():
 def _sweep_6d():
     rng = random.Random(603)
     one, w = Fp2Elem(3, 1, 0), Fp2Elem(3, 0, 1)
-    sl2_f9 = closure(sl2_generators(3, (one, w)))
-    elems = sorted(sl2_f9, key=lambda m: tuple((x.c0, x.c1) for r in m for x in r))
+    elems = sorted(_matrix_closure(sl2_generators(3, (one, w))), key=_mat_key)
     failures = 0
     for _ in range(1000):
         m = rng.choice(elems)

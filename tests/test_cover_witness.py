@@ -24,38 +24,26 @@ import pytest
 
 from padic_serre import matrix_oracle
 from padic_serre.arith import Fp2Elem, cube_root_of_unity, elements
-from padic_serre.matrices import (
-    closure,
-    det3,
-    element_orders,
-    identity,
-    mat,
-    mat_mul,
-    scalar_mul,
-)
+from padic_serre.matrices import det3, identity, mat, scalar_mul
 from padic_serre.matrix_oracle import EXTRA_INVOLUTION
 from padic_serre.rep3a6 import sl2_generators, sym_square
+
+from matrix_reference import _loop_mul, _mat_key, _matrix_closure, _matrix_orders
 
 P = 5
 
 
-def _mat_key(m):
-    """The entries' pairs (c0, c1) row by row: the order of the sorted cover,
-    and the layout of ``EXTRA_INVOLUTION``."""
-    return tuple((x.c0, x.c1) for row in m for x in row)
-
-
 def _tetrahedral_normalizer(h):
     e = identity(P, 3)
-    orders = element_orders(h)
+    orders = _matrix_orders(h)
     invol = [m for m in h if orders[m] == 2]
     u = invol[0]
-    v = next(m for m in invol if m != u and mat_mul(u, m) == mat_mul(m, u))
-    v4 = {e, u, v, mat_mul(u, v)}
+    v = next(m for m in invol if m != u and _loop_mul(u, m) == _loop_mul(m, u))
+    v4 = {e, u, v, _loop_mul(u, v)}
 
     def normalizes(m):
-        v4_m = {mat_mul(x, m) for x in v4}
-        return all(mat_mul(m, x) in v4_m for x in v4)
+        v4_m = {_loop_mul(x, m) for x in v4}
+        return all(_loop_mul(m, x) in v4_m for x in v4)
 
     k = [m for m in h if normalizes(m)]
     assert len(k) == 12
@@ -109,10 +97,10 @@ def _intertwiner(k1, im1, k2, im2):
 
 def _derive_extra_involution():
     h_gens = [sym_square(g) for g in sl2_generators(P, (1,))]
-    h = sorted(closure(h_gens), key=_mat_key)
+    h = sorted(_matrix_closure(h_gens), key=_mat_key)
     assert len(h) == 60
     k = _tetrahedral_normalizer(h)
-    orders = element_orders(k)
+    orders = _matrix_orders(k)
     order2 = [m for m in k if orders[m] == 2]
     order3 = [m for m in k if orders[m] == 3]
     k1, k2 = order2[0], order3[0]
@@ -132,10 +120,10 @@ def _derive_extra_involution():
                 if c * c * c * d != one:
                     continue
                 m = scalar_mul(c, m0)
-                if mat_mul(m, m) != e:
+                if _loop_mul(m, m) != e:
                     continue
                 try:
-                    group = closure(h_gens + [m], cap=1300)
+                    group = _matrix_closure(h_gens + [m], cap=1300)
                 except ValueError:
                     continue
                 if len(group) == 1080:
@@ -153,8 +141,8 @@ def _frozen():
 
 
 def _involution_of_h():
-    h = sorted(closure([sym_square(g) for g in sl2_generators(P, (1,))]), key=_mat_key)
-    orders = element_orders(h)
+    h = sorted(_matrix_closure([sym_square(g) for g in sl2_generators(P, (1,))]), key=_mat_key)
+    orders = _matrix_orders(h)
     return next(m for m in h if orders[m] == 2)
 
 

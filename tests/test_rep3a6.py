@@ -7,7 +7,7 @@ import pytest
 
 from padic_serre.arith import Fp2Elem, cube_root_of_unity
 from padic_serre.errors import InconsistencyError
-from padic_serre.matrices import closure, det2, mat, mat_mul, trace
+from padic_serre.matrices import det2, mat, trace
 from padic_serre.matrix_oracle import classified_cover, oracle_charpoly
 from padic_serre.rep3a6 import (
     COVER_COARSE,
@@ -25,6 +25,8 @@ from padic_serre.rep3a6 import (
     sym_square,
     sym_square_charpoly,
 )
+
+from matrix_reference import _loop_mul, _mat_key, _matrix_closure
 
 
 def test_coarse_from_cycle_type():
@@ -122,17 +124,17 @@ def test_sym_square_requires_det_one():
 
 def test_sym_square_is_multiplicative():
     rng = random.Random(60)
-    sl2_f9 = closure(sl2_generators(3, (Fp2Elem(3, 1, 0), Fp2Elem(3, 0, 1))))
-    elems = sorted(sl2_f9, key=lambda m: tuple((x.c0, x.c1) for r in m for x in r))
+    sl2_f9 = _matrix_closure(sl2_generators(3, (Fp2Elem(3, 1, 0), Fp2Elem(3, 0, 1))))
+    elems = sorted(sl2_f9, key=_mat_key)
     for _ in range(80):
         a, b = rng.choice(elems), rng.choice(elems)
-        assert sym_square(mat_mul(a, b)) == mat_mul(sym_square(a), sym_square(b))
+        assert sym_square(_loop_mul(a, b)) == _loop_mul(sym_square(a), sym_square(b))
 
 
 def test_sym_square_trace_identity_and_eigenvalues():
     # det(1 - Sym2(M) t) = 1 - (tr^2 - 1) t + (tr^2 - 1) t^2 - t^3,
     # from the eigenvalue multiset {u^2, uv=1, v^2}
-    elems = closure(sl2_generators(3, (Fp2Elem(3, 1, 0), Fp2Elem(3, 0, 1))))
+    elems = _matrix_closure(sl2_generators(3, (Fp2Elem(3, 1, 0), Fp2Elem(3, 0, 1))))
     assert len(elems) == 720
     one = Fp2Elem(3, 1, 0)
     for m in elems:
