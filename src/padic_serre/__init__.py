@@ -45,7 +45,6 @@ from .polynomial import (
     cycle_type_mod_ell,
     discriminant,
     newton_polygon,
-    resolvent_cubic,
     resultant,
     root_diff_poly,
 )
@@ -64,7 +63,6 @@ from .weights import (
     DirichletCharacter,
     InertiaProfile,
     Triple,
-    char_eval,
     nebentype_factor,
     p_restrict,
     predicted_weights,

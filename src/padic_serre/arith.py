@@ -4,8 +4,8 @@ There is one finite-field element type, ``Fp2Elem``, built directly as
 ``Fp2Elem(p, c0, c1)``; an element of the prime field F_p is an ``Fp2Elem``
 with c1 == 0, and ``elements(p)`` lists a whole field.  Elements are
 interned, one object per value, keyed by the integer code c0 + p*c1; +, -
-and * are memoized lookups keyed by the pair of codes, each entry computed
-once on first use.
+and * compute the coefficients of the result and return its interned
+element.
 
 Everything here is immutable and pure; rationals are ``fractions.Fraction``
 (always lowest terms, positive denominator), valuations are additive with
@@ -96,22 +96,7 @@ def quadratic_modulus(p: int) -> tuple[int, int]:
     raise AssertionError("no irreducible quadratic found")  # impossible
 
 
-class _Field:
-    """The interned elements of one F_{p^2}, keyed by their code c0 + p*c1,
-    and the memo tables of +, - and *, keyed by the code pair i*p^2 + j.
-    Entries are made on first use, so memory grows only with the sums and
-    products actually computed."""
-
-    __slots__ = ("elems", "add", "sub", "mul")
-
-    def __init__(self):
-        self.elems: dict[int, Fp2Elem] = {}
-        self.add: dict[int, Fp2Elem] = {}
-        self.sub: dict[int, Fp2Elem] = {}
-        self.mul: dict[int, Fp2Elem] = {}
-
-
-_FIELDS: dict[int, _Field] = {}
+_ELEMENTS: dict[int, dict[int, "Fp2Elem"]] = {}  # p -> code c0 + p*c1 -> element
 
 
 class Fp2Elem:
@@ -120,28 +105,26 @@ class Fp2Elem:
     Elements are interned: ``Fp2Elem(p, c0, c1)`` returns the one object for
     that value, so equality is identity (the inherited ``object.__eq__``)
     and attributes cannot be set.  The hash is that of (p, c0, c1).  Sums,
-    differences and products are looked up in the per-prime memo tables of
-    ``_Field``; a missing entry is computed once from w^2 = -b*w - c.
+    differences and products are computed from the coefficients, with
+    w^2 = -b*w - c, and return the interned result.
     """
 
-    # _row = _code * p^2, this element's offset in the memo keys i*p^2 + j
-    __slots__ = ("p", "c0", "c1", "_code", "_row", "_hash", "_field")
+    __slots__ = ("p", "c0", "c1", "_code", "_hash")
 
     def __new__(cls, p: int, c0: int, c1: int) -> "Fp2Elem":
         c0, c1 = c0 % p, c1 % p
-        field = _FIELDS.get(p)
-        if field is None:
-            field = _FIELDS.setdefault(p, _Field())
+        elems = _ELEMENTS.get(p)
+        if elems is None:
+            elems = _ELEMENTS.setdefault(p, {})
         code = c0 + p * c1
-        elem = field.elems.get(code)
+        elem = elems.get(code)
         if elem is None:
             elem = object.__new__(cls)
             for name, value in (("p", p), ("c0", c0), ("c1", c1), ("_code", code),
-                                ("_row", code * p * p), ("_hash", hash((p, c0, c1))),
-                                ("_field", field)):
+                                ("_hash", hash((p, c0, c1)))):
                 object.__setattr__(elem, name, value)
             # setdefault is atomic: racing threads still share one object per value
-            elem = field.elems.setdefault(code, elem)
+            elem = elems.setdefault(code, elem)
         return elem
 
     def __setattr__(self, name, value):
@@ -164,49 +147,25 @@ class Fp2Elem:
         return Fp2Elem(self.p, int(other), 0)
 
     def __add__(self, other):
-        field = self._field
-        if other.__class__ is not Fp2Elem or other._field is not field:
-            other = self._coerce(other)
-        key = self._row + other._code
-        try:
-            return field.add[key]
-        except KeyError:
-            field.add[key] = r = Fp2Elem(self.p, self.c0 + other.c0, self.c1 + other.c1)
-            return r
+        other = self._coerce(other)
+        return Fp2Elem(self.p, self.c0 + other.c0, self.c1 + other.c1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        field = self._field
-        if other.__class__ is not Fp2Elem or other._field is not field:
-            other = self._coerce(other)
-        key = self._row + other._code
-        try:
-            return field.sub[key]
-        except KeyError:
-            field.sub[key] = r = Fp2Elem(self.p, self.c0 - other.c0, self.c1 - other.c1)
-            return r
+        other = self._coerce(other)
+        return Fp2Elem(self.p, self.c0 - other.c0, self.c1 - other.c1)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        field = self._field
-        if other.__class__ is not Fp2Elem or other._field is not field:
-            other = self._coerce(other)
-        key = self._row + other._code
-        try:
-            return field.mul[key]
-        except KeyError:
-            b, c = quadratic_modulus(self.p)
-            # (x0 + x1 w)(y0 + y1 w) with w^2 = -b w - c
-            hi = self.c1 * other.c1
-            field.mul[key] = r = Fp2Elem(
-                self.p,
-                self.c0 * other.c0 - hi * c,
-                self.c0 * other.c1 + self.c1 * other.c0 - hi * b,
-            )
-            return r
+        other = self._coerce(other)
+        b, c = quadratic_modulus(self.p)
+        # (x0 + x1 w)(y0 + y1 w) with w^2 = -b w - c
+        hi = self.c1 * other.c1
+        return Fp2Elem(self.p, self.c0 * other.c0 - hi * c,
+                       self.c0 * other.c1 + self.c1 * other.c0 - hi * b)
 
     __rmul__ = __mul__
 
@@ -231,11 +190,11 @@ class Fp2Elem:
         return self ** (self.p * self.p - 2)
 
     def frobenius(self) -> "Fp2Elem":
-        """The field automorphism x -> x^p; an involution fixing F_p."""
-        return self**self.p
-
-    def in_prime_field(self) -> bool:
-        return self.c1 == 0
+        """The field automorphism x -> x^p, an involution fixing F_p.  The
+        roots w and w^p of the modulus sum to -b, so w^p = -b - w and
+        (c0 + c1*w)^p = (c0 - b*c1) - c1*w."""
+        b = quadratic_modulus(self.p)[0]
+        return Fp2Elem(self.p, self.c0 - b * self.c1, -self.c1)
 
     def __bool__(self):
         return self.c0 != 0 or self.c1 != 0

@@ -56,12 +56,10 @@ class EigenvalueRecord(Record):
 
 def hecke_poly(rec: EigenvalueRecord, p: int) -> Cubic:
     """Coefficients [1, -a1, ell*a2, -ell^3*a3] over F_{p^2}."""
-    ell_mod = rec.ell % p
-    if ell_mod == 0:
+    ell = rec.ell % p
+    if ell == 0:
         raise InconsistencyError(f"ell = {rec.ell} is divisible by p = {p}")
-    ell = Fp2Elem(p, ell_mod, 0)
-    one = Fp2Elem(p, 1, 0)
-    return [one, -rec.a1, ell * rec.a2, -(ell**3 * rec.a3)]
+    return [Fp2Elem(p, 1, 0), -rec.a1, rec.a2 * ell, -(rec.a3 * pow(ell, 3, p))]
 
 
 def solve_record(ell: int, cubic: Cubic, p: int) -> EigenvalueRecord:

@@ -44,7 +44,7 @@ class _Lazy(dict):
 def _tables(p: int) -> tuple[_Lazy, _Lazy, _Lazy]:
     """The elements of F_{p^2} by code c0 + p*c1, and the rows of * and +:
     row i lists the codes of x_i*x_j and x_i+x_j for every code j, computed
-    in integers with w^2 = -b*w - c, never through the ``Fp2Elem`` memos."""
+    in integers with w^2 = -b*w - c."""
     b, c = quadratic_modulus(p)
 
     def mul_row(i):

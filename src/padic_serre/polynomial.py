@@ -314,19 +314,6 @@ def root_diff_poly(f: IntPoly) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# resolvent cubic
-
-
-def resolvent_cubic(g: IntPoly) -> IntPoly:
-    """Classical resolvent cubic of a monic quartic, with roots the
-    pair-sums a1*a2 + a3*a4 etc.; it shares its discriminant with g."""
-    if g.degree != 4 or not g.is_monic():
-        raise ValueError("resolvent cubic needs a monic quartic")
-    d, c, b, a, _ = g.coeffs
-    return IntPoly([-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b, 1])
-
-
-# ---------------------------------------------------------------------------
 # factorization degrees mod ell
 
 

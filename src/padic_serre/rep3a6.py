@@ -142,8 +142,9 @@ def inverse_class(cls: str) -> str:
 
 def twist(poly: list[Fp2Elem], eps_sign: int) -> list[Fp2Elem]:
     """det(1 - eps*A*t) from the coefficients of det(1 - A*t), for a sign
-    eps = +1 or -1: the t^k coefficient times eps^k."""
-    return [c * eps_sign**k for k, c in enumerate(poly)]
+    eps = +1 or -1: the t^k coefficient times eps^k, so eps = -1 negates
+    the odd coefficients."""
+    return [-c if eps_sign == -1 and k % 2 else c for k, c in enumerate(poly)]
 
 
 def frob_charpoly(cls: str, eps_val: int) -> list[Fp2Elem]:

@@ -32,7 +32,7 @@ from itertools import product
 from math import lcm
 from typing import NamedTuple, Optional
 
-from .arith import Fp2Elem, Record, is_prime
+from .arith import Record, is_prime
 from .errors import InconsistencyError, SchemaError, json_int
 
 
@@ -182,7 +182,7 @@ def legendre_symbol(a: int, q: int) -> int:
 
 class DirichletCharacter(Record):
     """A product of the quadratic characters eps17, omega4, psi8 (values in
-    {+-1}), evaluated at primes away from the conductor and embedded in F_p."""
+    {+-1}), evaluated at primes away from the conductor."""
 
     __slots__ = ("p", "kinds")
 
@@ -221,10 +221,6 @@ class DirichletCharacter(Record):
         if "psi8" in self.kinds:
             sign *= 1 if ell % 8 in (1, 7) else -1
         return sign
-
-
-def char_eval(chi: DirichletCharacter, ell: int) -> Fp2Elem:
-    return Fp2Elem(chi.p, chi.sign_at(ell), 0)
 
 
 def nebentype_factor(k: int, eps: DirichletCharacter, level_n: int) -> tuple[DirichletCharacter, int]:

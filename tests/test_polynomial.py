@@ -11,7 +11,6 @@ from padic_serre.polynomial import (
     cycle_type_mod_ell,
     discriminant,
     newton_polygon,
-    resolvent_cubic,
     resultant,
     root_diff_poly,
 )
@@ -83,8 +82,8 @@ def test_discriminant_examples():
     assert ord_p(d, 2) == 8
     u = d >> 8
     assert u % 2 == 1 and u % 8 == 5
-    # the resolvent cubic shares the quartic's discriminant
-    assert discriminant(resolvent_cubic(G1)) == d
+    # the quartic's resolvent cubic shares its discriminant
+    assert discriminant(IntPoly([-176, 56, 20, 1])) == d
 
 
 def test_discriminant_against_closed_forms():
@@ -165,17 +164,6 @@ def test_root_diff_poly_requires_squarefree():
     for f in (IntPoly([1, 2, 1]), IntPoly([2, -3, 0, 1])):
         with pytest.raises(InconsistencyError, match="polynomial is not squarefree"):
             root_diff_poly(f)
-
-
-def test_resolvent_cubic_anchor():
-    assert resolvent_cubic(G1) == IntPoly([-176, 56, 20, 1])
-    # depressed quartic x^4 + p x^2 + q x + r -> y^3 - p y^2 - 4 r y + (4 p r - q^2)
-    assert resolvent_cubic(IntPoly([1, 0, 0, 0, 1])) == IntPoly([0, -4, 0, 1])
-    rng = random.Random(6)
-    for _ in range(50):
-        q, r, s = rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9)
-        g = IntPoly([s, r, q, 0, 1])
-        assert resolvent_cubic(g) == IntPoly([4 * q * s - r * r, -4 * s, -q, 1])
 
 
 def test_cycle_type_examples():

@@ -5,14 +5,12 @@ from itertools import product
 
 import pytest
 
-from padic_serre.arith import Fp2Elem
 from padic_serre.cli import main
 from padic_serre.errors import InconsistencyError
 from padic_serre.weights import (
     DirichletCharacter,
     InertiaProfile,
     Triple,
-    char_eval,
     is_p_restricted,
     legendre_symbol,
     nebentype_factor,
@@ -250,14 +248,14 @@ def test_weights_command_at_large_p_within_2_s(tmp_path, capsys, profile, p):
         assert json.loads(capsys.readouterr().out)["weights"]
 
 
-def test_char_eval_examples():
+def test_sign_at_examples():
     eps17 = DirichletCharacter(3, frozenset({"eps17"}))
     assert pow(2, 8, 17) == 1  # 2 is a square mod 17
-    assert char_eval(eps17, 2) == Fp2Elem(3, 1, 0)
+    assert eps17.sign_at(2) == 1
     omega4 = DirichletCharacter(3, frozenset({"omega4"}))
-    assert char_eval(omega4, 3) == Fp2Elem(3, -1, 0)
+    assert omega4.sign_at(3) == -1
     psi8 = DirichletCharacter(3, frozenset({"psi8"}))
-    assert char_eval(psi8, 7) == Fp2Elem(3, 1, 0)
+    assert psi8.sign_at(7) == 1
 
 
 def test_char_conductors():
@@ -268,10 +266,10 @@ def test_char_conductors():
     assert DirichletCharacter(3, frozenset({"omega4", "psi8"})).kind == "omega4*psi8"
 
 
-def test_char_eval_rejects_conductor_divisors():
+def test_sign_at_rejects_conductor_divisors():
     psi8 = DirichletCharacter(3, frozenset({"psi8"}))
     with pytest.raises(InconsistencyError):
-        char_eval(psi8, 2)
+        psi8.sign_at(2)
 
 
 def test_legendre_multiplicativity():
