@@ -156,9 +156,6 @@ class Fp2Elem:
         other = self._coerce(other)
         return Fp2Elem(self.p, self.c0 - other.c0, self.c1 - other.c1)
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         other = self._coerce(other)
         b, c = quadratic_modulus(self.p)

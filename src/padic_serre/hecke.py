@@ -70,12 +70,11 @@ def solve_record(ell: int, cubic: Cubic, p: int) -> EigenvalueRecord:
     ell_mod = ell % p
     if ell_mod == 0:
         raise InconsistencyError(f"ell = {ell} is divisible by p = {p}")
-    ell_inv = Fp2Elem(p, ell_mod, 0).inverse()
     return EigenvalueRecord(
         ell,
         -cubic[1],
-        cubic[2] * ell_inv,
-        -(cubic[3] * ell_inv**3),
+        cubic[2] * pow(ell_mod, -1, p),
+        -(cubic[3] * pow(ell_mod, -3, p)),
     )
 
 

@@ -1,104 +1,80 @@
 """Small-matrix helpers over F_{p^2}: characteristic polynomials,
 determinants and traces of matrices of ``Fp2Elem``, and the private group
-layer behind the explicit groups of matrix_oracle and rep3a6.
+layer behind the two explicit groups, the cover in SL_3(F_25) of
+matrix_oracle and the mod-3 image in SL_3(F_9) of rep3a6.
 
 Matrices are tuples of row tuples of Fp2Elem, so they hash and can be
-dictionary keys.  In the group layer a matrix is the flat tuple of its
-entries' codes c0 + p*c1 (``Fp2Elem._code``): every product is a chain of
-lookups in per-field rows of the codes of x_i*x_j and x_i+x_j, each row
-computed in integers when first needed.  ``_group`` is the one builder: it
-encodes the generators, closes them by Dimino's coset algorithm, checks the
-size and returns the codes sorted by the entries' pairs (c0, c1) row by row.
-The order walks (at most one power walk per cyclic subgroup) and the
-bucketing by (order, trace) run on that list, and callers decode only the
-class representatives they need.
+dictionary keys.  In the group layer a 3x3 matrix is the flat tuple of its
+nine entries' codes c0 + p*c1 (``Fp2Elem._code``): every product is a chain
+of lookups in the field's tables of the codes of x_i*x_j and x_i+x_j,
+tabulated once from the ``Fp2Elem`` operators, so the field law lives only
+in arith.  ``_group`` is the one builder: it encodes the generators, closes
+them by Dimino's coset algorithm, checks the size and returns the codes
+sorted by the entries' pairs (c0, c1) row by row.  The order walks (at most
+one power walk per cyclic subgroup) and the bucketing by (order, trace) run
+on that list, and callers decode only the class representatives they need.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
-from .arith import Fp2Elem, quadratic_modulus
+from .arith import Fp2Elem
 
 Matrix = tuple[tuple[Fp2Elem, ...], ...]
-Code = tuple[int, ...]  # a matrix as the flat tuple of its entries' codes
+Code = tuple[int, ...]  # a 3x3 matrix as the flat tuple of its entries' codes
+Table = list[list[int]]
+
+# codes 0 and 1 are the elements 0 and 1 of every field
+_IDENTITY: Code = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
 
 def mat(rows) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-class _Lazy(dict):
-    """Entry i made by make(i) on first lookup."""
-
-    def __init__(self, make):
-        self.make = make
-
-    def __missing__(self, i):
-        value = self[i] = self.make(i)
-        return value
-
-
 @lru_cache(maxsize=None)
-def _tables(p: int) -> tuple[_Lazy, _Lazy, _Lazy]:
-    """The elements of F_{p^2} by code c0 + p*c1, and the rows of * and +:
-    row i lists the codes of x_i*x_j and x_i+x_j for every code j, computed
-    in integers with w^2 = -b*w - c."""
-    b, c = quadratic_modulus(p)
-
-    def mul_row(i):
-        x0, x1 = i % p, i // p
-        return [(x0 * y0 - c * x1 * y1) % p + p * ((x0 * y1 + x1 * y0 - b * x1 * y1) % p)
-                for y1 in range(p) for y0 in range(p)]
-
-    def add_row(i):
-        x0, x1 = i % p, i // p
-        return [(x0 + y0) % p + p * ((x1 + y1) % p) for y1 in range(p) for y0 in range(p)]
-
-    return _Lazy(lambda i: Fp2Elem(p, i % p, i // p)), _Lazy(mul_row), _Lazy(add_row)
+def _tables(p: int) -> tuple[list[Fp2Elem], Table, Table]:
+    """The elements of F_{p^2} by code c0 + p*c1, and the tables of * and +:
+    row i lists the codes of x_i*x_j and x_i+x_j for every code j, built
+    once per field by the ``Fp2Elem`` operators."""
+    elems = [Fp2Elem(p, i % p, i // p) for i in range(p * p)]
+    mul = [[(x * y)._code for y in elems] for x in elems]
+    add = [[(x + y)._code for y in elems] for x in elems]
+    return elems, mul, add
 
 
 def _encode(ms: list[Matrix]) -> tuple[list[Code], int]:
-    """The flat code tuples of square matrices over one F_{p^2}, and p."""
-    p, n = ms[0][0][0].p, len(ms[0])
-    codes = [tuple([x._code for row in m if len(row) == n for x in row if x.p == p]) for m in ms]
-    if any(len(m) != n or len(code) != n * n for m, code in zip(ms, codes)):
-        raise ValueError(f"expected {n}x{n} matrices over F_{p}^2")
+    """The flat code tuples of 3x3 matrices over one F_{p^2}, and p."""
+    p = ms[0][0][0].p
+    codes = [tuple([x._code for row in m if len(row) == 3 for x in row if x.p == p]) for m in ms]
+    if any(len(m) != 3 or len(code) != 9 for m, code in zip(ms, codes)):
+        raise ValueError(f"expected 3x3 matrices over F_{p}^2")
     return codes, p
 
 
 def _decode(code: Code, p: int) -> Matrix:
-    elems, n = _tables(p)[0], isqrt(len(code))
+    elems = _tables(p)[0]
     flat = [elems[c] for c in code]
-    return tuple([tuple(flat[i:i + n]) for i in range(0, n * n, n)])
+    return (tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9]))
 
 
-def _product(a: Code, b: Code, mul: _Lazy, add: _Lazy) -> Code:
-    """The product of two square matrices given as flat code tuples."""
-    if len(a) == 9:
-        m0, m1, m2, m3, m4, m5, m6, m7, m8 = [mul[x] for x in a]
-        b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-        return (
-            add[add[m0[b0]][m1[b3]]][m2[b6]],
-            add[add[m0[b1]][m1[b4]]][m2[b7]],
-            add[add[m0[b2]][m1[b5]]][m2[b8]],
-            add[add[m3[b0]][m4[b3]]][m5[b6]],
-            add[add[m3[b1]][m4[b4]]][m5[b7]],
-            add[add[m3[b2]][m4[b5]]][m5[b8]],
-            add[add[m6[b0]][m7[b3]]][m8[b6]],
-            add[add[m6[b1]][m7[b4]]][m8[b7]],
-            add[add[m6[b2]][m7[b5]]][m8[b8]],
-        )
-    n = isqrt(len(a))
-    out = []
-    for i in range(0, n * n, n):
-        for j in range(n):
-            s = mul[a[i]][b[j]]
-            for t in range(1, n):
-                s = add[s][mul[a[i + t]][b[t * n + j]]]
-            out.append(s)
-    return tuple(out)
+def _product(a: Code, b: Code, mul: Table, add: Table) -> Code:
+    """The product of two 3x3 matrices given as flat code tuples."""
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = [mul[x] for x in a]
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (
+        add[add[m0[b0]][m1[b3]]][m2[b6]],
+        add[add[m0[b1]][m1[b4]]][m2[b7]],
+        add[add[m0[b2]][m1[b5]]][m2[b8]],
+        add[add[m3[b0]][m4[b3]]][m5[b6]],
+        add[add[m3[b1]][m4[b4]]][m5[b7]],
+        add[add[m3[b2]][m4[b5]]][m5[b8]],
+        add[add[m6[b0]][m7[b3]]][m8[b6]],
+        add[add[m6[b1]][m7[b4]]][m8[b7]],
+        add[add[m6[b2]][m7[b5]]][m8[b8]],
+    )
 
 
 def identity(p: int, n: int) -> Matrix:
@@ -144,7 +120,7 @@ def charpoly3_reversed(a: Matrix) -> list[Fp2Elem]:
 
 
 def _dimino(gens: list[Code], p: int, cap: int) -> list[Code]:
-    """The group generated by invertible code matrices, in the order of
+    """The group generated by invertible 3x3 code matrices, in the order of
     Dimino's walk; raises ValueError if it grows past cap.
 
     Each generator not yet in the group H built so far extends it by whole
@@ -153,7 +129,7 @@ def _dimino(gens: list[Code], p: int, cap: int) -> list[Code]:
     since H*r*t lies in the group exactly when r*t does.  (Butler,
     *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991.)"""
     mul, add = _tables(p)[1:]
-    group = _encode([identity(p, isqrt(len(gens[0])))])[0]
+    group = [_IDENTITY]
     seen = set(group)
     used: list[Code] = []
     for g in gens:
@@ -174,8 +150,8 @@ def _dimino(gens: list[Code], p: int, cap: int) -> list[Code]:
 
 
 def _group(gens: list[Matrix], size: int) -> list[Code]:
-    """The group of size elements generated by invertible matrices over one
-    F_{p^2}, as code tuples sorted by the entries' pairs (c0, c1) row by row;
+    """The group of size elements generated by invertible 3x3 matrices over
+    one F_{p^2}, as code tuples sorted by the entries' pairs (c0, c1) row by row;
     raises AssertionError on another count."""
     codes, p = _encode(gens)
     group = _dimino(codes, p, cap=size)
@@ -192,13 +168,12 @@ def _orders(group: list[Code], p: int) -> dict[Code, int]:
     has order n, a^k has order n / gcd(k, n), so one walk settles the whole
     cyclic subgroup."""
     mul, add = _tables(p)[1:]
-    (e,), _ = _encode([identity(p, isqrt(len(group[0])))])
     orders: dict[Code, int] = {}
     for a in group:
         if a in orders:
             continue
         powers = [a]
-        while powers[-1] != e:
+        while powers[-1] != _IDENTITY:
             powers.append(_product(powers[-1], a, mul, add))
         n = len(powers)
         for k, x in enumerate(powers, 1):
@@ -208,14 +183,10 @@ def _orders(group: list[Code], p: int) -> dict[Code, int]:
 
 def _classes(group: list[Code], p: int) -> dict[tuple[int, Fp2Elem], list[Code]]:
     """The elements of a ``_group`` bucketed by (order, trace), in the order
-    of group; a trace is a chain of + lookups on the diagonal codes."""
+    of group; a trace is two + lookups on the diagonal codes."""
     orders = _orders(group, p)
     elems, _, add = _tables(p)
-    step = isqrt(len(group[0])) + 1
     buckets: dict[tuple[int, int], list[Code]] = {}
     for a in group:
-        t = a[0]
-        for d in a[step::step]:
-            t = add[t][d]
-        buckets.setdefault((orders[a], t), []).append(a)
+        buckets.setdefault((orders[a], add[add[a[0]][a[4]]][a[8]]), []).append(a)
     return {(order, elems[t]): members for (order, t), members in buckets.items()}

@@ -6,12 +6,11 @@ leading coefficient is nonzero (the zero polynomial has an empty tuple).
 
 Provides resultants (fraction-free Sylvester determinants), discriminants,
 shifts f(x+a), p-adic Newton polygons, the root-difference polynomial whose
-slopes are the pairwise root-distance valuations, the classical resolvent
-cubic of a quartic, and cycle types via distinct-degree factorization over
-F_ell.  The cycle type works mod ell throughout: squarefreeness is
-gcd(r, r') = 1 in F_ell[x] (the integer discriminant is only computed when
-ell divides the leading coefficient), and Frobenius acts on F_ell[x]/(r)
-through precomputed rows x^(ell*i) mod r.
+slopes are the pairwise root-distance valuations, and cycle types via
+distinct-degree factorization over F_ell.  The cycle type works mod ell
+throughout: squarefreeness is gcd(r, r') = 1 in F_ell[x] (the integer
+discriminant is only computed when ell divides the leading coefficient), and
+Frobenius acts on F_ell[x]/(r) through precomputed rows x^(ell*i) mod r.
 """
 
 from __future__ import annotations
@@ -84,12 +83,6 @@ class IntPoly:
         for i, c in enumerate(b):
             out[i] += c
         return IntPoly(out)
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
 
     def __mul__(self, other) -> "IntPoly":
         if isinstance(other, int):

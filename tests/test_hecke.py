@@ -47,7 +47,7 @@ def test_hecke_poly_rejects_ell_divisible_by_p():
         hecke_poly(rec, 5)
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 1_000_003])
 def test_round_trip_attached(p):
     rng = random.Random(71 + p)
     ells = [ell for ell in (2, 3, 7, 11, 13, 17, 19) if ell % p][:5]
