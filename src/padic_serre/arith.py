@@ -169,23 +169,6 @@ class Fp2Elem:
     def __neg__(self):
         return Fp2Elem(self.p, -self.c0, -self.c1)
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = Fp2Elem(self.p, 1, 0)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def inverse(self) -> "Fp2Elem":
-        if not self:
-            raise ZeroDivisionError("inverse of 0 in F_{p^2}")
-        return self ** (self.p * self.p - 2)
-
     def frobenius(self) -> "Fp2Elem":
         """The field automorphism x -> x^p, an involution fixing F_p.  The
         roots w and w^p of the modulus sum to -b, so w^p = -b - w and

@@ -206,14 +206,12 @@ def _frobenius_entry(entry: dict, cycle_type, eps_sign: int, p: int) -> dict:
         label = frobenius_class(cycle_type, entry.get("artin_power", 0),
                                 entry.get("residue_degree", lcm(*cycle_type)))
         candidates = [frob_charpoly(label, 1)]
-    elif p == 3:
+    else:
         base = coarse_from_cycle_type(cycle_type)
         if base.label == "5ab" and entry.get("fine_order5") in ("5a", "5b"):
             base = CoarseClassA6("5ab", None, entry["fine_order5"])
         label = base.label if base.fine_order5 in (None, "unknown") else base.fine_order5
         candidates = mod3_charpoly_candidates(base)
-    else:
-        raise InconsistencyError(f"no frozen class data for p = {p}; only p in (3, 5) is bundled")
     polys = [twist(poly, eps_sign) for poly in candidates]
     out = {
         "ell": entry["ell"],
@@ -226,12 +224,21 @@ def _frobenius_entry(entry: dict, cycle_type, eps_sign: int, p: int) -> dict:
     return out
 
 
-def _frobenius_section(case: CaseFile, ell_max: int) -> list[dict]:
+def _frobenius_section(case: CaseFile, n: int, ell_max: int) -> list[dict]:
+    """The Frobenius entries at the rows with ell <= ell_max; n is the level.
+    Rows must have distinct ells prime to pN, where Frobenius is defined."""
     inputs = sorted(case.frobenius_inputs, key=lambda e: e["ell"])
     for a, b in zip(inputs, inputs[1:]):
         if a["ell"] == b["ell"]:
             raise InconsistencyError(f"duplicate ell {a['ell']} in frobenius_inputs")
     entries = [e for e in inputs if e["ell"] <= ell_max]
+    if entries and case.p not in (3, 5):
+        raise InconsistencyError(f"no frozen class data for p = {case.p};"
+                                 " only p in (3, 5) is bundled")
+    for e in inputs:
+        if case.p * n % e["ell"] == 0:
+            raise InconsistencyError(f"frobenius_inputs row at ell {e['ell']}: ell divides"
+                                     f" pN = {case.p * n}, where Frobenius is not defined")
     disc = discriminant(case.sextic) if entries and case.sextic is not None else None
     return [
         _frobenius_entry(entry, _cycle_type_checked(case, entry, disc),
@@ -298,7 +305,7 @@ def verify_case(case: CaseFile, ell_max: int = DEFAULT_ELL_MAX) -> dict:
     exponents, n = level(case.level_data, p=case.p)
     nebentype_factor(case.nebentype_k, case.nebentype, n)
     weights = predicted_weights(case.inertia_profile, case.p)
-    frob_section = _frobenius_section(case, ell_max)
+    frob_section = _frobenius_section(case, n, ell_max)
     attachment = _attachment_section(case, frob_section)
     b, c = quadratic_modulus(case.p)
     report = {

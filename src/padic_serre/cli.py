@@ -2,8 +2,11 @@
 
 Subcommands: polygon, precision, certify, level, weights, frobenius,
 verify-case.  Polynomials travel as JSON arrays of decimal coefficient
-strings, constant term first.  Exit codes: 0 success, 1 golden mismatch,
-2 parse or schema error (a non-prime --p too), 3 mathematical inconsistency.
+strings, constant term first.  Each subcommand returns a JSON payload, which
+``main`` alone writes, to stdout or --json-out, and turns into the exit code:
+0 success, 1 golden mismatch, 2 parse or schema error (a non-prime --p or an
+unwritable --json-out too), 3 mathematical inconsistency (a Frobenius row at
+an ell dividing pN too).
 """
 
 from __future__ import annotations
@@ -45,15 +48,6 @@ def _load(path: str, parse, key: str | None = None):
         raise SchemaError(f"malformed input in {path}: {exc}") from exc
 
 
-def _emit(payload: dict, json_out: str | None) -> None:
-    text = report_to_json(payload)
-    if json_out:
-        with open(json_out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _evidence_flag(spec: str) -> tuple:
     """The flag "kind:arg" (or "kind", with "assert" short for
     "caller-assertion") as the claim ["kind", arg]."""
@@ -63,46 +57,33 @@ def _evidence_flag(spec: str) -> tuple:
     return parse_evidence([kind, arg] if colon else [kind])
 
 
-def cmd_polygon(args) -> int:
-    f = _load(args.poly, IntPoly.from_json)
-    _emit(newton_polygon(f, args.p).to_json(), args.json_out)
-    return EXIT_OK
+def cmd_polygon(args) -> dict:
+    return newton_polygon(_load(args.poly, IntPoly.from_json), args.p).to_json()
 
 
-def cmd_precision(args) -> int:
-    f = _load(args.poly, IntPoly.from_json)
-    _emit(precision_report(f, args.p, args.method).to_json(), args.json_out)
-    return EXIT_OK
+def cmd_precision(args) -> dict:
+    return precision_report(_load(args.poly, IntPoly.from_json), args.p, args.method).to_json()
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> dict:
     f = _load(args.f, IntPoly.from_json)
     g = _load(args.g, IntPoly.from_json)
-    cert = certify_same_extension(
-        f, g, args.p,
-        _evidence_flag(args.evidence_f),
-        _evidence_flag(args.evidence_g),
-        args.method,
-    )
-    _emit(cert.to_json(), args.json_out)
-    return EXIT_OK
+    return certify_same_extension(f, g, args.p, _evidence_flag(args.evidence_f),
+                                  _evidence_flag(args.evidence_g), args.method).to_json()
 
 
-def cmd_level(args) -> int:
+def cmd_level(args) -> dict:
     data = _load(args.data, lambda d: [LevelDatum.from_json(x) for x in json_list(d)],
                  "level_data")
     exponents, n = level(data, p=args.p)
-    _emit({"exponents": {str(q): e for q, e in sorted(exponents.items())},
-           "N": str(n)}, args.json_out)
-    return EXIT_OK
+    return {"exponents": {str(q): e for q, e in sorted(exponents.items())}, "N": str(n)}
 
 
-def cmd_weights(args) -> int:
+def cmd_weights(args) -> dict:
     profile = _load(args.profile, InertiaProfile.from_json, "inertia_profile")
     weights = predicted_weights(profile, args.p)
-    _emit({"weights": [list(w) for w in sorted(weights)],
-           "printed": [str(w) for w in sorted(weights)]}, args.json_out)
-    return EXIT_OK
+    return {"weights": [list(w) for w in sorted(weights)],
+            "printed": [str(w) for w in sorted(weights)]}
 
 
 def _load_case(ref: str) -> CaseFile:
@@ -111,20 +92,13 @@ def _load_case(ref: str) -> CaseFile:
     return CaseFile.load(ref)
 
 
-def cmd_frobenius(args) -> int:
-    case = _load_case(args.case)
-    report = verify_case(case, ell_max=args.ell_max)
-    _emit({"name": report["name"], "frobenius": report.get("frobenius", [])}, args.json_out)
-    return EXIT_OK
+def cmd_frobenius(args) -> dict:
+    report = verify_case(_load_case(args.case), ell_max=args.ell_max)
+    return {"name": report["name"], "frobenius": report.get("frobenius", [])}
 
 
-def cmd_verify_case(args) -> int:
-    case = _load_case(args.case)
-    report = verify_case(case, ell_max=args.ell_max)
-    _emit(report, args.json_out)
-    if report["golden"]["mismatches"]:
-        return EXIT_GOLDEN
-    return EXIT_OK
+def cmd_verify_case(args) -> dict:
+    return verify_case(_load_case(args.case), ell_max=args.ell_max)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,13 +174,23 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "p", None) is not None and not is_prime(args.p):
             raise SchemaError(f"--p {args.p} is not prime")
-        return args.func(args)
+        payload = args.func(args)
+        text = report_to_json(payload)
+        if args.json_out:
+            try:
+                with open(args.json_out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise SchemaError(f"cannot write {args.json_out}: {exc.strerror}") from exc
+        else:
+            sys.stdout.write(text)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (InconsistencyError, ValueError, ZeroDivisionError) as exc:
         print(f"inconsistent input: {exc}", file=sys.stderr)
         return EXIT_MATH
+    return EXIT_GOLDEN if payload.get("golden", {}).get("mismatches") else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,10 +1,25 @@
 """Group walks on ``Fp2Elem`` matrices, multiplied entrywise by the field
 operators: the references the code walks of ``padic_serre.matrices`` are
-checked against, and the group builds of tests that only need a group."""
+checked against, and the group builds of tests that only need a group.
+``_power`` is the field power the tests share."""
 
 from math import gcd
 
+from padic_serre.arith import Fp2Elem
 from padic_serre.matrices import identity, trace
+
+
+def _power(x, e):
+    """x^e for an Fp2Elem x and an integer e >= 0, by square and multiply:
+    the reference for ``Fp2Elem.frobenius`` (e = p), and the inverse of a
+    nonzero x for e = p^2 - 2."""
+    result = Fp2Elem(x.p, 1, 0)
+    while e:
+        if e & 1:
+            result = result * x
+        x = x * x
+        e >>= 1
+    return result
 
 
 def _mat_key(m):

@@ -181,11 +181,47 @@ def test_reports_are_byte_identical(tmp_path):
     assert report_to_json(report).encode() == out1.read_bytes()
 
 
-def test_golden_mismatch_exit_code(tmp_path, capsys):
-    payload = case_json("3-13-9")
-    payload["expected"] = dict(payload["expected"], level={"13": 1})
+@pytest.mark.parametrize("argv", [
+    ["polygon", "{f}", "--p", "2"],
+    ["precision", "{f}", "--p", "2"],
+    ["certify", "{f}", "{g}", "--p", "2", "--evidence-f", "eisenstein-after-shift:0",
+     "--evidence-g", "eisenstein-after-shift:0"],
+    ["level", "{level}"],
+    ["weights", "{profile}", "--p", "5"],
+    ["frobenius", "5-17-1", "--ell-max", "3"],
+    ["verify-case", "3-13-9"],
+], ids=lambda argv: argv[0])
+def test_json_out_holds_the_stdout_bytes_and_an_unwritable_one_exits_2(tmp_path, capsys, argv):
+    paths = {"f": _write(tmp_path, "f.json", ["-2", "0", "0", "1"]),
+             "g": _write(tmp_path, "g.json", ["-2", "2", "0", "1"]),
+             "level": _write(tmp_path, "lvl.json", {"level_data": []}),
+             "profile": _write(tmp_path, "prof.json", {"niveau": 1, "triples": [[0, 0, 0]]})}
+    argv = [arg.format(**paths) for arg in argv]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "out.json"
+    assert main(argv + ["--json-out", str(out)]) == 0
+    assert capsys.readouterr().out == "" and out.read_text() == stdout
+    missing = tmp_path / "missing" / "out.json"
+    assert main(argv + ["--json-out", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: cannot write {missing}: ")
+
+
+@pytest.mark.parametrize("case,expected,mismatch", [
+    ("3-13-9", {"level": {"13": 1}}, "level: "),
+    ("3-13-9", {"nebentype": "eps13"}, "nebentype: "),
+    ("5-17-1", {"frobenius_classes": {"2": "5a"}}, "frobenius class at 2: "),
+    ("5-17-1", {"frobenius_classes": {"23": "15bd"}}, "frobenius class at 23: "),
+], ids=["level", "nebentype", "frobenius-class", "frobenius-class-without-row"])
+def test_golden_mismatch_exit_code(tmp_path, capsys, case, expected, mismatch):
+    payload = case_json(case)
+    payload["expected"] = dict(payload["expected"], **expected)
     path = _write(tmp_path, "tampered.json", payload)
     assert main(["verify-case", path]) == 1
+    mismatches = json.loads(capsys.readouterr().out)["golden"]["mismatches"]
+    assert len(mismatches) == 1 and mismatches[0].startswith(mismatch)
+    assert main(["verify-case", path, "--json-out", str(tmp_path / "r.json")]) == 1
 
 
 def test_schema_error_exit_code(tmp_path):
@@ -249,8 +285,10 @@ def _certificate_without_f(d):
 # "residue_degree" sit on a row of cycle type (5, 1) with residue degree 5
 @pytest.mark.parametrize("case,edit", [
     ("5-17-1", lambda d: d.update(p=5.0)),
+    ("5-17-1", lambda d: d.update(p=4)),
     ("5-17-1", lambda d: _first_frobenius_row(d, artin_power=1.5)),
     ("5-17-1", lambda d: _first_frobenius_row(d, residue_degree=5.0)),
+    ("5-17-1", lambda d: _first_frobenius_row(d, cycle_type=5)),
     ("5-17-1", lambda d: d.update(nebentype=dict(d["nebentype"], k=True))),
     ("5-17-1", lambda d: d.update(certificates=[dict(CERTIFICATE, p=2.0)])),
     ("5-17-1", lambda d: d.update(certificates=[
@@ -287,7 +325,8 @@ def _certificate_without_f(d):
     ("2-3-59", lambda d: d.update(note=1)),
     ("3-13-9", lambda d: d.update(name=["x"])),
     ("3-13-9", lambda d: d.update(name=1)),
-], ids=["p-float", "artin-power-float", "residue-degree-float", "nebentype-k-bool",
+], ids=["p-float", "p-not-prime", "artin-power-float", "residue-degree-float",
+        "cycle-type-int", "nebentype-k-bool",
         "certificate-p-float", "evidence-q-float", "expected-level-float", "expected-level-list",
         "expected-weights-float", "expected-ell-float", "niveau-float", "triple-float",
         "flags-string", "flag-unknown", "provenance-int", "certificate-without-f", "evidence-null", "evidence-string",
@@ -311,18 +350,33 @@ def test_evidence_flag_and_case_file_claim_parse_alike():
     assert _evidence_flag("assert") == parse_evidence(["caller-assertion"])
 
 
-@pytest.mark.parametrize("edit,message", [
-    (lambda d: _certificate(d, evidence_f=["irreducible-mod-q", 3]), "f: reduction mod 3"),
-    (lambda d: d["nebentype"].update(kinds=["eps99"]), "unknown character kinds"),
-    (lambda d: d.update(p=7), "no frozen class data for p = 7"),
-    (lambda d: d["frobenius_inputs"].append(dict(d["frobenius_inputs"][0], artin_power=2)),
-     "duplicate ell 2 in frobenius_inputs"),
-    (lambda d: d.update(eigenvalues=[EIGENVALUES_AT_2] * 2),
+def _scaled_sextic_without_cycle_type(d, ell):
+    """The sextic f replaced by ell^6 f(x/ell), which is non-squarefree mod
+    ell, and the stored cycle type at ell dropped."""
+    d["sextic"] = [str(int(c) * ell ** (6 - i)) for i, c in enumerate(d["sextic"])]
+    _drop(next(row for row in d["frobenius_inputs"] if row["ell"] == ell), "cycle_type")
+
+
+@pytest.mark.parametrize("case,edit,message", [
+    ("5-17-1", lambda d: _certificate(d, evidence_f=["irreducible-mod-q", 3]),
+     "f: reduction mod 3"),
+    ("5-17-1", lambda d: d["nebentype"].update(kinds=["eps99"]), "unknown character kinds"),
+    ("5-17-1", lambda d: d.update(p=7), "no frozen class data for p = 7"),
+    ("5-17-1", lambda d: d["frobenius_inputs"].append(
+        dict(d["frobenius_inputs"][0], artin_power=2)), "duplicate ell 2 in frobenius_inputs"),
+    ("5-17-1", lambda d: d.update(eigenvalues=[EIGENVALUES_AT_2] * 2),
      "duplicate ell 2 in eigenvalue records"),
+    ("3-13-9", lambda d: d["frobenius_inputs"].append({"ell": 13, "cycle_type": [1] * 6}),
+     "frobenius_inputs row at ell 13: ell divides pN"),
+    ("5-17-1", lambda d: d["frobenius_inputs"].append({"ell": 5, "cycle_type": [5, 1]}),
+     "frobenius_inputs row at ell 5: ell divides pN"),
+    ("5-17-1", lambda d: _scaled_sextic_without_cycle_type(d, 7),
+     "ell=7 has non-squarefree reduction and no stored cycle type"),
 ], ids=["false-evidence", "unknown-nebentype-kind", "p-without-class-data",
-        "repeated-frobenius-ell", "repeated-eigenvalue-ell"])
-def test_well_formed_but_inconsistent_case_values_exit_3(tmp_path, capsys, edit, message):
-    payload = case_json("5-17-1")
+        "repeated-frobenius-ell", "repeated-eigenvalue-ell", "frobenius-row-at-ell-dividing-N",
+        "frobenius-row-at-p", "no-cycle-type-at-non-squarefree-ell"])
+def test_well_formed_but_inconsistent_case_values_exit_3(tmp_path, capsys, case, edit, message):
+    payload = case_json(case)
     edit(payload)
     assert main(["verify-case", _write(tmp_path, "inconsistent.json", payload)]) == 3
     captured = capsys.readouterr()

@@ -28,7 +28,7 @@ from padic_serre.matrices import det3, identity, mat, scalar_mul
 from padic_serre.matrix_oracle import EXTRA_INVOLUTION
 from padic_serre.rep3a6 import sl2_generators, sym_square
 
-from matrix_reference import _loop_mul, _mat_key, _matrix_closure, _matrix_orders
+from matrix_reference import _loop_mul, _mat_key, _matrix_closure, _matrix_orders, _power
 
 P = 5
 
@@ -62,7 +62,7 @@ def _nullspace_dim1(rows):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
+        inv = _power(rows[r][c], P * P - 2)
         rows[r] = [inv * x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != zero:
@@ -109,7 +109,7 @@ def _derive_extra_involution():
     z = cube_root_of_unity(P)
     units = list(elements(P))[1:]
     # order-3 images may carry a central cube-root twist; Klein images may not
-    order3_twisted = [scalar_mul(z**j, m) for m in order3 for j in (0, 1, 2)]
+    order3_twisted = [scalar_mul(_power(z, j), m) for m in order3 for j in (0, 1, 2)]
     for im1 in order2:
         for im2 in order3_twisted:
             m0 = _intertwiner(k1, im1, k2, im2)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from padic_serre.arith import Fp2Elem, cube_root_of_unity
+from padic_serre.casefile import CaseFile, verify_case
 from padic_serre.errors import InconsistencyError
 from padic_serre.matrices import det2, mat, trace
 from padic_serre.matrix_oracle import classified_cover, oracle_charpoly
@@ -26,7 +27,8 @@ from padic_serre.rep3a6 import (
     sym_square_charpoly,
 )
 
-from matrix_reference import _loop_mul, _mat_key, _matrix_closure
+from bundled_json import case_json
+from matrix_reference import _loop_mul, _mat_key, _matrix_closure, _power
 
 
 def test_coarse_from_cycle_type():
@@ -102,7 +104,7 @@ def test_frob_charpoly_reciprocal_symmetry():
         for eps in (1, -1):
             c = frob_charpoly(cls, eps)
             reversed_poly = list(reversed(c))
-            eps3 = Fp2Elem(5, eps, 0) ** 3
+            eps3 = _power(Fp2Elem(5, eps, 0), 3)
             conj = [x.frobenius() * (-eps3) for x in c]
             assert reversed_poly == conj
 
@@ -164,6 +166,12 @@ def test_mod3_candidates_for_unresolved_order5():
     resolved = mod3_charpoly_candidates(CoarseClassA6("5ab", None, "5a"))
     assert len(resolved) == 1
     assert resolved[0] in unresolved
+    # a (5, 1) row of a p = 3 case file resolved to 5a reports that candidate
+    payload = case_json("2-3-55")
+    payload["frobenius_inputs"][0]["fine_order5"] = "5a"
+    entry = verify_case(CaseFile.from_dict(payload))["frobenius"][0]
+    assert entry["cycle_type"] == [5, 1] and entry["class"] == "5a" and "note" not in entry
+    assert entry["charpolys"] == [[[c.c0, c.c1] for c in resolved[0]]]
 
 
 def test_matrix_oracle_agrees_with_frozen_tables():
