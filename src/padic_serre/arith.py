@@ -2,10 +2,9 @@
 
 There is one finite-field element type, ``Fp2Elem``, built directly as
 ``Fp2Elem(p, c0, c1)``; an element of the prime field F_p is an ``Fp2Elem``
-with c1 == 0, and ``elements(p)`` lists a whole field.  Elements are
-interned, one object per value, keyed by the integer code c0 + p*c1; +, -
-and * compute the coefficients of the result and return its interned
-element.
+with c1 == 0, and ``elements(p)`` lists a whole field.  An element is a
+plain read-only value, a ``Record`` of p and its coefficients; +, - and *
+compute the coefficients of the result and return a new element.
 
 Everything here is immutable and pure; rationals are ``fractions.Fraction``
 (always lowest terms, positive denominator), valuations are additive with
@@ -96,36 +95,20 @@ def quadratic_modulus(p: int) -> tuple[int, int]:
     raise AssertionError("no irreducible quadratic found")  # impossible
 
 
-_ELEMENTS: dict[int, dict[int, "Fp2Elem"]] = {}  # p -> code c0 + p*c1 -> element
+class Record:
+    """Base of the package's value types.  The fields are the ``__slots__``,
+    in constructor order: ``__init__`` validates, then sets them all with
+    ``_set``, and from then on the record is read-only.  Equality, hash,
+    repr and pickling go by the field values."""
 
+    __slots__ = ()
 
-class Fp2Elem:
-    """c0 + c1*w in F_p[w]/(w^2 + b*w + c), the modulus fixed by the prime.
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
-    Elements are interned: ``Fp2Elem(p, c0, c1)`` returns the one object for
-    that value, so equality is identity (the inherited ``object.__eq__``)
-    and attributes cannot be set.  The hash is that of (p, c0, c1).  Sums,
-    differences and products are computed from the coefficients, with
-    w^2 = -b*w - c, and return the interned result.
-    """
-
-    __slots__ = ("p", "c0", "c1", "_code", "_hash")
-
-    def __new__(cls, p: int, c0: int, c1: int) -> "Fp2Elem":
-        c0, c1 = c0 % p, c1 % p
-        elems = _ELEMENTS.get(p)
-        if elems is None:
-            elems = _ELEMENTS.setdefault(p, {})
-        code = c0 + p * c1
-        elem = elems.get(code)
-        if elem is None:
-            elem = object.__new__(cls)
-            for name, value in (("p", p), ("c0", c0), ("c1", c1), ("_code", code),
-                                ("_hash", hash((p, c0, c1)))):
-                object.__setattr__(elem, name, value)
-            # setdefault is atomic: racing threads still share one object per value
-            elem = elems.setdefault(code, elem)
-        return elem
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -133,11 +116,34 @@ class Fp2Elem:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __reduce__(self):
-        return (Fp2Elem, (self.p, self.c0, self.c1))
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
 
     def __hash__(self):
-        return self._hash
+        return hash(self._values())
+
+    def __reduce__(self):
+        return (self.__class__, self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Fp2Elem(Record):
+    """c0 + c1*w in F_p[w]/(w^2 + b*w + c), the modulus fixed by the prime.
+
+    A read-only value: the coefficients are reduced mod p, and equality,
+    hash and pickling go by (p, c0, c1).  Sums, differences and products
+    are computed from the coefficients, with w^2 = -b*w - c.
+    """
+
+    __slots__ = ("p", "c0", "c1")
+
+    def __init__(self, p: int, c0: int, c1: int):
+        self._set(p, c0 % p, c1 % p)
 
     def _coerce(self, other) -> "Fp2Elem":
         if isinstance(other, Fp2Elem):
@@ -188,43 +194,6 @@ def elements(p: int):
     for c0 in range(p):
         for c1 in range(p):
             yield Fp2Elem(p, c0, c1)
-
-
-class Record:
-    """Base of the package's value types.  The fields are the ``__slots__``,
-    in constructor order: ``__init__`` validates, then sets them all with
-    ``_set``, and from then on the record is read-only.  Equality, hash,
-    repr and pickling go by the field values."""
-
-    __slots__ = ()
-
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __reduce__(self):
-        return (self.__class__, self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__name__}({fields})"
 
 
 def cube_root_of_unity(p: int) -> Fp2Elem:

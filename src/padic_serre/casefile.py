@@ -119,9 +119,11 @@ class CaseFile(Record):
 
 def _frobenius_input(entry: dict) -> dict:
     """A copy of the entry with ell, and the stored cycle type, Artin power
-    and residue degree if any, read as integers, and the order-5 class if
-    any checked against FINE_ORDER5."""
+    and residue degree if any, read as integers, ell checked to be prime,
+    and the order-5 class if any checked against FINE_ORDER5."""
     out = dict(entry, ell=json_int(entry["ell"]))
+    if not is_prime(out["ell"]):
+        raise SchemaError(f"frobenius_inputs row at ell {out['ell']}: ell is not prime")
     for key in ("artin_power", "residue_degree"):
         if key in entry:
             out[key] = json_int(entry[key])

@@ -4,9 +4,9 @@ Subcommands: polygon, precision, certify, level, weights, frobenius,
 verify-case.  Polynomials travel as JSON arrays of decimal coefficient
 strings, constant term first.  Each subcommand returns a JSON payload, which
 ``main`` alone writes, to stdout or --json-out, and turns into the exit code:
-0 success, 1 golden mismatch, 2 parse or schema error (a non-prime --p or an
-unwritable --json-out too), 3 mathematical inconsistency (a Frobenius row at
-an ell dividing pN too).
+0 success, 1 golden mismatch, 2 parse or schema error (a non-prime --p, a
+Frobenius row at a non-prime ell or an unwritable --json-out too), 3
+mathematical inconsistency (a Frobenius row at an ell dividing pN too).
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ matrix_oracle and the mod-3 image in SL_3(F_9) of rep3a6.
 
 Matrices are tuples of row tuples of Fp2Elem, so they hash and can be
 dictionary keys.  In the group layer a 3x3 matrix is the flat tuple of its
-nine entries' codes c0 + p*c1 (``Fp2Elem._code``): every product is a chain
+nine entries' codes c0 + p*c1, computed here by ``_code`` from an element's
+coefficients (``Fp2Elem`` itself holds no code): every product is a chain
 of lookups in the field's tables of the codes of x_i*x_j and x_i+x_j,
 tabulated once from the ``Fp2Elem`` operators, so the field law lives only
 in arith.  ``_group`` is the one builder: it encodes the generators, closes
@@ -34,21 +35,25 @@ def mat(rows) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
+def _code(x: Fp2Elem) -> int:
+    return x.c0 + x.p * x.c1
+
+
 @lru_cache(maxsize=None)
 def _tables(p: int) -> tuple[list[Fp2Elem], Table, Table]:
     """The elements of F_{p^2} by code c0 + p*c1, and the tables of * and +:
     row i lists the codes of x_i*x_j and x_i+x_j for every code j, built
     once per field by the ``Fp2Elem`` operators."""
     elems = [Fp2Elem(p, i % p, i // p) for i in range(p * p)]
-    mul = [[(x * y)._code for y in elems] for x in elems]
-    add = [[(x + y)._code for y in elems] for x in elems]
+    mul = [[_code(x * y) for y in elems] for x in elems]
+    add = [[_code(x + y) for y in elems] for x in elems]
     return elems, mul, add
 
 
 def _encode(ms: list[Matrix]) -> tuple[list[Code], int]:
     """The flat code tuples of 3x3 matrices over one F_{p^2}, and p."""
     p = ms[0][0][0].p
-    codes = [tuple([x._code for row in m if len(row) == 3 for x in row if x.p == p]) for m in ms]
+    codes = [tuple([_code(x) for row in m if len(row) == 3 for x in row if x.p == p]) for m in ms]
     if any(len(m) != 3 or len(code) != 9 for m, code in zip(ms, codes)):
         raise ValueError(f"expected 3x3 matrices over F_{p}^2")
     return codes, p

@@ -325,6 +325,10 @@ def _certificate_without_f(d):
     ("2-3-59", lambda d: d.update(note=1)),
     ("3-13-9", lambda d: d.update(name=["x"])),
     ("3-13-9", lambda d: d.update(name=1)),
+    ("5-17-1", lambda d: d["frobenius_inputs"].append({"ell": 4, "cycle_type": [1] * 6})),
+    ("5-17-1", lambda d: d["frobenius_inputs"].append({"ell": 0, "cycle_type": [1] * 6})),
+    ("5-17-1", lambda d: d["frobenius_inputs"].append({"ell": 1, "cycle_type": [1] * 6})),
+    ("5-17-1", lambda d: d["frobenius_inputs"].append({"ell": -3, "cycle_type": [1] * 6})),
 ], ids=["p-float", "p-not-prime", "artin-power-float", "residue-degree-float",
         "cycle-type-int", "nebentype-k-bool",
         "certificate-p-float", "evidence-q-float", "expected-level-float", "expected-level-list",
@@ -335,7 +339,8 @@ def _certificate_without_f(d):
         "data-only-string", "data-only-zero", "fine-order5-int", "fine-order5-unknown-label",
         "certificates-object", "certificates-string", "level-data-object",
         "frobenius-inputs-object", "eigenvalues-object", "skipped-ells-object",
-        "skipped-ells-letter", "note-int", "name-list", "name-int"])
+        "skipped-ells-letter", "note-int", "name-list", "name-int", "frobenius-ell-4",
+        "frobenius-ell-0", "frobenius-ell-1", "frobenius-ell-negative"])
 def test_case_values_outside_the_schema_exit_2(tmp_path, capsys, case, edit):
     payload = case_json(case)
     edit(payload)

@@ -7,7 +7,8 @@ import types
 import pytest
 
 import padic_serre
-from padic_serre import CoarseClassA6, LevelDatum, NewtonPolygon, RamFiltration
+from padic_serre import CoarseClassA6, Fp2Elem, LevelDatum, NewtonPolygon, RamFiltration
+from padic_serre.arith import Record
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -40,3 +41,8 @@ def test_records_are_read_only_values():
         datum.q = 7
     with pytest.raises(AttributeError):
         del datum.filtration
+    x = Fp2Elem(5, 7, -1)
+    assert isinstance(x, Record) and x == Fp2Elem(5, 2, 4) and hash(x) == hash((5, 2, 4))
+    assert pickle.loads(pickle.dumps(x)) == x and repr(x) == "(2 + 4*w mod 5)"
+    with pytest.raises(AttributeError):
+        x.c0 = 0
