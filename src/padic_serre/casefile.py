@@ -24,7 +24,7 @@ import os
 from math import lcm
 from typing import Optional
 
-from .arith import Fp2Elem, Record, is_prime, quadratic_modulus
+from .arith import Record, is_prime, quadratic_modulus
 from .errors import InconsistencyError, SchemaError, json_int, json_list, read_json
 from .galois_local import LevelDatum, level
 from .hecke import EigenvalueRecord, check_attached
@@ -199,11 +199,11 @@ def _cycle_type_checked(case: CaseFile, entry: dict, disc: Optional[int]) -> tup
     return stored
 
 
-def _frobenius_entry(entry: dict, cycle_type, eps_sign: int, p: int) -> dict:
+def _frobenius_entry(entry: dict, cycle_type, eps_sign: int, p: int) -> tuple[dict, list]:
     """The report entry at one ell: the mod-p class of Frobenius, from the
     cover table at p=5 and the symmetric-square table at p=3, and its
-    charpolys twisted by the nebentype sign.  Two candidates mean an
-    unresolved order-5 class."""
+    charpolys twisted by the nebentype sign; returned with those twisted
+    charpolys.  Two candidates mean an unresolved order-5 class."""
     if p == 5:
         label = frobenius_class(cycle_type, entry.get("artin_power", 0),
                                 entry.get("residue_degree", lcm(*cycle_type)))
@@ -223,12 +223,13 @@ def _frobenius_entry(entry: dict, cycle_type, eps_sign: int, p: int) -> dict:
     }
     if len(polys) > 1:
         out["note"] = "order-5 class unresolved: equal or conjugate"
-    return out
+    return out, polys
 
 
-def _frobenius_section(case: CaseFile, n: int, ell_max: int) -> list[dict]:
-    """The Frobenius entries at the rows with ell <= ell_max; n is the level.
-    Rows must have distinct ells prime to pN, where Frobenius is defined."""
+def _frobenius_section(case: CaseFile, n: int, ell_max: int) -> tuple[list[dict], dict]:
+    """The Frobenius entries at the rows with ell <= ell_max, and their
+    twisted charpolys by ell; n is the level.  Rows must have distinct ells
+    prime to pN, where Frobenius is defined."""
     inputs = sorted(case.frobenius_inputs, key=lambda e: e["ell"])
     for a, b in zip(inputs, inputs[1:]):
         if a["ell"] == b["ell"]:
@@ -242,22 +243,13 @@ def _frobenius_section(case: CaseFile, n: int, ell_max: int) -> list[dict]:
             raise InconsistencyError(f"frobenius_inputs row at ell {e['ell']}: ell divides"
                                      f" pN = {case.p * n}, where Frobenius is not defined")
     disc = discriminant(case.sextic) if entries and case.sextic is not None else None
-    return [
-        _frobenius_entry(entry, _cycle_type_checked(case, entry, disc),
-                         case.nebentype.sign_at(entry["ell"]), case.p)
-        for entry in entries
-    ]
-
-
-def _attachment_section(case: CaseFile, frob_section: list[dict]):
-    if not case.eigenvalues:
-        return None
-    frob_polys = {
-        entry["ell"]: [[Fp2Elem(case.p, c0, c1) for c0, c1 in poly]
-                       for poly in entry["charpolys"]]
-        for entry in frob_section
-    }
-    return check_attached(case.eigenvalues, frob_polys).to_json()
+    section, frob_polys = [], {}
+    for entry in entries:
+        out, frob_polys[entry["ell"]] = _frobenius_entry(
+            entry, _cycle_type_checked(case, entry, disc),
+            case.nebentype.sign_at(entry["ell"]), case.p)
+        section.append(out)
+    return section, frob_polys
 
 
 def _golden_mismatches(case: CaseFile, report: dict) -> list[str]:
@@ -307,8 +299,9 @@ def verify_case(case: CaseFile, ell_max: int = DEFAULT_ELL_MAX) -> dict:
     exponents, n = level(case.level_data, p=case.p)
     nebentype_factor(case.nebentype_k, case.nebentype, n)
     weights = predicted_weights(case.inertia_profile, case.p)
-    frob_section = _frobenius_section(case, n, ell_max)
-    attachment = _attachment_section(case, frob_section)
+    frob_section, frob_polys = _frobenius_section(case, n, ell_max)
+    attachment = (check_attached(case.eigenvalues, frob_polys).to_json()
+                  if case.eigenvalues else None)
     b, c = quadratic_modulus(case.p)
     report = {
         "name": case.name,

@@ -43,10 +43,15 @@ def _code(x: Fp2Elem) -> int:
 def _tables(p: int) -> tuple[list[Fp2Elem], Table, Table]:
     """The elements of F_{p^2} by code c0 + p*c1, and the tables of * and +:
     row i lists the codes of x_i*x_j and x_i+x_j for every code j, built
-    once per field by the ``Fp2Elem`` operators."""
+    once per field by the ``Fp2Elem`` operators.  The field is commutative,
+    so only j >= i is computed and mirrored."""
     elems = [Fp2Elem(p, i % p, i // p) for i in range(p * p)]
-    mul = [[_code(x * y) for y in elems] for x in elems]
-    add = [[_code(x + y) for y in elems] for x in elems]
+    mul = [[0] * len(elems) for _ in elems]
+    add = [[0] * len(elems) for _ in elems]
+    for i, x in enumerate(elems):
+        for j in range(i, len(elems)):
+            mul[i][j] = mul[j][i] = _code(x * elems[j])
+            add[i][j] = add[j][i] = _code(x + elems[j])
     return elems, mul, add
 
 

@@ -16,6 +16,7 @@ Frobenius acts on F_ell[x]/(r) through precomputed rows x^(ell*i) mod r.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .arith import Record, is_prime, ord_p
 from .errors import InconsistencyError, json_int
@@ -262,30 +263,31 @@ def newton_polygon(f: IntPoly, p: int) -> NewtonPolygon:
 # root differences
 
 
-def _interpolate_int(points: list[tuple[int, int]]) -> list[int]:
-    """Exact interpolation through integer points via Newton's divided
-    differences; asserts the result has integer coefficients."""
-    xs = [Fraction(x) for x, _ in points]
-    coefs = [Fraction(y) for _, y in points]
-    k = len(points)
+def _interpolate_int(ys: list[int]) -> list[int]:
+    """Coefficients of the polynomial of degree < k = len(ys) taking the
+    values ys at t = 0..k-1, in integers: Newton's forward form
+    sum_j D^j y_0 * t(t-1)...(t-j+1)/j!, scaled by (k-1)! so that every
+    term is an integer, expanded by Horner and divided back exactly;
+    asserts the result has integer coefficients."""
+    k = len(ys)
+    diffs = list(ys)
     for j in range(1, k):
         for i in range(k - 1, j - 1, -1):
-            coefs[i] = (coefs[i] - coefs[i - 1]) / (xs[i] - xs[i - j])
-    # expand the Newton form by Horner: acc <- acc*(x - x_i) + c_i
-    out = [Fraction(0)] * k
-    for i in range(k - 1, -1, -1):
-        new = [Fraction(0)] * k
-        for d in range(k - 1):
-            new[d + 1] += out[d]
-            new[d] -= xs[i] * out[d]
-        new[0] += coefs[i]
-        out = new
-    ints = []
-    for c in out:
-        if c.denominator != 1:
-            raise AssertionError("interpolation produced a non-integer coefficient")
-        ints.append(c.numerator)
-    return ints
+            diffs[i] -= diffs[i - 1]
+    # acc <- acc*(x - j) + D^j y_0 * (k-1)!/j!, for j = k-1 down to 0
+    acc: list[int] = []
+    weight = 1
+    for j in range(k - 1, -1, -1):
+        acc.insert(0, 0)
+        for d in range(len(acc) - 1):
+            acc[d] -= j * acc[d + 1]
+        acc[0] += diffs[j] * weight
+        weight *= j
+    scale = factorial(k - 1)
+    ints = [divmod(c, scale) for c in acc]
+    if any(rem for _, rem in ints):
+        raise AssertionError("interpolation produced a non-integer coefficient")
+    return [q for q, _ in ints]
 
 
 def root_diff_poly(f: IntPoly) -> IntPoly:
@@ -296,9 +298,7 @@ def root_diff_poly(f: IntPoly) -> IntPoly:
     n = f.degree
     if n < 2 or not f.is_monic():
         raise ValueError("root_diff_poly needs a monic polynomial of degree >= 2")
-    npts = n * n + 1
-    points = [(t, resultant(f, f.shift(t))) for t in range(npts)]
-    full = _interpolate_int(points)
+    full = _interpolate_int([resultant(f, f.shift(t)) for t in range(n * n + 1)])
     if any(full[:n]) or len(full) != n * n + 1:
         raise AssertionError("resultant lacks the expected x^n factor")
     if full[n] == 0:  # +-disc f: a repeated root leaves a further factor x

@@ -1,7 +1,10 @@
+import math
 import random
 
 import pytest
 
+from padic_serre.arith import ord_p
+from padic_serre.casefile import load_bundled_case
 from padic_serre.errors import InconsistencyError
 from padic_serre.galois_local import (
     FIXED_DIM_TABLE,
@@ -13,6 +16,7 @@ from padic_serre.galois_local import (
     lifting_obstruction_vanishes,
     solve_break_equation,
 )
+from padic_serre.polynomial import discriminant, newton_polygon
 
 WILD_2 = RamFiltration(((12, 0),) + ((4, 0),) * 5)   # order-12 inertia, Klein breaks to 5
 TAME_3CYCLE = RamFiltration(((3, 1),))
@@ -78,6 +82,27 @@ def test_level_exponent_monotone_in_fixed_dims():
 def test_tame_case_is_dim_loss():
     for fix in range(4):
         assert level_exponent(RamFiltration(((5, fix),))) == 3 - fix
+
+
+def test_3_7_3_tame_inertia_order_from_the_sextic():
+    """The sextic mod 7 has roots 1 and 4 only.  Each shifted polygon has
+    one positive slope, with the segment length as its denominator: one
+    totally ramified factor with e = 2 at 1 and e = 4 at 4.  The lengths
+    cover all six roots and sum(e - 1) = ord_7 disc f leaves no index
+    contribution, so inertia at 7 is tame and cyclic of order lcm(e) = 4."""
+    case = load_bundled_case("3-7-3")
+    f, q = case.sextic, 7
+    roots = [a for a in range(q) if f(a) % q == 0]
+    assert roots == [1, 4]
+    es = []
+    for a in roots:
+        (slope, length), = [seg for seg in newton_polygon(f.shift(a), q).segments if seg[0] > 0]
+        assert slope.denominator == length
+        es.append(length)
+    assert es == [2, 4] and sum(es) == f.degree
+    assert sum(e - 1 for e in es) == ord_p(discriminant(f), q)
+    (datum,) = [d for d in case.level_data if d.q == q]
+    assert datum.filtration.entries == ((math.lcm(*es), 1),)
 
 
 def test_fixed_dim_table_values():

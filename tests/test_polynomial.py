@@ -8,6 +8,7 @@ from padic_serre.arith import ord_p
 from padic_serre.errors import InconsistencyError
 from padic_serre.polynomial import (
     IntPoly,
+    _interpolate_int,
     cycle_type_mod_ell,
     discriminant,
     newton_polygon,
@@ -164,6 +165,78 @@ def test_root_diff_poly_requires_squarefree():
     for f in (IntPoly([1, 2, 1]), IntPoly([2, -3, 0, 1])):
         with pytest.raises(InconsistencyError, match="polynomial is not squarefree"):
             root_diff_poly(f)
+
+
+# -- integer interpolation against the Fraction reference -------------------
+
+def _fraction_interpolate(points):
+    """Reference: exact interpolation through integer points by Newton's
+    divided differences over Fraction; asserts integer coefficients."""
+    xs = [Fraction(x) for x, _ in points]
+    coefs = [Fraction(y) for _, y in points]
+    k = len(points)
+    for j in range(1, k):
+        for i in range(k - 1, j - 1, -1):
+            coefs[i] = (coefs[i] - coefs[i - 1]) / (xs[i] - xs[i - j])
+    # expand the Newton form by Horner: acc <- acc*(x - x_i) + c_i
+    out = [Fraction(0)] * k
+    for i in range(k - 1, -1, -1):
+        new = [Fraction(0)] * k
+        for d in range(k - 1):
+            new[d + 1] += out[d]
+            new[d] -= xs[i] * out[d]
+        new[0] += coefs[i]
+        out = new
+    ints = []
+    for c in out:
+        if c.denominator != 1:
+            raise AssertionError("interpolation produced a non-integer coefficient")
+        ints.append(c.numerator)
+    return ints
+
+
+def _reference_root_diff_poly(f):
+    """root_diff_poly's resultants, interpolated by the reference."""
+    n = f.degree
+    full = _fraction_interpolate([(t, resultant(f, f.shift(t))) for t in range(n * n + 1)])
+    assert not any(full[:n]) and full[n] != 0
+    return IntPoly(full[n:])
+
+
+def test_interpolation_matches_fraction_reference():
+    rng = random.Random(21)
+    for deg in range(0, 65, 4):
+        coeffs = [rng.randint(-10**40, 10**40) for _ in range(deg)] + [rng.randint(1, 10**40)]
+        ys = [IntPoly(coeffs)(t) for t in range(deg + 1)]
+        assert _interpolate_int(ys) == coeffs
+        assert _fraction_interpolate(list(enumerate(ys))) == coeffs
+
+
+def test_interpolation_rejects_non_integer_coefficients():
+    ys = [t * (t - 1) // 2 for t in range(4)]  # x(x-1)/2, integer-valued only
+    with pytest.raises(AssertionError, match="non-integer"):
+        _interpolate_int(ys)
+    with pytest.raises(AssertionError, match="non-integer"):
+        _fraction_interpolate(list(enumerate(ys)))
+
+
+def _eisenstein(rng, n, p):
+    coeffs = [p * rng.randint(-4, 4) for _ in range(n)] + [1]
+    coeffs[0] = p * rng.choice([u for u in range(-4, 5) if u % p])
+    return IntPoly(coeffs)
+
+
+def test_root_diff_poly_matches_fraction_reference():
+    rng = random.Random(21)
+    polys = [_eisenstein(rng, 6, p) for p in (2, 3, 5) for _ in range(2)]
+    polys += [_random_poly(rng, n) for n in range(2, 8) for _ in range(2)]
+    checked = 0
+    for f in polys:
+        if discriminant(f) == 0:
+            continue
+        assert root_diff_poly(f) == _reference_root_diff_poly(f)
+        checked += 1
+    assert checked >= 15
 
 
 def test_cycle_type_examples():
