@@ -16,24 +16,13 @@ from .errors import (
     PadicSerreError,
     SchemaError,
 )
-from .galois_local import (
-    FIXED_DIM_TABLE,
-    LevelDatum,
-    RamFiltration,
-    filtration_from_distances,
-    level,
-    level_exponent,
-    lifting_obstruction_vanishes,
-    solve_break_equation,
-)
+from .galois_local import LevelDatum, RamFiltration, level, level_exponent
 from .hecke import AttachmentVerdict, EigenvalueRecord, check_attached, hecke_poly, solve_record
 from .krasner import (
     Certificate,
     PrecisionReport,
     certify_same_extension,
     is_eisenstein,
-    lambda_exact,
-    lambda_upper_bound,
     precision_k,
     precision_report,
     resultant_margin,
@@ -49,7 +38,6 @@ from .polynomial import (
     root_diff_poly,
 )
 from .rep3a6 import (
-    CoarseClassA6,
     a6_mod3_class_polys,
     central_twist,
     char_value,
@@ -57,7 +45,6 @@ from .rep3a6 import (
     frob_charpoly,
     frobenius_class,
     inverse_class,
-    sym_square_charpoly,
 )
 from .weights import (
     DirichletCharacter,

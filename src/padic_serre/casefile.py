@@ -31,7 +31,6 @@ from .hecke import EigenvalueRecord, check_attached
 from .krasner import METHODS, certify_same_extension, parse_evidence
 from .polynomial import IntPoly, cycle_type_mod_ell, discriminant
 from .rep3a6 import (
-    CoarseClassA6,
     coarse_from_cycle_type,
     frob_charpoly,
     frobenius_class,
@@ -138,14 +137,17 @@ def _frobenius_input(entry: dict) -> dict:
 
 def _certificate_request(req: dict) -> dict:
     """A certificate request as the keyword arguments of
-    ``certify_same_extension``."""
+    ``certify_same_extension``, its p checked to be prime."""
     method = req.get("method", "prop1")
     if method not in METHODS:
         raise SchemaError(f"certificate method {method!r} is not one of {METHODS}")
+    p = json_int(req["p"])
+    if not is_prime(p):
+        raise SchemaError(f"certificate p = {p} is not prime")
     return {
         "f": IntPoly.from_json(req["f"]),
         "g": IntPoly.from_json(req["g"]),
-        "p": json_int(req["p"]),
+        "p": p,
         "evidence_f": parse_evidence(req["evidence_f"]),
         "evidence_g": parse_evidence(req["evidence_g"]),
         "method": method,
@@ -209,11 +211,10 @@ def _frobenius_entry(entry: dict, cycle_type, eps_sign: int, p: int) -> tuple[di
                                 entry.get("residue_degree", lcm(*cycle_type)))
         candidates = [frob_charpoly(label, 1)]
     else:
-        base = coarse_from_cycle_type(cycle_type)
-        if base.label == "5ab" and entry.get("fine_order5") in ("5a", "5b"):
-            base = CoarseClassA6("5ab", None, entry["fine_order5"])
-        label = base.label if base.fine_order5 in (None, "unknown") else base.fine_order5
-        candidates = mod3_charpoly_candidates(base)
+        label = coarse_from_cycle_type(cycle_type)
+        if label == "5ab" and entry.get("fine_order5") in ("5a", "5b"):
+            label = entry["fine_order5"]
+        candidates = mod3_charpoly_candidates(label)
     polys = [twist(poly, eps_sign) for poly in candidates]
     out = {
         "ell": entry["ell"],
@@ -252,7 +253,9 @@ def _frobenius_section(case: CaseFile, n: int, ell_max: int) -> tuple[list[dict]
     return section, frob_polys
 
 
-def _golden_mismatches(case: CaseFile, report: dict) -> list[str]:
+def _golden_mismatches(case: CaseFile, report: dict, ell_max: int) -> list[str]:
+    """The golden values the report misses; a pinned Frobenius class above
+    ell_max is out of the report's range, not missing."""
     expected = case.expected or {}
     mismatches = []
     if "level" in expected:
@@ -270,6 +273,8 @@ def _golden_mismatches(case: CaseFile, report: dict) -> list[str]:
         if want_w != got_w:
             mismatches.append(f"weights: expected {want_w}, computed {got_w}")
     for ell, label in (expected.get("frobenius_classes") or {}).items():
+        if ell > ell_max:
+            continue
         found = next((e for e in report["frobenius"] if e["ell"] == ell), None)
         if found is None or found.get("class") != label:
             mismatches.append(
@@ -325,7 +330,7 @@ def verify_case(case: CaseFile, ell_max: int = DEFAULT_ELL_MAX) -> dict:
     }
     report["golden"] = {
         "checked": case.expected is not None,
-        "mismatches": _golden_mismatches(case, report),
+        "mismatches": _golden_mismatches(case, report, ell_max),
     }
     return report
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .arith import ORD_INFINITY, Record, ord_p
+from .arith import ORD_INFINITY, Record, is_prime, ord_p
 from .errors import EvidenceError, InconsistencyError, SchemaError, json_int
 from .polynomial import (
     IntPoly,
@@ -74,7 +74,7 @@ def parse_evidence(claim) -> tuple:
     """The claim ["kind"] or ["kind", arg] as a tuple, with the argument of
     "eisenstein-after-shift" and "irreducible-mod-q" read by ``json_int``.
     SchemaError for a claim that is not a list or tuple, an unknown kind,
-    or a missing, extra or non-integer argument."""
+    a missing, extra or non-integer argument, or a q that is not prime."""
     if not isinstance(claim, (list, tuple)) or not claim or claim[0] not in EVIDENCE_KINDS:
         raise SchemaError(f"evidence {claim!r} is not a list starting with one of {EVIDENCE_KINDS}")
     kind, *args = claim
@@ -82,9 +82,12 @@ def parse_evidence(claim) -> tuple:
     if len(args) != arity:
         raise SchemaError(f"evidence {kind} takes {arity} argument(s), got {args!r}")
     try:
-        return (kind, *map(json_int, args))
+        parsed = (kind, *map(json_int, args))
     except ValueError as exc:
         raise SchemaError(f"evidence {kind} needs an integer argument, got {args!r}") from exc
+    if kind == "irreducible-mod-q" and not is_prime(parsed[1]):
+        raise SchemaError(f"evidence {kind}: q = {parsed[1]} is not prime")
+    return parsed
 
 
 def validate_evidence(f: IntPoly, p: int, evidence, which: str) -> bool:
@@ -121,8 +124,9 @@ def validate_evidence(f: IntPoly, p: int, evidence, which: str) -> bool:
 
 
 def _invariants(f: IntPoly, p: int, with_lambda: bool) -> tuple:
-    """(n, d, a, lambda) of f, lambda None unless with_lambda; then d is read
-    off the root-difference polynomial, whose constant term is +-disc f."""
+    """(n, d, a, lambda) of f.  lambda, the largest finite slope of the
+    Newton polygon of the root-difference polynomial, is None unless
+    with_lambda; then d is read off that polynomial's constant term, +-disc f."""
     if not f.is_monic():
         raise InconsistencyError("polynomial must be monic")
     n = f.degree
@@ -138,18 +142,6 @@ def _invariants(f: IntPoly, p: int, with_lambda: bool) -> tuple:
     if disc == 0:
         raise InconsistencyError("polynomial is not squarefree")
     return n, ord_p(disc, p), ord_p(f.constant, p), None
-
-
-def lambda_exact(f: IntPoly, p: int) -> Fraction:
-    """max ord_p(a_i - a_j) over root pairs: the largest finite slope of the
-    Newton polygon of the root-difference polynomial."""
-    return _invariants(f, p, True)[3]
-
-
-def lambda_upper_bound(f: IntPoly, p: int) -> Fraction:
-    """(d - (n-2)a)/n, valid whenever f is monic irreducible."""
-    n, d, a, _ = _invariants(f, p, False)
-    return Fraction(d - (n - 2) * a, n)
 
 
 def _strict_ceil(bound: Optional[Fraction]) -> Optional[int]:

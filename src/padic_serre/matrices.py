@@ -97,10 +97,6 @@ def scalar_mul(c: Fp2Elem, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def det2(a: Matrix) -> Fp2Elem:
-    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-
-
 def det3(a: Matrix) -> Fp2Elem:
     return (
         a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])

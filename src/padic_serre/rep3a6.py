@@ -3,8 +3,9 @@ and its triple cover, with the mod-5 character data, Frobenius class
 resolution, characteristic polynomials, and the mod-3 symmetric-square
 construction.
 
-Classes of the base group are collapsed by character value into
-1a, 2a, 3ab, 4a, 5ab; the cover's thirteen coarse classes are
+Classes are plain label strings.  Classes of the base group are collapsed
+by character value into 1a, 2a, 3ab, 4a, 5ab; the cover's thirteen coarse
+classes are
 
     1a 3a 3b 2a 6a 6b 3cd 4a 12a 12b 5ab 15ac 15bd
 
@@ -21,22 +22,21 @@ scalar walks 1a->3a->3b, 2a->6a->6b, 4a->12a->12b, 5ab->15ac->15bd.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
+from math import lcm
 
-from .arith import Fp2Elem, Record, cube_root_of_unity
+from .arith import Fp2Elem, cube_root_of_unity
 from .errors import InconsistencyError
-from .matrices import Matrix, _classes, _decode, _group, charpoly3_reversed, det2, mat
+from .matrices import Matrix, _classes, _decode, _group, charpoly3_reversed, mat
 
-A6_COARSE = ("1a", "2a", "3ab", "4a", "5ab")
 COVER_COARSE = ("1a", "3a", "3b", "2a", "6a", "6b", "3cd", "4a", "12a", "12b", "5ab", "15ac", "15bd")
 
 _CYCLE_TYPE_TO_COARSE = {
-    (1, 1, 1, 1, 1, 1): ("1a", None, None),
-    (2, 2, 1, 1): ("2a", None, None),
-    (3, 1, 1, 1): ("3ab", "3-cycle", None),
-    (3, 3): ("3ab", "double-3-cycle", None),
-    (4, 2): ("4a", None, None),
-    (5, 1): ("5ab", None, "unknown"),
+    (1, 1, 1, 1, 1, 1): "1a",
+    (2, 2, 1, 1): "2a",
+    (3, 1, 1, 1): "3ab",
+    (3, 3): "3ab",
+    (4, 2): "4a",
+    (5, 1): "5ab",
 }
 
 #: central twist: base class and scalar power i -> cover class
@@ -55,43 +55,23 @@ INVERSE_CLASS = {
 }
 
 
-class CoarseClassA6(Record):
-    __slots__ = ("label", "fine_order3", "fine_order5")
-
-    def __init__(self, label: str,
-                 fine_order3: Optional[str] = None,   # "3-cycle" | "double-3-cycle"
-                 fine_order5: Optional[str] = None):  # "5a" | "5b" | "unknown"
-        if label not in A6_COARSE:
-            raise InconsistencyError(f"unknown coarse class {label}")
-        if fine_order3 is not None and label != "3ab":
-            raise InconsistencyError("fine order-3 data only applies to 3ab")
-        if fine_order5 is not None and label != "5ab":
-            raise InconsistencyError("fine order-5 data only applies to 5ab")
-        self._set(label, fine_order3, fine_order5)
-
-    @property
-    def element_order(self) -> int:
-        return {"1a": 1, "2a": 2, "3ab": 3, "4a": 4, "5ab": 5}[self.label]
-
-
-def coarse_from_cycle_type(partition) -> CoarseClassA6:
-    """Coarse class of a permutation with the given cycle type (a partition
-    of 6); odd permutations are rejected."""
+def coarse_from_cycle_type(partition) -> str:
+    """Coarse class label (1a, 2a, 3ab, 4a or 5ab) of a permutation with the
+    given cycle type (a partition of 6); odd permutations are rejected."""
     key = tuple(sorted((int(x) for x in partition), reverse=True))
     if sum(key) != 6:
         raise InconsistencyError(f"{key} is not a partition of 6")
     if sum(part - 1 for part in key) % 2:
         raise InconsistencyError(f"cycle type {key} is odd: not an even permutation")
-    label, fine3, fine5 = _CYCLE_TYPE_TO_COARSE[key]
-    return CoarseClassA6(label, fine3, fine5)
+    return _CYCLE_TYPE_TO_COARSE[key]
 
 
-def central_twist(base: CoarseClassA6, i: int) -> str:
+def central_twist(base: str, i: int) -> str:
     """Cover class of (unique same-order lift of base) times the i-th power
     of the central scalar.  Order-3 base classes have no such unique lift."""
-    if base.label == "3ab":
+    if base == "3ab":
         raise InconsistencyError("order-3 base class: use the order-3 rule (3cd)")
-    return _CENTRAL_TWIST[(base.label, i % 3)]
+    return _CENTRAL_TWIST[(base, i % 3)]
 
 
 def frobenius_class(cycle_type, artin_power: int, residue_degree: int) -> str:
@@ -102,11 +82,12 @@ def frobenius_class(cycle_type, artin_power: int, residue_degree: int) -> str:
     artin_power * residue_degree (the residue degree must equal the element
     order, and is its own inverse mod 3)."""
     base = coarse_from_cycle_type(cycle_type)
-    if base.label == "3ab":
+    if base == "3ab":
         return "3cd"
-    if residue_degree != base.element_order:
+    order = lcm(*cycle_type)
+    if residue_degree != order:
         raise InconsistencyError(
-            f"residue degree {residue_degree} does not match element order {base.element_order}"
+            f"residue degree {residue_degree} does not match element order {order}"
         )
     return central_twist(base, artin_power * residue_degree)
 
@@ -171,15 +152,6 @@ def sym_square(m: Matrix) -> Matrix:
     ])
 
 
-def sym_square_charpoly(m: Matrix) -> list[Fp2Elem]:
-    """Characteristic polynomial det(1 - Sym^2(m) t) of a determinant-one
-    2x2 matrix; its trace is trace(m)^2 - 1."""
-    p = m[0][0].p
-    if det2(m) != Fp2Elem(p, 1, 0):
-        raise InconsistencyError("matrix must have determinant 1")
-    return charpoly3_reversed(sym_square(m))
-
-
 def sl2_generators(p: int, entries) -> list[Matrix]:
     """The transvections [[1, t], [0, 1]] and [[1, 0], [t, 1]] for each t in
     entries.  With entries spanning F_q over F_p they generate SL_2(F_q)."""
@@ -231,14 +203,12 @@ MOD3_CLASS_POLYS = {
 }
 
 
-def mod3_charpoly_candidates(cls: CoarseClassA6) -> list[list[Fp2Elem]]:
-    """Charpoly candidates for a coarse class in the first mod-3 table.
+def mod3_charpoly_candidates(label: str) -> list[list[Fp2Elem]]:
+    """Charpoly candidates for a class label in the first mod-3 table.
 
-    A resolved fine order-5 label gives one candidate; an unknown one gives
-    both, in which case downstream checks can only conclude "equal or
-    conjugate"."""
-    if cls.label == "5ab":
-        if cls.fine_order5 in ("5a", "5b"):
-            return [MOD3_CLASS_POLYS[cls.fine_order5]]
+    "5ab", an order-5 class not resolved to 5a or 5b, gives both
+    candidates, in which case downstream checks can only conclude "equal or
+    conjugate"; any other label gives its one polynomial."""
+    if label == "5ab":
         return [MOD3_CLASS_POLYS["5a"], MOD3_CLASS_POLYS["5b"]]
-    return [MOD3_CLASS_POLYS[cls.label]]
+    return [MOD3_CLASS_POLYS[label]]

@@ -24,12 +24,10 @@ from padic_serre.galois_local import LevelDatum, RamFiltration, level_exponent, 
 from padic_serre.hecke import EigenvalueRecord, check_attached, solve_record
 from padic_serre.krasner import (
     certify_same_extension,
-    lambda_exact,
-    lambda_upper_bound,
     precision_report,
     resultant_margin,
 )
-from padic_serre.matrices import det2, trace
+from padic_serre.matrices import charpoly3_reversed, trace
 from padic_serre.matrix_oracle import classified_cover, oracle_charpoly
 from padic_serre.polynomial import IntPoly, cycle_type_mod_ell, discriminant, newton_polygon
 from padic_serre.rep3a6 import (
@@ -40,7 +38,7 @@ from padic_serre.rep3a6 import (
     frobenius_class,
     inverse_class,
     sl2_generators,
-    sym_square_charpoly,
+    sym_square,
 )
 from padic_serre.weights import Triple, p_restrict
 
@@ -154,7 +152,8 @@ def _sweep_6a():
         if discriminant(f) == 0:
             continue
         checked += 1
-        if lambda_exact(f, p) > lambda_upper_bound(f, p):
+        rep = precision_report(f, p, "prop1")
+        if rep.lam > Fraction(rep.d - (rep.n - 2) * rep.a, rep.n):
             failures += 1
     return checked, failures
 
@@ -202,8 +201,8 @@ def _sweep_6d():
     failures = 0
     for _ in range(1000):
         m = rng.choice(elems)
-        assert det2(m) == one
-        cp = sym_square_charpoly(m)
+        assert m[0][0] * m[1][1] - m[0][1] * m[1][0] == one
+        cp = charpoly3_reversed(sym_square(m))
         tr = trace(m)
         if cp[1] != -(tr * tr - one):
             failures += 1

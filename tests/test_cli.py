@@ -224,6 +224,16 @@ def test_golden_mismatch_exit_code(tmp_path, capsys, case, expected, mismatch):
     assert main(["verify-case", path, "--json-out", str(tmp_path / "r.json")]) == 1
 
 
+def test_golden_class_above_ell_max_is_not_checked(capsys):
+    # 5-17-1 pins the class at 2; with --ell-max 1 no Frobenius row is
+    # computed, so the pin is out of range, not missing
+    assert main(["verify-case", "5-17-1", "--ell-max", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["frobenius"] == [] and report["golden"]["mismatches"] == []
+    assert main(["verify-case", "5-17-1", "--ell-max", "2"]) == 0
+    assert [e["class"] for e in json.loads(capsys.readouterr().out)["frobenius"]] == ["15bd"]
+
+
 def test_schema_error_exit_code(tmp_path):
     path = _write(tmp_path, "incomplete.json", {"name": "x", "sextic": ["1", "1"]})
     assert main(["verify-case", path]) == 2
@@ -329,6 +339,9 @@ def _certificate_without_f(d):
     ("5-17-1", lambda d: d["frobenius_inputs"].append({"ell": 0, "cycle_type": [1] * 6})),
     ("5-17-1", lambda d: d["frobenius_inputs"].append({"ell": 1, "cycle_type": [1] * 6})),
     ("5-17-1", lambda d: d["frobenius_inputs"].append({"ell": -3, "cycle_type": [1] * 6})),
+    ("5-17-1", lambda d: d["level_data"][0].update(q=4)),
+    ("5-17-1", lambda d: _certificate(d, p=4)),
+    ("5-17-1", lambda d: _certificate(d, evidence_f=["irreducible-mod-q", 9])),
 ], ids=["p-float", "p-not-prime", "artin-power-float", "residue-degree-float",
         "cycle-type-int", "nebentype-k-bool",
         "certificate-p-float", "evidence-q-float", "expected-level-float", "expected-level-list",
@@ -340,7 +353,8 @@ def _certificate_without_f(d):
         "certificates-object", "certificates-string", "level-data-object",
         "frobenius-inputs-object", "eigenvalues-object", "skipped-ells-object",
         "skipped-ells-letter", "note-int", "name-list", "name-int", "frobenius-ell-4",
-        "frobenius-ell-0", "frobenius-ell-1", "frobenius-ell-negative"])
+        "frobenius-ell-0", "frobenius-ell-1", "frobenius-ell-negative", "level-q-4",
+        "certificate-p-4", "evidence-q-9"])
 def test_case_values_outside_the_schema_exit_2(tmp_path, capsys, case, edit):
     payload = case_json(case)
     edit(payload)
@@ -427,6 +441,15 @@ def test_level_rejects_non_integer_prime(tmp_path, capsys):
     })
     assert main(["level", data]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_level_rejects_non_prime_q(tmp_path, capsys):
+    data = _write(tmp_path, "lvl.json", {
+        "level_data": [{"q": 4, "filtration": [{"order": 3, "fixed_dim": 1}]}]
+    })
+    assert main(["level", data]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "q 4: q is not prime" in captured.err
 
 
 @pytest.mark.parametrize("payload", [{}, {"level_data": {}}, {"level_data": "2"}],

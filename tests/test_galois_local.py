@@ -6,16 +6,7 @@ import pytest
 from padic_serre.arith import ord_p
 from padic_serre.casefile import load_bundled_case
 from padic_serre.errors import InconsistencyError
-from padic_serre.galois_local import (
-    FIXED_DIM_TABLE,
-    LevelDatum,
-    RamFiltration,
-    filtration_from_distances,
-    level,
-    level_exponent,
-    lifting_obstruction_vanishes,
-    solve_break_equation,
-)
+from padic_serre.galois_local import LevelDatum, RamFiltration, level, level_exponent
 from padic_serre.polynomial import discriminant, newton_polygon
 
 WILD_2 = RamFiltration(((12, 0),) + ((4, 0),) * 5)   # order-12 inertia, Klein breaks to 5
@@ -105,74 +96,24 @@ def test_3_7_3_tame_inertia_order_from_the_sextic():
     assert datum.filtration.entries == ((math.lcm(*es), 1),)
 
 
-def test_fixed_dim_table_values():
-    assert FIXED_DIM_TABLE["V4-diagonal"] == 0
-    assert FIXED_DIM_TABLE["order-3-permutation"] == 1
-    assert FIXED_DIM_TABLE["diag(1,-1,-1)"] == 1
-    assert FIXED_DIM_TABLE["diag(-1,1,1)"] == 2
-
-
-def test_filtration_from_distances_tame_cubic():
-    assert filtration_from_distances([1, 1], e=3, n=3) == [3]
-
-
-def test_filtration_from_distances_quadratic():
-    # x^2 - 2 at p = 2: ord_L(s(a) - a) = 3 for the nontrivial automorphism
-    assert filtration_from_distances([3], e=2, n=2) == [2, 2, 2]
-
-
-def test_filtration_from_distances_klein_break():
-    # uniformizer displacements 6 inside the Klein subextension: groups of
-    # order 4 through index 5, trivial at 6
-    assert filtration_from_distances([6, 6, 6], e=4, n=4) == [4] * 6
-
-
-def test_filtration_from_distances_errors():
-    with pytest.raises(InconsistencyError):
-        filtration_from_distances([1], e=3, n=3)
-    with pytest.raises(InconsistencyError):
-        filtration_from_distances([1, 1], e=2, n=3)
-
-
 def test_conductor_discriminant_cross_check():
-    # quadratic case: sum (order_i - 1) equals the different's valuation 3,
-    # and the level exponent is (character conductor) x (dimension loss)
-    orders = filtration_from_distances([3], e=2, n=2)
+    # quadratic case, x^2 - 2 at p = 2: groups of order 2 through index 2,
+    # so sum (order_i - 1) equals the different's valuation 3, and the level
+    # exponent is (character conductor) x (dimension loss), with
+    # diag(1, -1, -1) fixing a line
+    orders = [2, 2, 2]
     assert sum(o - 1 for o in orders) == 3
     filt_char = RamFiltration(tuple((o, 0) for o in orders), dim=1)
     assert level_exponent(filt_char) == 3
-    filt3 = RamFiltration(tuple((o, FIXED_DIM_TABLE["diag(1,-1,-1)"]) for o in orders))
+    filt3 = RamFiltration(tuple((o, 1) for o in orders))
     assert level_exponent(filt3) == 3 * 2
 
 
-def test_solve_break_equation_worked_value():
-    assert solve_break_equation(24, 3, 2, 6, 8, 12) == 6
-
-
-def test_solve_break_equation_degenerate():
-    for d in (1, 5, 9):
-        assert solve_break_equation(1, 1, 0, 1, d, 1) == d
-
-
-def test_solve_break_equation_non_integral():
-    with pytest.raises(InconsistencyError):
-        solve_break_equation(24, 3, 2, 6, 8, 11)
-
-
 def test_break_equation_roundtrip_reproduces_filtration():
-    # uniformizer break at 6 -> Klein subgroup persists through index 5;
+    # uniformizer break at 6: the Klein subgroup persists through index 5;
     # grafting the full order-12 inertia on top reproduces the exponent 8
-    nu = solve_break_equation(24, 3, 2, 6, 8, 12)
-    orders = filtration_from_distances([nu] * 3, e=4, n=4)
-    assert orders == [4] * 6
+    orders = [4] * 6
     entries = ((12, 0),) + tuple((o, 0) for o in orders[1:])
     rebuilt = RamFiltration(entries)
     assert rebuilt == WILD_2
     assert level_exponent(rebuilt) == 8
-
-
-def test_lifting_criterion():
-    assert lifting_obstruction_vanishes([10, 4]) is True
-    assert lifting_obstruction_vanishes([9]) is False
-    assert lifting_obstruction_vanishes([]) is True
-    assert lifting_obstruction_vanishes([3, 6, 27]) is False

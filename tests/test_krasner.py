@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -10,8 +11,6 @@ from padic_serre.krasner import (
     Certificate,
     certify_same_extension,
     is_eisenstein,
-    lambda_exact,
-    lambda_upper_bound,
     precision_k,
     precision_report,
     resultant_margin,
@@ -34,14 +33,20 @@ def _random_eisenstein(rng, p, deg):
     return IntPoly(coeffs)
 
 
+def _lambda_bound(rep):
+    """(d - (n-2)a)/n from a precision report, valid for monic irreducible f."""
+    return Fraction(rep.d - (rep.n - 2) * rep.a, rep.n)
+
+
 def test_lambda_examples():
-    assert lambda_exact(X3M2, 2) == Fraction(1, 3)
-    assert lambda_exact(X2M2, 2) == Fraction(3, 2)
+    assert precision_report(X3M2, 2, "prop1").lam == Fraction(1, 3)
+    assert precision_report(X2M2, 2, "prop1").lam == Fraction(3, 2)
 
 
 def test_lambda_bound_examples():
-    assert lambda_upper_bound(X3M2, 2) == Fraction(1, 3)
-    assert lambda_upper_bound(X2M2, 2) == Fraction(3, 2)  # tight: d=3, a=1, n=2
+    assert _lambda_bound(precision_report(X3M2, 2, "prop1")) == Fraction(1, 3)
+    # tight: d=3, a=1, n=2
+    assert _lambda_bound(precision_report(X2M2, 2, "prop1")) == Fraction(3, 2)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -51,7 +56,8 @@ def test_lambda_bounded_on_random_eisenstein(p):
         f = _random_eisenstein(rng, p, rng.randint(2, 4))
         if discriminant(f) == 0:
             continue
-        assert lambda_exact(f, p) <= lambda_upper_bound(f, p)
+        rep = precision_report(f, p, "prop1")
+        assert rep.lam <= _lambda_bound(rep)
 
 
 def test_precision_examples():
@@ -247,7 +253,6 @@ def test_root_data_path_computes_no_discriminant(monkeypatch):
             assert (rep.n, rep.d, rep.a, rep.lam) == (n, d, a, lam)
             assert (rep.k_prop1, rep.k_prop1bis) == (k1, k_bis)
         assert rep.k_safe == k_safe
-        assert lambda_exact(f, p) == lam
     cert = certify_same_extension(X3M2, IntPoly([-2, 2, 0, 1]), 2, EIS, EIS)
     assert cert == Certificate("certified", 1, "prop1", 1)
     cert = certify_same_extension(E6, E6 + IntPoly([54]), 3, EIS, ("caller-assertion",))
@@ -294,3 +299,51 @@ def test_safe_certificate_implies_prop1_certificate():
             assert certify_same_extension(f, g, p, EIS, EIS, "prop1").verdict == "certified"
             certified += 1
     assert certified >= 10
+
+
+# An independent oracle for lambda and d (Greve and Pauli, "Ramification
+# polygons, splitting fields, and Galois groups of Eisenstein polynomials",
+# Int. J. Number Theory 8 (2012); Ore, Math. Ann. 99 (1928)).  For an
+# Eisenstein g of degree n with a root alpha (v(alpha) = 1/n), every
+# valuation below is a min over terms with distinct fractional parts, so
+# each is exact, and none goes through the root-difference polynomial.
+
+
+def _ramification_polygon_lambda(g, p):
+    """1/n plus the largest root valuation of rho(x) = g(alpha x + alpha)/(alpha^n x),
+    whose roots are (alpha' - alpha)/alpha over the other roots alpha'.  The
+    x^(i-1) coefficient of rho has valuation min over j >= i of
+    v(C(j, i) g_j) + (j - n)/n."""
+    n = g.degree
+    v = [min(ord_p(comb(j, i) * g.coeffs[j], p) + Fraction(j - n, n)
+             for j in range(i, n + 1) if g.coeffs[j])
+         for i in range(1, n + 1)]
+    # the first segment of the lower hull from (0, v_0) has the steepest slope
+    return Fraction(1, n) + max((v[0] - v[k]) / k for k in range(1, n))
+
+
+def _ore_discriminant_valuation(g, p):
+    """d = n v(g'(alpha)), with v(g'(alpha)) = min over j of v(j g_j) + (j - 1)/n."""
+    n = g.degree
+    return n * min(ord_p(j * g.coeffs[j], p) + Fraction(j - 1, n)
+                   for j in range(1, n + 1) if g.coeffs[j])
+
+
+def test_lambda_and_d_match_the_ramification_polygon_and_ore():
+    rng = random.Random(26)
+    wild = 0
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7])
+        n = rng.choices(range(2, 9), weights=(30, 25, 20, 12, 7, 4, 2))[0]
+        coeffs = [p * rng.randint(-9, 9) * p ** rng.choice((0, 0, 1, 2)) for _ in range(n)]
+        coeffs[0] = p * rng.choice([u for u in range(-9, 10) if u % p])
+        g = IntPoly(coeffs + [1])
+        s = rng.randint(-5, 5)
+        f = g.shift(-s)  # evidence ("eisenstein-after-shift", s)
+        assert is_eisenstein(f.shift(s), p)
+        rep = precision_report(f, p, "prop1")
+        want = (_ore_discriminant_valuation(g, p), _ramification_polygon_lambda(g, p))
+        assert (rep.d, rep.lam) == want, (f, p)
+        assert precision_report(f, p).d == want[0], (f, p)  # d by the discriminant
+        wild += n % p == 0
+    assert wild >= 60

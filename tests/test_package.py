@@ -7,7 +7,7 @@ import types
 import pytest
 
 import padic_serre
-from padic_serre import CoarseClassA6, Fp2Elem, LevelDatum, NewtonPolygon, RamFiltration
+from padic_serre import Fp2Elem, LevelDatum, NewtonPolygon, RamFiltration
 from padic_serre.arith import Record
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -36,7 +36,7 @@ def test_records_are_read_only_values():
     assert datum != LevelDatum(7, RamFiltration(((3, 1),)))
     assert pickle.loads(pickle.dumps(datum)) == datum
     assert repr(NewtonPolygon(())) == "NewtonPolygon(segments=(), infinite_mult=0)"
-    assert CoarseClassA6("1a").__eq__(("1a", None, None)) is NotImplemented
+    assert datum.__eq__((13, RamFiltration(((3, 1),)))) is NotImplemented
     with pytest.raises(AttributeError):
         datum.q = 7
     with pytest.raises(AttributeError):

@@ -8,12 +8,11 @@ import pytest
 from padic_serre.arith import Fp2Elem, cube_root_of_unity
 from padic_serre.casefile import CaseFile, verify_case
 from padic_serre.errors import InconsistencyError
-from padic_serre.matrices import det2, mat, trace
+from padic_serre.matrices import charpoly3_reversed, mat, trace
 from padic_serre.matrix_oracle import classified_cover, oracle_charpoly
 from padic_serre.rep3a6 import (
     COVER_COARSE,
     MOD3_CLASS_POLYS,
-    CoarseClassA6,
     a6_mod3_class_polys,
     central_twist,
     char_value,
@@ -24,7 +23,6 @@ from padic_serre.rep3a6 import (
     mod3_charpoly_candidates,
     sl2_generators,
     sym_square,
-    sym_square_charpoly,
 )
 
 from bundled_json import case_json
@@ -32,12 +30,12 @@ from matrix_reference import _loop_mul, _mat_key, _matrix_closure, _power
 
 
 def test_coarse_from_cycle_type():
-    assert coarse_from_cycle_type([5, 1]).label == "5ab"
-    assert coarse_from_cycle_type([2, 2, 1, 1]).label == "2a"
-    assert coarse_from_cycle_type([3, 1, 1, 1]).fine_order3 == "3-cycle"
-    assert coarse_from_cycle_type([3, 3]).fine_order3 == "double-3-cycle"
-    assert coarse_from_cycle_type([4, 2]).label == "4a"
-    assert coarse_from_cycle_type([1] * 6).label == "1a"
+    assert coarse_from_cycle_type([5, 1]) == "5ab"
+    assert coarse_from_cycle_type([2, 2, 1, 1]) == "2a"
+    assert coarse_from_cycle_type([3, 1, 1, 1]) == "3ab"
+    assert coarse_from_cycle_type([3, 3]) == "3ab"
+    assert coarse_from_cycle_type([4, 2]) == "4a"
+    assert coarse_from_cycle_type([1] * 6) == "1a"
 
 
 def test_coarse_rejects_odd_and_bad_partitions():
@@ -50,12 +48,12 @@ def test_coarse_rejects_odd_and_bad_partitions():
 
 
 def test_central_twist():
-    assert central_twist(CoarseClassA6("5ab"), 2) == "15bd"
-    assert central_twist(CoarseClassA6("1a"), 1) == "3a"
-    assert central_twist(CoarseClassA6("4a"), 1) == "12a"
-    assert central_twist(CoarseClassA6("2a"), 0) == "2a"
+    assert central_twist("5ab", 2) == "15bd"
+    assert central_twist("1a", 1) == "3a"
+    assert central_twist("4a", 1) == "12a"
+    assert central_twist("2a", 0) == "2a"
     with pytest.raises(InconsistencyError):
-        central_twist(CoarseClassA6("3ab", "3-cycle"), 1)
+        central_twist("3ab", 1)
 
 
 def test_frobenius_class_worked_values():
@@ -65,7 +63,7 @@ def test_frobenius_class_worked_values():
 
 
 def test_frobenius_class_checks_residue_degree():
-    with pytest.raises(InconsistencyError):
+    with pytest.raises(InconsistencyError, match="residue degree 4 does not match element order 5"):
         frobenius_class((5, 1), 1, 4)
 
 
@@ -112,16 +110,11 @@ def test_frob_charpoly_reciprocal_symmetry():
 def test_sym_square_basics():
     one, zero = Fp2Elem(3, 1, 0), Fp2Elem(3, 0, 0)
     ident = mat([[one, zero], [zero, one]])
-    assert sym_square_charpoly(ident) == [one, Fp2Elem(3, -3, 0), Fp2Elem(3, 3, 0), -one]
+    cube = [one, Fp2Elem(3, -3, 0), Fp2Elem(3, 3, 0), -one]
+    assert charpoly3_reversed(sym_square(ident)) == cube
     # an order-4 element has trace 0, so its square image has trace -1
     m = mat([[zero, one], [-one, zero]])
     assert trace(sym_square(m)) == Fp2Elem(3, -1, 0)
-
-
-def test_sym_square_requires_det_one():
-    one, zero = Fp2Elem(3, 1, 0), Fp2Elem(3, 0, 0)
-    with pytest.raises(InconsistencyError):
-        sym_square_charpoly(mat([[one + one, zero], [zero, one]]))
 
 
 def test_sym_square_is_multiplicative():
@@ -140,11 +133,11 @@ def test_sym_square_trace_identity_and_eigenvalues():
     assert len(elems) == 720
     one = Fp2Elem(3, 1, 0)
     for m in elems:
-        assert det2(m) == one
+        assert m[0][0] * m[1][1] - m[0][1] * m[1][0] == one
         tr = trace(m)
         assert trace(sym_square(m)) == tr * tr - one
         expect = [one, -(tr * tr - one), tr * tr - one, -one]
-        assert sym_square_charpoly(m) == expect
+        assert charpoly3_reversed(sym_square(m)) == expect
 
 
 def test_mod3_tables_are_conjugate_pair():
@@ -161,9 +154,9 @@ def test_mod3_tables_are_conjugate_pair():
 
 
 def test_mod3_candidates_for_unresolved_order5():
-    unresolved = mod3_charpoly_candidates(CoarseClassA6("5ab", None, "unknown"))
+    unresolved = mod3_charpoly_candidates("5ab")
     assert len(unresolved) == 2
-    resolved = mod3_charpoly_candidates(CoarseClassA6("5ab", None, "5a"))
+    resolved = mod3_charpoly_candidates("5a")
     assert len(resolved) == 1
     assert resolved[0] in unresolved
     # a (5, 1) row of a p = 3 case file resolved to 5a reports that candidate
