@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Union
 
 from .errors import InconsistencyError, SchemaError
@@ -99,7 +100,8 @@ class Record:
     """Base of the package's value types.  The fields are the ``__slots__``,
     in constructor order: ``__init__`` validates, then sets them all with
     ``_set``, and from then on the record is read-only.  Equality, hash,
-    repr and pickling go by the field values."""
+    repr and pickling go by the field values, which ``_values`` reads with
+    one ``attrgetter`` per class."""
 
     __slots__ = ()
 
@@ -107,8 +109,14 @@ class Record:
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    @staticmethod
+    def _values(record) -> tuple:
+        return tuple(getattr(record, name) for name in record.__slots__)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if len(cls.__slots__) > 1:  # of one name, attrgetter gives the bare value
+            cls._values = staticmethod(attrgetter(*cls.__slots__))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -119,13 +127,14 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        values = self._values
+        return values(self) == values(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __reduce__(self):
-        return (self.__class__, self._values())
+        return (self.__class__, self._values(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

@@ -183,7 +183,8 @@ def load_bundled_case(name: str) -> CaseFile:
 
 def _cycle_type_checked(case: CaseFile, entry: dict, disc: Optional[int]) -> tuple[int, ...]:
     """Stored cycle type, cross-checked against the sextic mod ell whenever
-    the reduction is squarefree; disc is the sextic's discriminant."""
+    the reduction is squarefree; disc is the sextic's discriminant, None
+    when the case has no sextic."""
     ell = entry["ell"]
     stored = entry.get("cycle_type", ())
     if disc is not None and disc % ell != 0:
@@ -194,6 +195,9 @@ def _cycle_type_checked(case: CaseFile, entry: dict, disc: Optional[int]) -> tup
                 f" disagrees with the recomputed {computed}"
             )
         return computed
+    if not stored and disc is None:
+        raise InconsistencyError(f"case {case.name}: ell={ell} has no stored cycle type"
+                                 " and no sextic to compute it from")
     if not stored:
         raise InconsistencyError(
             f"case {case.name}: ell={ell} has non-squarefree reduction and no stored cycle type"

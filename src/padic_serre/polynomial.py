@@ -6,17 +6,20 @@ leading coefficient is nonzero (the zero polynomial has an empty tuple).
 
 Provides resultants (fraction-free Sylvester determinants), discriminants,
 shifts f(x+a), p-adic Newton polygons, the root-difference polynomial whose
-slopes are the pairwise root-distance valuations, and cycle types via
-distinct-degree factorization over F_ell.  The cycle type works mod ell
-throughout: squarefreeness is gcd(r, r') = 1 in F_ell[x] (the integer
-discriminant is only computed when ell divides the leading coefficient), and
-Frobenius acts on F_ell[x]/(r) through precomputed rows x^(ell*i) mod r.
+slopes are the pairwise root-distance valuations, and cycle types by a
+distinct-degree factorization over F_ell that counts the factors of each
+degree from the degrees of gcds and never splits them off.  The cycle type
+works mod ell throughout: squarefreeness is gcd(r, r') = 1 in F_ell[x] (the
+integer discriminant is only computed when ell divides the leading
+coefficient), and Frobenius acts on F_ell[x]/(r) through the rows
+x^(ell*i) mod r, computed once and never reduced again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 from .arith import Record, is_prime, ord_p
 from .errors import InconsistencyError, json_int
@@ -310,70 +313,56 @@ def root_diff_poly(f: IntPoly) -> IntPoly:
 # factorization degrees mod ell
 
 
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_mul(a: list[int], b: list[int]) -> list[int]:
-    """Integer product; the caller reduces it with _fp_divmod."""
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
+def _mulmod(a: list[int], b: list[int], r: list[int], ell: int) -> list[int]:
+    """a*b mod the monic r over F_ell, as deg r coefficients: the integer
+    product, then one reduction step per degree from the top down."""
+    n = len(r) - 1
+    low = r[:n]
+    prod = [0] * (2 * n - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _fp_divmod(a: list[int], m: list[int], ell: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by the monic m over F_ell, taking one
-    % ell per coefficient; the quotient is left in the top of a."""
-    a = list(a)
-    k = len(m) - 1
-    for top in range(len(a) - 1, k - 1, -1):
-        c = a[top] = a[top] % ell
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    for top in range(2 * n - 2, n - 1, -1):
+        c = prod[top] % ell
         if c:
-            for i in range(k):
-                a[top - k + i] -= c * m[i]
-    return a[k:], _fp_trim([x % ell for x in a[:k]])
+            for j, m in enumerate(low, top - n):
+                prod[j] -= c * m
+    return [c % ell for c in prod[:n]]
 
 
-def _fp_gcd(a: list[int], b: list[int], ell: int) -> list[int]:
-    """Monic gcd of a monic a and any b."""
-    while b:
-        inv = pow(b[-1], -1, ell)
-        b = [c * inv % ell for c in b]
-        a, b = b, _fp_divmod(a, b, ell)[1]
-    return a
-
-
-def _frobenius_rows(r: list[int], ell: int) -> list[list[int]]:
-    """x^(ell*i) mod r for i < deg r: h -> h^ell on F_ell[x]/(r) is the
-    linear map sending x^i to row i."""
-    x_ell, base, e = [1], [0, 1], ell
-    while e:
-        if e & 1:
-            x_ell = _fp_divmod(_fp_mul(x_ell, base), r, ell)[1]
-        base = _fp_divmod(_fp_mul(base, base), r, ell)[1]
-        e >>= 1
-    rows = [[1]]
-    while len(rows) < len(r) - 1:
-        rows.append(_fp_divmod(_fp_mul(rows[-1], x_ell), r, ell)[1])
-    return rows
+def _gcd_degree(a: list[int], b: list[int], ell: int) -> int:
+    """deg gcd(a, b) over F_ell, by Euclid's remainders alone; a is reduced
+    with a unit leading coefficient, b may hold any integers."""
+    while True:
+        b = [c % ell for c in b]
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            return len(a) - 1
+        inv, k = pow(b[-1], -1, ell), len(b) - 1
+        a = list(a)
+        for top in range(len(a) - 1, k - 1, -1):
+            c = a[top] * inv % ell
+            if c:
+                for j, m in enumerate(b[:k], top - k):
+                    a[j] -= c * m
+        a, b = b, a[:k]
 
 
 def cycle_type_mod_ell(T: IntPoly, ell: int) -> tuple[int, ...]:
     """Degrees of the irreducible factors of T mod ell, sorted descending.
 
-    Uses distinct-degree factorization (gcds with x^(ell^d) - x); the
-    factors themselves are never needed.  Requires the reduction to stay
-    squarefree.  When ell does not divide lc(T) that is decided in
-    F_ell[x] as gcd(r, r') = 1, equivalent to ell not dividing disc(T);
-    only when ell | lc(T) is the integer discriminant computed, to choose
-    the error message.  Each step applies Frobenius h -> h^ell through
-    the precomputed rows x^(ell*i) mod r, which are reduced modulo r
-    again whenever a factor is split off.
+    Counts them by distinct-degree factorization (Cohen, GTM 138, 3.4.3)
+    with no splitting: N_d = deg gcd(r, x^(ell^d) - x) is the sum of e*c_e
+    over e | d, where c_e is the number of factors of degree e, so c_d
+    follows from N_d and the counts below d; once 2d exceeds the degree
+    not yet accounted for, what is left is one factor.  Requires the
+    reduction to stay squarefree.  When ell does not divide lc(T) that is
+    decided in F_ell[x] as gcd(r, r') = 1, equivalent to ell not dividing
+    disc(T); only when ell | lc(T) is the integer discriminant computed, to
+    choose the error message.  Each step applies Frobenius h -> h^ell on
+    F_ell[x]/(r) as the matrix whose rows are x^(ell*i) mod r.
     """
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
@@ -385,28 +374,28 @@ def cycle_type_mod_ell(T: IntPoly, ell: int) -> tuple[int, ...]:
         raise InconsistencyError("leading coefficient vanishes mod ell")
     inv = pow(T.leading, -1, ell)
     r = [c * inv % ell for c in T.coeffs]
-    if len(_fp_gcd(r, _fp_trim([i * c % ell for i, c in enumerate(r)][1:]), ell)) > 1:
+    if _gcd_degree(r, [i * c for i, c in enumerate(r)][1:], ell):
         raise InconsistencyError("ramified or non-squarefree reduction")
-    rows = _frobenius_rows(r, ell)
+    n = T.degree
+    if n == 1:
+        return (1,)
+    x = [0, 1] + [0] * (n - 2)
+    x_ell = x
+    for bit in bin(ell)[3:]:
+        x_ell = _mulmod(x_ell, x_ell, r, ell)
+        if bit == "1":  # times x: a shift and one reduction step
+            x_ell = [(lo - x_ell[-1] * m) % ell for lo, m in zip([0] + x_ell, r[:n])]
+    rows = [[1] + [0] * (n - 1), x_ell]
+    while len(rows) < n:
+        rows.append(_mulmod(rows[-1], x_ell, r, ell))
+    cols = list(zip(*rows))
     parts: list[int] = []
-    h = [0, 1]  # x
-    d = 0
-    while 2 * (d + 1) <= len(r) - 1:
+    h, d = x, 0
+    while 2 * (d + 1) <= n - sum(parts):
         d += 1
-        acc = [0] * (len(r) - 1)
-        for c, row in zip(h, rows):
-            if c:
-                for j, y in enumerate(row):
-                    acc[j] += c * y
-        h = _fp_trim([c % ell for c in acc])
-        diff = h + [0] * (2 - len(h))
-        diff[1] = (diff[1] - 1) % ell
-        g = _fp_gcd(r, _fp_trim(diff), ell)
-        if len(g) > 1:
-            parts.extend([d] * ((len(g) - 1) // d))
-            r = _fp_divmod(r, g, ell)[0]
-            rows = [_fp_divmod(row, r, ell)[1] for row in rows[: len(r) - 1]]
-            h = _fp_divmod(h, r, ell)[1]
-    if len(r) > 1:
-        parts.append(len(r) - 1)
+        h = [sum(map(mul, h, col)) % ell for col in cols]  # x^(ell^d) mod r
+        found = _gcd_degree(r, [h[0], h[1] - 1] + h[2:], ell)
+        parts += [d] * ((found - sum(e for e in parts if d % e == 0)) // d)
+    if sum(parts) < n:
+        parts.append(n - sum(parts))
     return tuple(sorted(parts, reverse=True))

@@ -59,7 +59,7 @@ def coarse_from_cycle_type(partition) -> str:
     """Coarse class label (1a, 2a, 3ab, 4a or 5ab) of a permutation with the
     given cycle type (a partition of 6); odd permutations are rejected."""
     key = tuple(sorted((int(x) for x in partition), reverse=True))
-    if sum(key) != 6:
+    if sum(key) != 6 or min(key) < 1:
         raise InconsistencyError(f"{key} is not a partition of 6")
     if sum(part - 1 for part in key) % 2:
         raise InconsistencyError(f"cycle type {key} is odd: not an even permutation")

@@ -376,6 +376,20 @@ def _scaled_sextic_without_cycle_type(d, ell):
     _drop(next(row for row in d["frobenius_inputs"] if row["ell"] == ell), "cycle_type")
 
 
+def _stored_cycle_type(d, ell, cycle_type, sextic=True):
+    """The cycle type stored at ell replaced (dropped for None), at a row
+    that is not recomputed: the sextic is made non-squarefree mod ell, or
+    dropped."""
+    if sextic:
+        _scaled_sextic_without_cycle_type(d, ell)
+    else:
+        _drop(d, "sextic")
+    row = next(row for row in d["frobenius_inputs"] if row["ell"] == ell)
+    row.pop("cycle_type", None)
+    if cycle_type is not None:
+        row["cycle_type"] = cycle_type
+
+
 @pytest.mark.parametrize("case,edit,message", [
     ("5-17-1", lambda d: _certificate(d, evidence_f=["irreducible-mod-q", 3]),
      "f: reduction mod 3"),
@@ -391,9 +405,26 @@ def _scaled_sextic_without_cycle_type(d, ell):
      "frobenius_inputs row at ell 5: ell divides pN"),
     ("5-17-1", lambda d: _scaled_sextic_without_cycle_type(d, 7),
      "ell=7 has non-squarefree reduction and no stored cycle type"),
+    ("5-17-1", lambda d: _stored_cycle_type(d, 2, None, sextic=False),
+     "ell=2 has no stored cycle type and no sextic to compute it from"),
+    ("5-17-1", lambda d: _stored_cycle_type(d, 2, [0, 6], sextic=False),
+     "(6, 0) is not a partition of 6"),
+    ("5-17-1", lambda d: _stored_cycle_type(d, 2, [6, 0], sextic=False),
+     "(6, 0) is not a partition of 6"),
+    ("5-17-1", lambda d: _stored_cycle_type(d, 2, [-1, 7], sextic=False),
+     "(7, -1) is not a partition of 6"),
+    ("3-13-9", lambda d: _stored_cycle_type(d, 2, [0, 6], sextic=False),
+     "(6, 0) is not a partition of 6"),
+    ("5-17-1", lambda d: _stored_cycle_type(d, 7, [-1, 7]),
+     "(7, -1) is not a partition of 6"),
+    ("3-13-9", lambda d: _stored_cycle_type(d, 7, [6, 0]),
+     "(6, 0) is not a partition of 6"),
 ], ids=["false-evidence", "unknown-nebentype-kind", "p-without-class-data",
         "repeated-frobenius-ell", "repeated-eigenvalue-ell", "frobenius-row-at-ell-dividing-N",
-        "frobenius-row-at-p", "no-cycle-type-at-non-squarefree-ell"])
+        "frobenius-row-at-p", "no-cycle-type-at-non-squarefree-ell", "no-cycle-type-no-sextic",
+        "zero-part-no-sextic", "zero-part-last-no-sextic", "negative-part-no-sextic",
+        "zero-part-no-sextic-p3", "negative-part-at-ell-dividing-disc",
+        "zero-part-at-ell-dividing-disc-p3"])
 def test_well_formed_but_inconsistent_case_values_exit_3(tmp_path, capsys, case, edit, message):
     payload = case_json(case)
     edit(payload)

@@ -1,6 +1,7 @@
 """cycle_type_mod_ell against an independent brute-force count of the
-irreducible factors mod ell, its exact error contract, and the number of
-integer discriminants the Frobenius section computes."""
+irreducible factors mod ell and against a splitting distinct-degree
+factorization, its exact error contract, and the number of integer
+discriminants the Frobenius section computes."""
 
 import itertools
 import random
@@ -58,6 +59,139 @@ def test_cycle_type_matches_brute_force(ell):
         assert cycle_type_mod_ell(f, ell) == _brute_force_cycle_type(
             [c * inv % ell for c in f.coeffs], ell), (t, ell)
         checked += 1
+
+
+# -- the counting pass against a splitting reference -----------------------
+
+def _fp_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fp_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _fp_divmod(a, m, ell):
+    """Quotient and remainder of a by the monic m over F_ell."""
+    a = list(a)
+    k = len(m) - 1
+    for top in range(len(a) - 1, k - 1, -1):
+        c = a[top] = a[top] % ell
+        if c:
+            for i in range(k):
+                a[top - k + i] -= c * m[i]
+    return a[k:], _fp_trim([x % ell for x in a[:k]])
+
+
+def _fp_gcd(a, b, ell):
+    """Monic gcd of a monic a and any b."""
+    while b:
+        inv = pow(b[-1], -1, ell)
+        b = [c * inv % ell for c in b]
+        a, b = b, _fp_divmod(a, b, ell)[1]
+    return a
+
+
+def _frobenius_rows(r, ell):
+    """x^(ell*i) mod r for i < deg r, by repeated squaring."""
+    x_ell, base, e = [1], [0, 1], ell
+    while e:
+        if e & 1:
+            x_ell = _fp_divmod(_fp_mul(x_ell, base), r, ell)[1]
+        base = _fp_divmod(_fp_mul(base, base), r, ell)[1]
+        e >>= 1
+    rows = [[1]]
+    while len(rows) < len(r) - 1:
+        rows.append(_fp_divmod(_fp_mul(rows[-1], x_ell), r, ell)[1])
+    return rows
+
+
+def _splitting_cycle_type(T, ell):
+    """Reference: distinct-degree factorization that divides each
+    gcd(r, x^(ell^d) - x) out of r and reduces the Frobenius rows modulo
+    what is left, with cycle_type_mod_ell's error contract."""
+    if T.leading % ell == 0:
+        if T.degree >= 2 and discriminant(T) % ell == 0:
+            raise InconsistencyError("ramified or non-squarefree reduction")
+        raise InconsistencyError("leading coefficient vanishes mod ell")
+    inv = pow(T.leading, -1, ell)
+    r = [c * inv % ell for c in T.coeffs]
+    if len(_fp_gcd(r, _fp_trim([i * c % ell for i, c in enumerate(r)][1:]), ell)) > 1:
+        raise InconsistencyError("ramified or non-squarefree reduction")
+    rows = _frobenius_rows(r, ell)
+    parts, h, d = [], [0, 1], 0
+    while 2 * (d + 1) <= len(r) - 1:
+        d += 1
+        acc = [0] * (len(r) - 1)
+        for c, row in zip(h, rows):
+            for j, y in enumerate(row):
+                acc[j] += c * y
+        h = _fp_trim([c % ell for c in acc])
+        diff = h + [0] * (2 - len(h))
+        diff[1] = (diff[1] - 1) % ell
+        g = _fp_gcd(r, _fp_trim(diff), ell)
+        if len(g) > 1:
+            parts.extend([d] * ((len(g) - 1) // d))
+            r = _fp_divmod(r, g, ell)[0]
+            rows = [_fp_divmod(row, r, ell)[1] for row in rows[: len(r) - 1]]
+            h = _fp_divmod(h, r, ell)[1]
+    if len(r) > 1:
+        parts.append(len(r) - 1)
+    return tuple(sorted(parts, reverse=True))
+
+
+def _outcome(fn, f, ell):
+    try:
+        return fn(f, ell)
+    except InconsistencyError as exc:
+        assert type(exc) is InconsistencyError
+        return str(exc)
+
+
+def _differential_input(rng, ell):
+    """A polynomial of degree 1-9: a product of random monic factors mod
+    ell, one of them squared now and then so that the reduction is not
+    squarefree, lifted with noise in multiples of ell; or plain random
+    integers; a leading coefficient divisible by ell now and then."""
+    n = rng.randint(1, 9)
+    if rng.random() < 0.6:
+        factors = []
+        if n > 1 and rng.random() < 0.2:
+            m = [rng.randrange(ell) for _ in range(rng.randint(1, n // 2))] + [1]
+            factors += [m, m]
+        while (deg := sum(len(m) - 1 for m in factors)) < n:
+            factors.append([rng.randrange(ell) for _ in range(rng.randint(1, min(4, n - deg)))] + [1])
+        f = IntPoly([1])
+        for m in factors:
+            f = f * IntPoly(m)
+        coeffs = [c + ell * rng.randint(-3, 3) for c in f.coeffs]
+    else:
+        coeffs = [rng.randint(-10**6, 10**6) for _ in range(n)] + [rng.choice([1, -1, 3])]
+    if rng.random() < 0.1:
+        coeffs[-1] = ell * rng.randint(1, 3)
+    return IntPoly(coeffs)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 47, 101, 1_000_003])
+def test_counting_pass_matches_splitting_reference(ell):
+    rng = random.Random(f"ddf/{ell}")
+    outcomes = set()
+    for _ in range(250):
+        f = _differential_input(rng, ell)
+        if f.degree < 1:
+            continue
+        want = _outcome(_splitting_cycle_type, f, ell)
+        assert _outcome(cycle_type_mod_ell, f, ell) == want, (f, ell)
+        outcomes.add(want)
+    assert "ramified or non-squarefree reduction" in outcomes
+    assert "leading coefficient vanishes mod ell" in outcomes
+    assert sum(isinstance(o, tuple) and len(o) >= 3 for o in outcomes) >= 5
 
 
 @pytest.mark.parametrize("coeffs,ell,message", [
