@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from operator import attrgetter
 from typing import Union
 
@@ -81,27 +82,34 @@ def ord_p(x: Rational, p: int):
 # quadratic extensions
 
 
+def legendre_symbol(a: int, q: int) -> int:
+    """(a|q) for an odd prime q, in {-1, 0, 1}, by Euler's criterion."""
+    r = pow(a % q, (q - 1) // 2, q)
+    return -1 if r == q - 1 else r
+
+
 @lru_cache(maxsize=None)
 def quadratic_modulus(p: int) -> tuple[int, int]:
     """Coefficients (b, c) of the modulus w^2 + b*w + c used for F_{p^2}.
 
     The first irreducible monic quadratic in lexicographic (b, c) order,
-    so the model is deterministic across runs.
+    so the model is deterministic across runs.  For odd p that is the first
+    pair whose discriminant b^2 - 4c is a non-residue, and b = 0 has one:
+    c with -c a non-residue, as half of F_p^* is.
     """
     _require_prime(p)
-    for b in range(p):
-        for c in range(p):
-            if all((x * x + b * x + c) % p for x in range(p)):
-                return (b, c)
-    raise AssertionError("no irreducible quadratic found")  # impossible
+    if p == 2:
+        return (1, 1)  # w^2 + w + 1, the one irreducible quadratic
+    return (0, next(c for c in count(1) if legendre_symbol(-c, p) == -1))
 
 
 class Record:
     """Base of the package's value types.  The fields are the ``__slots__``,
     in constructor order: ``__init__`` validates, then sets them all with
     ``_set``, and from then on the record is read-only.  Equality, hash,
-    repr and pickling go by the field values, which ``_values`` reads with
-    one ``attrgetter`` per class."""
+    repr and pickling go by the field values; equality and hash read them
+    with one ``attrgetter`` per class, ``_values``, which gives the bare
+    value of a one-field record."""
 
     __slots__ = ()
 
@@ -109,14 +117,9 @@ class Record:
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
-    @staticmethod
-    def _values(record) -> tuple:
-        return tuple(getattr(record, name) for name in record.__slots__)
-
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if len(cls.__slots__) > 1:  # of one name, attrgetter gives the bare value
-            cls._values = staticmethod(attrgetter(*cls.__slots__))
+        cls._values = staticmethod(attrgetter(*cls.__slots__))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -134,7 +137,7 @@ class Record:
         return hash(self._values(self))
 
     def __reduce__(self):
-        return (self.__class__, self._values(self))
+        return (self.__class__, tuple(getattr(self, name) for name in self.__slots__))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

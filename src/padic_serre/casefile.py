@@ -155,19 +155,27 @@ def _certificate_request(req: dict) -> dict:
 
 
 def _expected(expected: Optional[dict]) -> Optional[dict]:
-    """A copy of the golden block with the level exponents, the weights and
-    the primes of the Frobenius classes read as integers."""
+    """A copy of the golden block with the level primes and exponents, the
+    weights and the primes of the Frobenius classes read as integers; a
+    nebentype or class label that is not a string, or a weight that is not
+    three values: SchemaError."""
     if expected is None:
         return None
     out = dict(expected)
     if "level" in expected:
-        out["level"] = {str(q): json_int(e) for q, e in expected["level"].items()}
+        out["level"] = {str(json_int(q)): json_int(e) for q, e in expected["level"].items()}
+    if not isinstance(expected.get("nebentype", ""), str):
+        raise SchemaError(f"expected nebentype {expected['nebentype']!r} is not a string")
     if "weights" in expected:
-        out["weights"] = sorted(tuple(json_int(x) for x in w) for w in expected["weights"])
-    if expected.get("frobenius_classes"):
-        out["frobenius_classes"] = {
-            json_int(ell): label for ell, label in expected["frobenius_classes"].items()
-        }
+        weights = [tuple(json_int(x) for x in json_list(w)) for w in json_list(expected["weights"])]
+        if any(len(w) != 3 for w in weights):
+            raise SchemaError(f"expected weights {weights} must each have three values")
+        out["weights"] = sorted(weights)
+    labels = expected.get("frobenius_classes")
+    if labels is not None:
+        if not all(isinstance(label, str) for label in labels.values()):
+            raise SchemaError(f"expected Frobenius class labels {labels!r} must be strings")
+        out["frobenius_classes"] = {json_int(ell): label for ell, label in labels.items()}
     return out
 
 

@@ -17,7 +17,7 @@ indeterminate.
 from __future__ import annotations
 
 from .arith import Fp2Elem, Record
-from .errors import InconsistencyError, SchemaError, json_int
+from .errors import InconsistencyError, SchemaError, json_int, json_list
 
 Cubic = list[Fp2Elem]
 
@@ -39,12 +39,12 @@ class EigenvalueRecord(Record):
 
     @classmethod
     def from_json(cls, payload, p: int) -> "EigenvalueRecord":
-        """Integers go through ``json_int`` (ValueError); a record without
-        three eigenvalues: SchemaError."""
-        a = payload["a"]
+        """Integers go through ``json_int`` and lists through ``json_list``
+        (ValueError); a record without three eigenvalues: SchemaError."""
+        a = json_list(payload["a"])
         if len(a) != 3:
             raise SchemaError(f"expected three eigenvalues, got {len(a)}")
-        a1, a2, a3 = (Fp2Elem(p, json_int(c0), json_int(c1)) for c0, c1 in a)
+        a1, a2, a3 = (Fp2Elem(p, json_int(c0), json_int(c1)) for c0, c1 in map(json_list, a))
         return cls(json_int(payload["ell"]), a1, a2, a3)
 
     def to_json(self) -> dict:

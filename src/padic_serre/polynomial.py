@@ -1,6 +1,6 @@
 """Exact integer polynomial algebra.
 
-A polynomial is a tuple of arbitrary-precision integer coefficients,
+An ``IntPoly`` is a read-only ``Record`` of one tuple of integers,
 ``coeffs[i]`` the coefficient of x^i; trailing zeros are stripped so the
 leading coefficient is nonzero (the zero polynomial has an empty tuple).
 
@@ -25,14 +25,14 @@ from .arith import Record, is_prime, ord_p
 from .errors import InconsistencyError, json_int
 
 
-class IntPoly:
+class IntPoly(Record):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         cs = [int(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        self._set(tuple(cs))
 
     # -- basic structure ---------------------------------------------------
 
@@ -56,12 +56,6 @@ class IntPoly:
     @property
     def constant(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
-
-    def __eq__(self, other):
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         if self.is_zero():

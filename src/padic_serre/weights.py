@@ -14,10 +14,11 @@ Inertia profiles come in three niveaux.  Niveau 1 supplies the (A, B, C)
 exponents directly (one per triangularization).  Niveau h = 2 or 3 supplies
 m mod p^h-1 (niveau 2 also a tame exponent k).  A decomposition of mu
 writes the h exponents as t plus a digit d_i in [0, p-1], the top digit 0:
-mu = t*(1 + p + ... + p^(h-1)) + d_0 + d_1*p (mod p^h-1).  That sum of
-powers divides p^h-1, so the higher digits fix d_0 modulo it, and d_0 must
-be below p; t is then fixed mod p-1, all that p_restrict reads.  One t per
-digit tuple: O(1) work per orbit member at niveau 2, O(p) at niveau 3.
+mu = t*(1 + p + ... + p^(h-1)) + d_0 + d_1*p (mod p^h-1), t read mod p-1,
+all that p_restrict reads.  For mu in [0, p^h-1) the digit part is below
+p^(h-1), so below 1 + p + ... + p^(h-1): one division t, r = divmod(mu,
+1 + ... + p^(h-1)) decides, mu decomposing exactly when r < p^(h-1), with
+the d_i the base-p digits of r.  O(1) work per orbit member.
 Niveau 2 places (r, s) = (t+d_0, t) and k as (k,r,s), (r,k,s), (r,s,k);
 niveau 3 reads the descending rearrangement of (t+d_0, t+d_1, t).  mu runs
 over the full conjugate orbit {m, p*m, ...}: the characters come as an
@@ -28,12 +29,11 @@ succeeds).  Niveau 2 and 3 ambiguities always admit both choices.
 
 from __future__ import annotations
 
-from itertools import product
 from math import lcm
 from typing import NamedTuple, Optional
 
-from .arith import Record, is_prime
-from .errors import InconsistencyError, SchemaError, json_int
+from .arith import Record, is_prime, legendre_symbol
+from .errors import InconsistencyError, SchemaError, json_int, json_list
 
 
 class Triple(NamedTuple):
@@ -103,11 +103,12 @@ class InertiaProfile(Record):
 
     @classmethod
     def from_json(cls, payload) -> "InertiaProfile":
-        """Integers go through ``json_int`` (ValueError); a triple that is
-        not three values, flags that are not two of FLAGS or a provenance
-        that is not a string: SchemaError."""
+        """Integers go through ``json_int`` and lists through ``json_list``
+        (ValueError); a triple that is not three values, flags that are not
+        two of FLAGS or a provenance that is not a string: SchemaError."""
         niveau = json_int(payload["niveau"])
-        triples = tuple(tuple(json_int(x) for x in t) for t in payload.get("triples", []))
+        triples = tuple(tuple(json_int(x) for x in json_list(t))
+                        for t in json_list(payload.get("triples", [])))
         if any(len(t) != 3 for t in triples):
             raise SchemaError(f"exponent triples {triples} must each have three values")
         flags = payload.get("flags", ["none", "none"])
@@ -153,16 +154,14 @@ def predicted_weights(profile: InertiaProfile, p: int) -> set[Triple]:
             out |= p_restrict(A, B, C, p, profile.flags)
         return out
     h, k = profile.niveau, profile.k
-    orbit = _orbit(profile, p)
     unit = (p**h - 1) // (p - 1)  # 1 + p + ... + p^(h-1)
-    for mu in orbit:
-        for middle in product(range(p), repeat=h - 2):  # the digits d_1 .. d_(h-2)
-            t, d0 = divmod(mu - sum(d * p**i for i, d in enumerate(middle, 1)), unit)
-            if d0 < p:
-                exps = sorted((t + d for d in (d0, *middle, 0)), reverse=True)
-                readings = [exps] if h == 3 else [(k, *exps), (exps[0], k, exps[1]), (*exps, k)]
-                for A, B, C in readings:
-                    out |= p_restrict(A, B, C, p)
+    for mu in _orbit(profile, p):
+        t, r = divmod(mu, unit)
+        if r < p ** (h - 1):  # r's base-p digits are d_0 .. d_(h-2), the top digit 0
+            exps = sorted((t + r // p**i % p for i in range(h)), reverse=True)
+            readings = [exps] if h == 3 else [(k, *exps), (exps[0], k, exps[1]), (*exps, k)]
+            for A, B, C in readings:
+                out |= p_restrict(A, B, C, p)
     if not out:
         raise InconsistencyError("decomposition impossible")
     return out
@@ -172,12 +171,6 @@ def predicted_weights(profile: InertiaProfile, p: int) -> set[Triple]:
 # Dirichlet characters
 
 _CONDUCTORS = {"eps17": 17, "omega4": 4, "psi8": 8}
-
-
-def legendre_symbol(a: int, q: int) -> int:
-    """(a|q) for an odd prime q, in {-1, 0, 1}."""
-    r = pow(a % q, (q - 1) // 2, q)
-    return -1 if r == q - 1 else r
 
 
 class DirichletCharacter(Record):

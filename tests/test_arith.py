@@ -94,7 +94,7 @@ def test_ord_multiplicative_and_ultrametric(p):
 
 def test_modulus_is_first_irreducible():
     # independent enumeration of the deterministic modulus choice
-    for p in (2, 3, 5, 7, 11):
+    for p in filter(_trial_division, range(2000)):
         found = None
         for b in range(p):
             for c in range(p):

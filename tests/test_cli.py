@@ -342,6 +342,17 @@ def _certificate_without_f(d):
     ("5-17-1", lambda d: d["level_data"][0].update(q=4)),
     ("5-17-1", lambda d: _certificate(d, p=4)),
     ("5-17-1", lambda d: _certificate(d, evidence_f=["irreducible-mod-q", 9])),
+    ("5-17-1", lambda d: d["expected"].update(weights=["630"])),
+    ("5-17-1", lambda d: d.update(eigenvalues=[{"ell": 2, "a": ["12", "34", "01"]}])),
+    ("5-17-1", lambda d: d.update(eigenvalues=[{"ell": 2, "a": "123"}])),
+    ("5-17-1", lambda d: d["inertia_profile"].update(triples=["000"])),
+    ("5-17-1", lambda d: d["expected"].update(nebentype=5)),
+    ("5-17-1", lambda d: d["expected"].update(frobenius_classes={"2": 5})),
+    ("5-17-1", lambda d: d["expected"].update(level={"seventeen": 1})),
+    ("5-17-1", lambda d: d["expected"].update(weights=[[6, 3]])),
+    ("5-17-1", lambda d: d["expected"].update(weights=[[6, 3, 0, 0]])),
+    ("5-17-1", lambda d: d.update(expected=[])),
+    ("5-17-1", lambda d: d["expected"].update(frobenius_classes=[])),
 ], ids=["p-float", "p-not-prime", "artin-power-float", "residue-degree-float",
         "cycle-type-int", "nebentype-k-bool",
         "certificate-p-float", "evidence-q-float", "expected-level-float", "expected-level-list",
@@ -354,7 +365,11 @@ def _certificate_without_f(d):
         "frobenius-inputs-object", "eigenvalues-object", "skipped-ells-object",
         "skipped-ells-letter", "note-int", "name-list", "name-int", "frobenius-ell-4",
         "frobenius-ell-0", "frobenius-ell-1", "frobenius-ell-negative", "level-q-4",
-        "certificate-p-4", "evidence-q-9"])
+        "certificate-p-4", "evidence-q-9", "expected-weight-string",
+        "eigenvalue-pair-strings", "eigenvalues-string", "triple-string",
+        "expected-nebentype-int", "expected-class-int", "expected-level-word",
+        "expected-weight-short", "expected-weight-long", "expected-list",
+        "expected-classes-list"])
 def test_case_values_outside_the_schema_exit_2(tmp_path, capsys, case, edit):
     payload = case_json(case)
     edit(payload)
@@ -460,7 +475,10 @@ def test_niveau_2_string_exponent_is_an_integer(tmp_path, capsys):
     {"niveau": 1, "triples": [[0, 0]]},
     {"niveau": 1, "triples": [[0, 0, 0]], "flags": "ab"},
     {"niveau": 2, "k": 1, "m": 2, "flags": ["none", "bogus"]},
-], ids=["niveau-float", "short-triple", "flags-string", "niveau-2-flag-unknown"])
+    {"niveau": 1, "triples": ["123"]},
+    {"niveau": 1, "triples": "123"},
+], ids=["niveau-float", "short-triple", "flags-string", "niveau-2-flag-unknown",
+        "triple-string", "triples-string"])
 def test_weights_rejects_malformed_profile(tmp_path, capsys, profile):
     assert main(["weights", _write(tmp_path, "prof.json", profile), "--p", "5"]) == 2
     assert capsys.readouterr().out == ""
@@ -560,3 +578,26 @@ def test_large_level_prime_within_2_s(tmp_path, capsys, q, code):
         signal.signal(signal.SIGALRM, previous)
     if code == 2:
         assert "3317044064679887385961981" in capsys.readouterr().err
+
+
+def test_large_working_prime_within_2_s(tmp_path, capsys):
+    """5-17-1 moved to a 13-digit p, with no Frobenius rows or golden block
+    (there are no class tables at that p): the F_{p^2} modulus and the
+    weights come out in bounded time."""
+    def expire(signum, frame):
+        raise TimeoutError("verify-case at p = 10^12 + 39 ran past 2 s")
+
+    payload = case_json("5-17-1")
+    payload["p"] = 10**12 + 39
+    _drop(payload, "frobenius_inputs")
+    _drop(payload, "expected")
+    path = _write(tmp_path, "large-p.json", payload)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        assert main(["verify-case", path]) == 0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    report = json.loads(capsys.readouterr().out)
+    assert report["field_model"]["quadratic_modulus"] == [1, 0, 1]

@@ -11,8 +11,11 @@ level datum changes the level), so the oracle reads the report rather than
 the mutated path.
 
 Every mutation of one golden case's certificate request runs; the rest are
-sampled, a few per input, with a fixed seed to keep the suite fast.  ``all_mutations`` is the
-full set, for running the fuzzer exhaustively by hand.
+sampled, a few per input, with a fixed seed to keep the suite fast.  Every
+mutation of that case's golden block runs as well, on top of the sample:
+a golden value of the wrong type exits 2, and exit 1 is reached only by a
+well-typed value that differs.  ``all_mutations`` is the full set, for
+running the fuzzer exhaustively by hand.
 """
 
 import contextlib
@@ -104,8 +107,8 @@ def _is_certificate_node(mutation) -> bool:
 
 
 def sampled_mutations() -> list[tuple]:
-    """Every mutation of the certificate request, and PER_INPUT others of
-    each input."""
+    """Every mutation of the certificate request, PER_INPUT others of each
+    input, and every mutation of the certified case's golden block."""
     rng = random.Random(SEED)
     out, rest = [], {}
     for m in all_mutations(rng):
@@ -115,7 +118,7 @@ def sampled_mutations() -> list[tuple]:
             rest.setdefault(m[0], []).append(m)
     for group in rest.values():
         out += rng.sample(group, PER_INPUT)
-    return out
+    return out + [m for m in rest[CERTIFIED_CASE] if m[3][:1] == ("expected",)]
 
 
 def run_cli(tmp_path, label, payload, argv) -> tuple[int, str]:

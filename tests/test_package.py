@@ -7,7 +7,7 @@ import types
 import pytest
 
 import padic_serre
-from padic_serre import Fp2Elem, LevelDatum, NewtonPolygon, RamFiltration
+from padic_serre import Fp2Elem, IntPoly, LevelDatum, NewtonPolygon, RamFiltration
 from padic_serre.arith import Record
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -46,3 +46,8 @@ def test_records_are_read_only_values():
     assert pickle.loads(pickle.dumps(x)) == x and repr(x) == "(2 + 4*w mod 5)"
     with pytest.raises(AttributeError):
         x.c0 = 0
+    f = IntPoly([-6, 1, 0])
+    assert isinstance(f, Record) and f == IntPoly([-6, 1]) and hash(f) == hash(IntPoly([-6, 1]))
+    assert pickle.loads(pickle.dumps(f)) == f and repr(f) == "IntPoly(x - 6)"
+    with pytest.raises(AttributeError):
+        f.coeffs = (1,)

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from padic_serre.arith import _PRIME_LIMIT, is_prime, legendre_symbol
 from padic_serre.cli import main
 from padic_serre.errors import InconsistencyError
 from padic_serre.weights import (
@@ -12,7 +13,6 @@ from padic_serre.weights import (
     InertiaProfile,
     Triple,
     is_p_restricted,
-    legendre_symbol,
     nebentype_factor,
     p_restrict,
     predicted_weights,
@@ -226,10 +226,17 @@ def test_predicted_weights_match_the_enumerations():
     }
 
 
+#: The largest prime that ``is_prime`` decides, 168 below its limit.
+LARGEST_PRIME = next(n for n in range(_PRIME_LIMIT - 1, 0, -1) if is_prime(n))
+
+
 @pytest.mark.parametrize("profile,p", [
     ({"niveau": 3, "m": 123456789}, 1009),
     ({"niveau": 2, "k": 7, "m": 98765432123}, 100003),
-], ids=["niveau-3-p-1009", "niveau-2-p-100003"])
+    ({"niveau": 3, "m": 123456789}, 10**12 + 39),
+    ({"niveau": 3, "m": 123456789}, LARGEST_PRIME),
+], ids=["niveau-3-p-1009", "niveau-2-p-100003", "niveau-3-p-13-digits",
+        "niveau-3-largest-prime"])
 def test_weights_command_at_large_p_within_2_s(tmp_path, capsys, profile, p):
     def expire(signum, frame):
         raise TimeoutError(f"weights at p = {p} ran past 2 s")
