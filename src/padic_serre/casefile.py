@@ -29,7 +29,7 @@ from .errors import InconsistencyError, SchemaError, json_int, json_list, read_j
 from .galois_local import LevelDatum, level
 from .hecke import EigenvalueRecord, check_attached
 from .krasner import METHODS, certify_same_extension, parse_evidence
-from .polynomial import IntPoly, cycle_type_mod_ell, discriminant
+from .polynomial import IntPoly, cycle_types, discriminant
 from .rep3a6 import (
     coarse_from_cycle_type,
     frob_charpoly,
@@ -118,14 +118,18 @@ class CaseFile(Record):
 
 def _frobenius_input(entry: dict) -> dict:
     """A copy of the entry with ell, and the stored cycle type, Artin power
-    and residue degree if any, read as integers, ell checked to be prime,
-    and the order-5 class if any checked against FINE_ORDER5."""
+    and residue degree if any, read as integers; ell checked to be prime,
+    the provenances to be strings, the order-5 class to be in FINE_ORDER5."""
     out = dict(entry, ell=json_int(entry["ell"]))
     if not is_prime(out["ell"]):
         raise SchemaError(f"frobenius_inputs row at ell {out['ell']}: ell is not prime")
     for key in ("artin_power", "residue_degree"):
         if key in entry:
             out[key] = json_int(entry[key])
+    for key in ("provenance", "artin_provenance"):
+        if not isinstance(entry.get(key, ""), str):
+            raise SchemaError(f"frobenius_inputs row at ell {out['ell']}: {key}"
+                              f" {entry[key]!r} is not a string")
     if "cycle_type" in entry:
         if not isinstance(entry["cycle_type"], list):
             raise SchemaError(f"cycle_type {entry['cycle_type']!r} is not a list")
@@ -157,15 +161,16 @@ def _certificate_request(req: dict) -> dict:
 def _expected(expected: Optional[dict]) -> Optional[dict]:
     """A copy of the golden block with the level primes and exponents, the
     weights and the primes of the Frobenius classes read as integers; a
-    nebentype or class label that is not a string, or a weight that is not
-    three values: SchemaError."""
+    nebentype, source or class label that is not a string, or a weight that
+    is not three values: SchemaError."""
     if expected is None:
         return None
     out = dict(expected)
     if "level" in expected:
         out["level"] = {str(json_int(q)): json_int(e) for q, e in expected["level"].items()}
-    if not isinstance(expected.get("nebentype", ""), str):
-        raise SchemaError(f"expected nebentype {expected['nebentype']!r} is not a string")
+    for key in ("nebentype", "source"):
+        if not isinstance(expected.get(key, ""), str):
+            raise SchemaError(f"expected {key} {expected[key]!r} is not a string")
     if "weights" in expected:
         weights = [tuple(json_int(x) for x in json_list(w)) for w in json_list(expected["weights"])]
         if any(len(w) != 3 for w in weights):
@@ -189,27 +194,23 @@ def load_bundled_case(name: str) -> CaseFile:
     return CaseFile.load(os.path.join(CASES_DIR, f"{name}.json"))
 
 
-def _cycle_type_checked(case: CaseFile, entry: dict, disc: Optional[int]) -> tuple[int, ...]:
+def _cycle_type_checked(case: CaseFile, entry: dict, computed: dict) -> tuple[int, ...]:
     """Stored cycle type, cross-checked against the sextic mod ell whenever
-    the reduction is squarefree; disc is the sextic's discriminant, None
-    when the case has no sextic."""
+    the reduction is squarefree; computed maps those ells to the cycle
+    types of the sextic."""
     ell = entry["ell"]
     stored = entry.get("cycle_type", ())
-    if disc is not None and disc % ell != 0:
-        computed = cycle_type_mod_ell(case.sextic, ell)
-        if stored and stored != computed:
-            raise InconsistencyError(
-                f"case {case.name}: stored cycle type {stored} at ell={ell}"
-                f" disagrees with the recomputed {computed}"
-            )
-        return computed
-    if not stored and disc is None:
+    if ell in computed:
+        if stored and stored != computed[ell]:
+            raise InconsistencyError(f"case {case.name}: stored cycle type {stored} at ell={ell}"
+                                     f" disagrees with the recomputed {computed[ell]}")
+        return computed[ell]
+    if not stored and case.sextic is None:
         raise InconsistencyError(f"case {case.name}: ell={ell} has no stored cycle type"
                                  " and no sextic to compute it from")
     if not stored:
-        raise InconsistencyError(
-            f"case {case.name}: ell={ell} has non-squarefree reduction and no stored cycle type"
-        )
+        raise InconsistencyError(f"case {case.name}: ell={ell} has non-squarefree reduction"
+                                 " and no stored cycle type")
     return stored
 
 
@@ -256,10 +257,12 @@ def _frobenius_section(case: CaseFile, n: int, ell_max: int) -> tuple[list[dict]
             raise InconsistencyError(f"frobenius_inputs row at ell {e['ell']}: ell divides"
                                      f" pN = {case.p * n}, where Frobenius is not defined")
     disc = discriminant(case.sextic) if entries and case.sextic is not None else None
+    ells = [e["ell"] for e in entries if disc is not None and disc % e["ell"]]
+    computed = dict(zip(ells, cycle_types(case.sextic, ells) if ells else ()))
     section, frob_polys = [], {}
     for entry in entries:
         out, frob_polys[entry["ell"]] = _frobenius_entry(
-            entry, _cycle_type_checked(case, entry, disc),
+            entry, _cycle_type_checked(case, entry, computed),
             case.nebentype.sign_at(entry["ell"]), case.p)
         section.append(out)
     return section, frob_polys

@@ -7,18 +7,18 @@ leading coefficient is nonzero (the zero polynomial has an empty tuple).
 Provides resultants (fraction-free Sylvester determinants), discriminants,
 shifts f(x+a), p-adic Newton polygons, the root-difference polynomial whose
 slopes are the pairwise root-distance valuations, and cycle types by a
-distinct-degree factorization over F_ell that counts the factors of each
-degree from the degrees of gcds and never splits them off.  The cycle type
-works mod ell throughout: squarefreeness is gcd(r, r') = 1 in F_ell[x] (the
-integer discriminant is only computed when ell divides the leading
-coefficient), and Frobenius acts on F_ell[x]/(r) through the rows
-x^(ell*i) mod r, computed once and never reduced again.
+distinct-degree factorization that counts the factors of each degree and
+never splits them off, for many ells from one Frobenius matrix Q (rows
+x^(ell*i) mod r) over Z/(product of the ells), which the CRT splits into
+each F_ell[x]/(r): for ell > deg r the counts of degree 1 and 2 are Tr Q
+and Tr Q^2 mod ell, the others degrees of gcds; squarefree means
+gcd(r, r') = 1 in F_ell[x], with disc(T) only computed when ell | lc(T).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from operator import mul
 
 from .arith import Record, is_prime, ord_p
@@ -344,52 +344,79 @@ def _gcd_degree(a: list[int], b: list[int], ell: int) -> int:
         a, b = b, a[:k]
 
 
-def cycle_type_mod_ell(T: IntPoly, ell: int) -> tuple[int, ...]:
-    """Degrees of the irreducible factors of T mod ell, sorted descending.
-
-    Counts them by distinct-degree factorization (Cohen, GTM 138, 3.4.3)
-    with no splitting: N_d = deg gcd(r, x^(ell^d) - x) is the sum of e*c_e
-    over e | d, where c_e is the number of factors of degree e, so c_d
-    follows from N_d and the counts below d; once 2d exceeds the degree
-    not yet accounted for, what is left is one factor.  Requires the
-    reduction to stay squarefree.  When ell does not divide lc(T) that is
-    decided in F_ell[x] as gcd(r, r') = 1, equivalent to ell not dividing
-    disc(T); only when ell | lc(T) is the integer discriminant computed, to
-    choose the error message.  Each step applies Frobenius h -> h^ell on
-    F_ell[x]/(r) as the matrix whose rows are x^(ell*i) mod r.
-    """
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    if T.degree < 1:
-        raise ValueError("constant polynomial has no cycle type")
-    if T.leading % ell == 0:
-        if T.degree >= 2 and discriminant(T) % ell == 0:
+def cycle_types(T: IntPoly, ells) -> list[tuple[int, ...]]:
+    """``cycle_type_mod_ell`` at each ell, checked and raising in the order
+    of ells, from one Frobenius matrix Q over Z/m, m the product of the
+    distinct ells, which the CRT splits into the F_ell[x]/(r).  x^ell is one
+    power for all ells: square, then move the components whose ell has the
+    bit set to x*X, as X + s*(x*X - X), s the sum of their CRT idempotents.
+    For ell > deg T, N_1 and N_2 are Tr Q and Tr Q^2 mod ell: Frobenius
+    permutes a normal basis of each factor's field, and N_d <= deg T < ell."""
+    ells, reduced = tuple(ells), {}
+    for ell in ells:
+        if not is_prime(ell):
+            raise ValueError(f"{ell} is not prime")
+        if T.degree < 1:
+            raise ValueError("constant polynomial has no cycle type")
+        if T.leading % ell == 0:
+            if T.degree >= 2 and discriminant(T) % ell == 0:
+                raise InconsistencyError("ramified or non-squarefree reduction")
+            raise InconsistencyError("leading coefficient vanishes mod ell")
+        inv = pow(T.leading, -1, ell)
+        r = reduced[ell] = [c * inv % ell for c in T.coeffs]
+        if _gcd_degree(r, [i * c for i, c in enumerate(r)][1:], ell):
             raise InconsistencyError("ramified or non-squarefree reduction")
-        raise InconsistencyError("leading coefficient vanishes mod ell")
-    inv = pow(T.leading, -1, ell)
-    r = [c * inv % ell for c in T.coeffs]
-    if _gcd_degree(r, [i * c for i, c in enumerate(r)][1:], ell):
-        raise InconsistencyError("ramified or non-squarefree reduction")
+    if len(ells) > 32:  # products mod m grow faster than the ells they serve
+        return [ct for i in range(0, len(ells), 32) for ct in cycle_types(T, ells[i:i + 32])]
     n = T.degree
-    if n == 1:
-        return (1,)
-    x = [0, 1] + [0] * (n - 2)
-    x_ell = x
-    for bit in bin(ell)[3:]:
-        x_ell = _mulmod(x_ell, x_ell, r, ell)
-        if bit == "1":  # times x: a shift and one reduction step
-            x_ell = [(lo - x_ell[-1] * m) % ell for lo, m in zip([0] + x_ell, r[:n])]
+    if n == 1 or not reduced:
+        return [(1,)] * len(ells)
+    m = prod(reduced)
+    inv = pow(T.leading, -1, m)
+    r = [c * inv % m for c in T.coeffs]
+    moves = [0] * max(reduced).bit_length()  # the idempotents of the ells with bit b set
+    for ell in reduced:
+        e = m // ell * pow(m // ell, -1, ell)
+        for b in range(ell.bit_length()):
+            moves[b] += e * (ell >> b & 1)
+    x_ell = [1 - moves[-1], moves[-1]] + [0] * (n - 2)  # 1 moved at the top bit
+    for s in reversed(moves[:-1]):
+        x_ell = _mulmod(x_ell, x_ell, r, m)
+        if s:  # times x is a shift and one reduction step
+            x_ell = [(a + s * (lo - x_ell[-1] * c - a)) % m
+                     for a, lo, c in zip(x_ell, [0] + x_ell, r)]
     rows = [[1] + [0] * (n - 1), x_ell]
     while len(rows) < n:
-        rows.append(_mulmod(rows[-1], x_ell, r, ell))
+        rows.append(_mulmod(rows[-1], x_ell, r, m))
     cols = list(zip(*rows))
-    parts: list[int] = []
-    h, d = x, 0
-    while 2 * (d + 1) <= n - sum(parts):
-        d += 1
-        h = [sum(map(mul, h, col)) % ell for col in cols]  # x^(ell^d) mod r
-        found = _gcd_degree(r, [h[0], h[1] - 1] + h[2:], ell)
-        parts += [d] * ((found - sum(e for e in parts if d % e == 0)) // d)
-    if sum(parts) < n:
-        parts.append(n - sum(parts))
-    return tuple(sorted(parts, reverse=True))
+    traces = () if max(reduced) <= n else (  # Tr Q^d, d = 0, 1, 2
+        n, sum(row[i] for i, row in enumerate(rows)),
+        sum(sum(map(mul, row, col)) for row, col in zip(rows, cols)))
+    powers, out = [[0, 1] + [0] * (n - 2)], []  # x^(ell^d) mod r, d = 0, 1, ...
+    for ell in ells:
+        parts, d = [], 0
+        while 2 * (d + 1) <= n - sum(parts):
+            d += 1
+            if ell > n and d <= 2:
+                found = traces[d] % ell
+            else:
+                while len(powers) <= d:
+                    powers.append([sum(map(mul, powers[-1], col)) % m for col in cols])
+                h = powers[d]
+                found = _gcd_degree(reduced[ell], [h[0], h[1] - 1] + h[2:], ell)
+            parts += [d] * ((found - sum(e for e in parts if d % e == 0)) // d)
+        if sum(parts) < n:
+            parts.append(n - sum(parts))
+        out.append(tuple(sorted(parts, reverse=True)))
+    return out
+
+
+def cycle_type_mod_ell(T: IntPoly, ell: int) -> tuple[int, ...]:
+    """Degrees of the irreducible factors of T mod ell, sorted descending:
+    ``cycle_types(T, (ell,))[0]``, a distinct-degree factorization (Cohen,
+    GTM 138, 3.4.3) that never splits.  N_d, the number of roots of r = T
+    mod ell in F_(ell^d), is deg gcd(r, x^(ell^d) - x) and the sum of e*c_e
+    over e | d, c_e the number of degree-e factors, so c_d follows from N_d
+    and the counts below d; once 2d exceeds the degree left, the rest is one factor.
+    r must be squarefree; disc(T) is computed only when ell | lc(T)."""
+    return cycle_types(T, (ell,))[0]

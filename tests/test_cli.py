@@ -353,6 +353,9 @@ def _certificate_without_f(d):
     ("5-17-1", lambda d: d["expected"].update(weights=[[6, 3, 0, 0]])),
     ("5-17-1", lambda d: d.update(expected=[])),
     ("5-17-1", lambda d: d["expected"].update(frobenius_classes=[])),
+    ("5-17-1", lambda d: d["expected"].update(source=1.5)),
+    ("5-17-1", lambda d: _first_frobenius_row(d, provenance=[1])),
+    ("5-17-1", lambda d: _first_frobenius_row(d, artin_provenance=7)),
 ], ids=["p-float", "p-not-prime", "artin-power-float", "residue-degree-float",
         "cycle-type-int", "nebentype-k-bool",
         "certificate-p-float", "evidence-q-float", "expected-level-float", "expected-level-list",
@@ -369,13 +372,26 @@ def _certificate_without_f(d):
         "eigenvalue-pair-strings", "eigenvalues-string", "triple-string",
         "expected-nebentype-int", "expected-class-int", "expected-level-word",
         "expected-weight-short", "expected-weight-long", "expected-list",
-        "expected-classes-list"])
+        "expected-classes-list", "expected-source-float", "row-provenance-list",
+        "row-artin-provenance-int"])
 def test_case_values_outside_the_schema_exit_2(tmp_path, capsys, case, edit):
     payload = case_json(case)
     edit(payload)
     path = _write(tmp_path, "coerced.json", payload)
     assert main(["verify-case", path]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("edit,key", [
+    (lambda d: d["expected"].update(source=1.5), "source"),
+    (lambda d: _first_frobenius_row(d, provenance=[1]), "provenance"),
+    (lambda d: _first_frobenius_row(d, artin_provenance=7), "artin_provenance"),
+], ids=["source", "provenance", "artin-provenance"])
+def test_non_string_annotation_names_its_key(tmp_path, capsys, edit, key):
+    payload = case_json("5-17-1")
+    edit(payload)
+    assert main(["verify-case", _write(tmp_path, "annotation.json", payload)]) == 2
+    assert f"{key} " in capsys.readouterr().err
 
 
 def test_evidence_flag_and_case_file_claim_parse_alike():
@@ -403,6 +419,12 @@ def _stored_cycle_type(d, ell, cycle_type, sextic=True):
     row.pop("cycle_type", None)
     if cycle_type is not None:
         row["cycle_type"] = cycle_type
+
+
+def _leading_coefficient_7(d):
+    """The sextic T replaced by T + 6x^6: the same mod 2 and mod 3, so the
+    rows at 2 and 3 still agree, with 7 | lc but not disc = 5 mod 7."""
+    d["sextic"][6] = str(int(d["sextic"][6]) + 6)
 
 
 @pytest.mark.parametrize("case,edit,message", [
@@ -434,12 +456,13 @@ def _stored_cycle_type(d, ell, cycle_type, sextic=True):
      "(7, -1) is not a partition of 6"),
     ("3-13-9", lambda d: _stored_cycle_type(d, 7, [6, 0]),
      "(6, 0) is not a partition of 6"),
+    ("5-17-1", _leading_coefficient_7, "leading coefficient vanishes mod ell"),
 ], ids=["false-evidence", "unknown-nebentype-kind", "p-without-class-data",
         "repeated-frobenius-ell", "repeated-eigenvalue-ell", "frobenius-row-at-ell-dividing-N",
         "frobenius-row-at-p", "no-cycle-type-at-non-squarefree-ell", "no-cycle-type-no-sextic",
         "zero-part-no-sextic", "zero-part-last-no-sextic", "negative-part-no-sextic",
         "zero-part-no-sextic-p3", "negative-part-at-ell-dividing-disc",
-        "zero-part-at-ell-dividing-disc-p3"])
+        "zero-part-at-ell-dividing-disc-p3", "leading-coefficient-7"])
 def test_well_formed_but_inconsistent_case_values_exit_3(tmp_path, capsys, case, edit, message):
     payload = case_json(case)
     edit(payload)

@@ -1,7 +1,8 @@
 """cycle_type_mod_ell against an independent brute-force count of the
 irreducible factors mod ell and against a splitting distinct-degree
-factorization, its exact error contract, and the number of integer
-discriminants the Frobenius section computes."""
+factorization, its exact error contract, the batch cycle_types against the
+same reference one ell at a time, and the number of integer discriminants
+the Frobenius section computes."""
 
 import itertools
 import random
@@ -11,7 +12,7 @@ import pytest
 from padic_serre import casefile, polynomial
 from padic_serre.casefile import GOLDEN, load_bundled_case, verify_case
 from padic_serre.errors import InconsistencyError
-from padic_serre.polynomial import IntPoly, cycle_type_mod_ell, discriminant
+from padic_serre.polynomial import IntPoly, cycle_type_mod_ell, cycle_types, discriminant
 
 
 def _divides(m, t, ell):
@@ -192,6 +193,79 @@ def test_counting_pass_matches_splitting_reference(ell):
     assert "ramified or non-squarefree reduction" in outcomes
     assert "leading coefficient vanishes mod ell" in outcomes
     assert sum(isinstance(o, tuple) and len(o) >= 3 for o in outcomes) >= 5
+
+
+def _looped(f, ells):
+    """What a loop of single calls gives: the splitting reference's cycle
+    type at each ell, or the type and message of the first error that
+    cycle_type_mod_ell raises."""
+    out = []
+    for ell in ells:
+        try:
+            cycle_type_mod_ell(f, ell)
+        except (InconsistencyError, ValueError) as exc:
+            return type(exc), str(exc)
+        out.append(_splitting_cycle_type(f, ell))
+    return out
+
+
+def _batch_input(rng, ells):
+    """A polynomial of degree 1-12 with random integer coefficients, or, now
+    and then, the lift of a product mod one ell of the batch with a squared
+    factor, so that only that ell sees a repeated factor; a leading
+    coefficient divisible by an ell of the batch now and then."""
+    n, ell = rng.randint(1, 12), rng.choice(ells)
+    coeffs = [rng.randint(-1000, 1000) for _ in range(n)] + [rng.choice([1, -1, 3, 7])]
+    if n >= 2 and rng.random() < 0.3:
+        m = [rng.randrange(ell) for _ in range(rng.randint(1, n // 2))] + [1]
+        rest = [rng.randrange(ell) for _ in range(n - 2 * (len(m) - 1))] + [1]
+        product = IntPoly(m) * IntPoly(m) * IntPoly(rest)
+        coeffs = [c + ell * rng.randint(-3, 3) for c in product.coeffs]
+    if rng.random() < 0.1:
+        coeffs[-1] = ell * rng.randint(1, 3)
+    return IntPoly(coeffs)
+
+
+def test_batch_matches_the_per_ell_reference():
+    """Batches that mix ell <= deg with ell > deg, repeat an ell, put
+    1,000,003 beside 2, hold a number that is not prime or run past the 32
+    ells of one product modulus give, ell by ell, the splitting reference's
+    cycle types, or the first error of a loop."""
+    rng = random.Random("cycle-types/batch")
+    primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    more = [ell for ell in range(53, 400) if all(ell % q for q in range(2, ell))]
+    values, errors = [], set()
+    for _ in range(300):
+        ells = rng.sample(primes, rng.randint(1, 6))
+        if rng.random() < 0.3:
+            ells.append(rng.choice(ells))
+        if rng.random() < 0.25:
+            i = rng.randrange(len(ells) + 1)
+            ells[i:i] = [2, 1_000_003]
+        if rng.random() < 0.05:
+            ells += rng.sample(more, 33)
+        if rng.random() < 0.05:
+            ells.insert(rng.randrange(len(ells) + 1), rng.choice([1, 4, 9]))
+        f = _batch_input(rng, [ell for ell in ells if ell in primes])
+        want = _looped(f, ells)
+        try:
+            got = cycle_types(f, ells)
+        except (InconsistencyError, ValueError) as exc:
+            got = type(exc), str(exc)
+        assert got == want, (f, ells)
+        if isinstance(want, list):
+            values.append((f.degree, ells))
+        else:
+            errors.add(want)
+    assert errors == {(InconsistencyError, "ramified or non-squarefree reduction"),
+                      (InconsistencyError, "leading coefficient vanishes mod ell"),
+                      (ValueError, "1 is not prime"), (ValueError, "4 is not prime"),
+                      (ValueError, "9 is not prime")}
+    assert len(values) >= 100
+    assert any(min(ells) <= n < max(ells) for n, ells in values)
+    assert any(2 in ells and 1_000_003 in ells for n, ells in values)
+    assert any(len(set(ells)) < len(ells) for n, ells in values)
+    assert any(len(ells) > 32 for n, ells in values)
 
 
 @pytest.mark.parametrize("coeffs,ell,message", [
