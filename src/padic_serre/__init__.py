@@ -17,7 +17,7 @@ from .errors import (
     SchemaError,
 )
 from .galois_local import LevelDatum, RamFiltration, level, level_exponent
-from .hecke import AttachmentVerdict, EigenvalueRecord, check_attached, hecke_poly, solve_record
+from .hecke import AttachmentVerdict, EigenvalueRecord, check_attached, hecke_poly
 from .krasner import (
     Certificate,
     PrecisionReport,

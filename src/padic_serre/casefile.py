@@ -10,8 +10,8 @@ Frobenius class), six are data-only records of fields whose verification
 was out of reach.
 
 The pipeline: level -> nebentype validation -> predicted weights ->
-per-ell Frobenius class and characteristic polynomial (the cover path for
-p=5, the symmetric-square tables for p=3) -> attachment check when
+per-ell Frobenius class and its characteristic polynomials (one trace rule
+for p=5 and p=3) -> attachment check when
 eigenvalues are present -> comparison against the golden block.  Reports
 are deterministic (sorted keys, fixed field models), so repeated runs are
 byte-identical.
@@ -30,13 +30,7 @@ from .galois_local import LevelDatum, level
 from .hecke import EigenvalueRecord, check_attached
 from .krasner import METHODS, certify_same_extension, parse_evidence
 from .polynomial import IntPoly, cycle_types, discriminant
-from .rep3a6 import (
-    coarse_from_cycle_type,
-    frob_charpoly,
-    frobenius_class,
-    mod3_charpoly_candidates,
-    twist,
-)
+from .rep3a6 import class_charpolys, coarse_from_cycle_type, frobenius_class
 from .weights import DirichletCharacter, InertiaProfile, nebentype_factor, predicted_weights
 
 DEFAULT_ELL_MAX = 47
@@ -215,20 +209,21 @@ def _cycle_type_checked(case: CaseFile, entry: dict, computed: dict) -> tuple[in
 
 
 def _frobenius_entry(entry: dict, cycle_type, eps_sign: int, p: int) -> tuple[dict, list]:
-    """The report entry at one ell: the mod-p class of Frobenius, from the
-    cover table at p=5 and the symmetric-square table at p=3, and its
-    charpolys twisted by the nebentype sign; returned with those twisted
-    charpolys.  Two candidates mean an unresolved order-5 class."""
+    """The report entry at one ell: the mod-p class of Frobenius, by the
+    Artin power at p=5 and the order-5 class at p=3, and its charpolys
+    twisted by the nebentype sign; returned with those twisted charpolys.
+    Two candidates mean an unresolved order-5 class."""
+    label = coarse_from_cycle_type(cycle_type)
+    fine = entry.get("fine_order5", "unknown")
+    if fine != "unknown" and label != "5ab":
+        raise InconsistencyError(f"frobenius_inputs row at ell {entry['ell']}: fine_order5"
+                                 f" {fine} contradicts the cycle type's class {label}")
     if p == 5:
         label = frobenius_class(cycle_type, entry.get("artin_power", 0),
                                 entry.get("residue_degree", lcm(*cycle_type)))
-        candidates = [frob_charpoly(label, 1)]
-    else:
-        label = coarse_from_cycle_type(cycle_type)
-        if label == "5ab" and entry.get("fine_order5") in ("5a", "5b"):
-            label = entry["fine_order5"]
-        candidates = mod3_charpoly_candidates(label)
-    polys = [twist(poly, eps_sign) for poly in candidates]
+    elif fine != "unknown":
+        label = fine
+    polys = class_charpolys(p, label, eps_sign)
     out = {
         "ell": entry["ell"],
         "cycle_type": list(cycle_type),

@@ -62,22 +62,6 @@ def hecke_poly(rec: EigenvalueRecord, p: int) -> Cubic:
     return [Fp2Elem(p, 1, 0), -rec.a1, rec.a2 * ell, -(rec.a3 * pow(ell, 3, p))]
 
 
-def solve_record(ell: int, cubic: Cubic, p: int) -> EigenvalueRecord:
-    """Invert hecke_poly coefficientwise: the eigenvalue record whose Hecke
-    polynomial is the given cubic (constant coefficient must be 1)."""
-    if len(cubic) != 4 or cubic[0] != Fp2Elem(p, 1, 0):
-        raise InconsistencyError("cubic must have constant coefficient 1")
-    ell_mod = ell % p
-    if ell_mod == 0:
-        raise InconsistencyError(f"ell = {ell} is divisible by p = {p}")
-    return EigenvalueRecord(
-        ell,
-        -cubic[1],
-        cubic[2] * pow(ell_mod, -1, p),
-        -(cubic[3] * pow(ell_mod, -3, p)),
-    )
-
-
 def conjugate_cubic(cubic: Cubic) -> Cubic:
     return [c.frobenius() for c in cubic]
 

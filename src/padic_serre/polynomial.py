@@ -94,13 +94,6 @@ class IntPoly(Record):
 
     __rmul__ = __mul__
 
-    def __call__(self, x):
-        """Evaluate by Horner; exact for int and Fraction arguments."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -205,19 +198,10 @@ class NewtonPolygon(Record):
     def __init__(self, segments: tuple[tuple[Fraction, int], ...], infinite_mult: int = 0):
         self._set(segments, infinite_mult)
 
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.segments) + self.infinite_mult
-
     def largest_finite_slope(self) -> Fraction:
         if not self.segments:
             raise InconsistencyError("polygon has no finite slope")
         return self.segments[-1][0]
-
-    def slope_multiset(self) -> list[Fraction]:
-        out: list[Fraction] = []
-        for s, m in self.segments:
-            out.extend([s] * m)
-        return out
 
     def to_json(self) -> dict:
         return {

@@ -1,7 +1,7 @@
 """Coarse conjugacy-class calculus for the alternating group on six letters
-and its triple cover, with the mod-5 character data, Frobenius class
-resolution, characteristic polynomials, and the mod-3 symmetric-square
-construction.
+and its triple cover, Frobenius class resolution, the characteristic
+polynomials of the 3-dimensional mod-p representations, and the mod-3
+symmetric-square construction.
 
 Classes are plain label strings.  Classes of the base group are collapsed
 by character value into 1a, 2a, 3ab, 4a, 5ab; the cover's thirteen coarse
@@ -9,14 +9,12 @@ classes are
 
     1a 3a 3b 2a 6a 6b 3cd 4a 12a 12b 5ab 15ac 15bd
 
-with 3a/3b the central scalars z, z^2.  The trace character X over F_25
-(z the deterministic cube root of unity) and the inverse-class involution
-are frozen below; the tests check both against the explicit cover that
-matrix_oracle.py builds.  The first mod-3 table is frozen too
-(``MOD3_CLASS_POLYS``); ``a6_mod3_class_polys`` still builds both tables
-from the group, as the oracle the frozen one is checked against.  Class
-labels with order prime to 3 lift uniquely; multiplying by the central
-scalar walks 1a->3a->3b, 2a->6a->6b, 4a->12a->12b, 5ab->15ac->15bd.
+with 3a/3b the central scalars z, z^2.  Class labels with order prime to 3
+lift uniquely; multiplying by the central scalar walks 1a->3a->3b,
+2a->6a->6b, 4a->12a->12b, 5ab->15ac->15bd.  At both primes one rule gives
+the charpolys, det(1 - g*t) = 1 - tr(g)*t + tr(g^-1)*t^2 - t^3 for det g = 1,
+from the traces frozen below; the tests check them against the cover in
+SL_3(F_25) that matrix_oracle.py builds and the Sym^2 image in SL_3(F_9).
 """
 
 from __future__ import annotations
@@ -24,11 +22,20 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 
-from .arith import Fp2Elem, cube_root_of_unity
+from .arith import Fp2Elem
 from .errors import InconsistencyError
 from .matrices import Matrix, _classes, _decode, _group, charpoly3_reversed, mat
 
-COVER_COARSE = ("1a", "3a", "3b", "2a", "6a", "6b", "3cd", "4a", "12a", "12b", "5ab", "15ac", "15bd")
+#: trace of each class as the F_{p^2} pair (c0, c1): the cover's classes at
+#: p = 5, where z = (2, 1), and the Sym^2 image's at p = 3
+TRACES = {
+    5: {"1a": (3, 0), "3a": (1, 3), "3b": (1, 2), "2a": (4, 0), "6a": (3, 4), "6b": (3, 1),
+        "3cd": (0, 0), "4a": (1, 0), "12a": (2, 1), "12b": (2, 4),
+        "5ab": (3, 0), "15ac": (1, 3), "15bd": (1, 2)},
+    3: {"1a": (0, 0), "2a": (2, 0), "3ab": (0, 0), "4a": (1, 0), "5a": (2, 1), "5b": (2, 2)},
+}
+
+COVER_COARSE = tuple(TRACES[5])
 
 _CYCLE_TYPE_TO_COARSE = {
     (1, 1, 1, 1, 1, 1): "1a",
@@ -47,12 +54,9 @@ _CENTRAL_TWIST = {
     ("5ab", 0): "5ab", ("5ab", 1): "15ac", ("5ab", 2): "15bd",
 }
 
-#: inverting a class swaps the two scalar twists and fixes everything else
-INVERSE_CLASS = {
-    "1a": "1a", "2a": "2a", "3cd": "3cd", "4a": "4a", "5ab": "5ab",
-    "3a": "3b", "3b": "3a", "6a": "6b", "6b": "6a",
-    "12a": "12b", "12b": "12a", "15ac": "15bd", "15bd": "15ac",
-}
+#: the classes that are not their own inverse: the two scalar twists swap
+_SWAPPED = {"3a": "3b", "3b": "3a", "6a": "6b", "6b": "6a",
+            "12a": "12b", "12b": "12a", "15ac": "15bd", "15bd": "15ac"}
 
 
 def coarse_from_cycle_type(partition) -> str:
@@ -92,35 +96,6 @@ def frobenius_class(cycle_type, artin_power: int, residue_degree: int) -> str:
     return central_twist(base, artin_power * residue_degree)
 
 
-@lru_cache(maxsize=None)
-def _mod5_table() -> dict[str, Fp2Elem]:
-    z = cube_root_of_unity(5)
-    z2 = z * z
-    three, minus_two = Fp2Elem(5, 3, 0), Fp2Elem(5, -2, 0)
-    one = Fp2Elem(5, 1, 0)
-    return {
-        "1a": three, "3a": three * z, "3b": three * z2,
-        "2a": -one, "6a": -z, "6b": -z2,
-        "3cd": Fp2Elem(5, 0, 0),
-        "4a": one, "12a": z, "12b": z2,
-        "5ab": minus_two, "15ac": minus_two * z, "15bd": minus_two * z2,
-    }
-
-
-def char_value(cls: str) -> Fp2Elem:
-    """Trace character of the cover's 3-dimensional representation over
-    F_25, for the model where the central scalar has trace 3z."""
-    if cls not in COVER_COARSE:
-        raise InconsistencyError(f"unknown cover class {cls}")
-    return _mod5_table()[cls]
-
-
-def inverse_class(cls: str) -> str:
-    if cls not in COVER_COARSE:
-        raise InconsistencyError(f"unknown cover class {cls}")
-    return INVERSE_CLASS[cls]
-
-
 def twist(poly: list[Fp2Elem], eps_sign: int) -> list[Fp2Elem]:
     """det(1 - eps*A*t) from the coefficients of det(1 - A*t), for a sign
     eps = +1 or -1: the t^k coefficient times eps^k, so eps = -1 negates
@@ -128,13 +103,45 @@ def twist(poly: list[Fp2Elem], eps_sign: int) -> list[Fp2Elem]:
     return [-c if eps_sign == -1 and k % 2 else c for k, c in enumerate(poly)]
 
 
+@lru_cache(maxsize=None)
+def _class_polys(p: int) -> dict[str, list[Fp2Elem]]:
+    """Class -> det(1 - g*t) over F_{p^2}, from the traces of g and g^-1."""
+    trace = {label: Fp2Elem(p, c0, c1) for label, (c0, c1) in TRACES[p].items()}
+    one = Fp2Elem(p, 1, 0)
+    return {label: [one, -tr, trace[_SWAPPED.get(label, label)], -one]
+            for label, tr in trace.items()}
+
+
+def class_charpolys(p: int, label: str, eps_sign: int) -> list[list[Fp2Elem]]:
+    """det(1 - eps*rho(g)*t) for each class g the label names, p in (3, 5).
+    At p = 3, "5ab" (order 5, not resolved to 5a or 5b) names both, and
+    downstream checks can only conclude "equal or conjugate"."""
+    polys = _class_polys(p)
+    labels = ("5a", "5b") if p == 3 and label == "5ab" else (label,)
+    return [twist(polys[name], eps_sign) for name in labels]
+
+
+def _cover_class(cls: str) -> str:
+    if cls not in TRACES[5]:
+        raise InconsistencyError(f"unknown cover class {cls}")
+    return cls
+
+
+def char_value(cls: str) -> Fp2Elem:
+    """Trace character of the cover's 3-dimensional representation over
+    F_25, for the model where the central scalar has trace 3z."""
+    return Fp2Elem(5, *TRACES[5][_cover_class(cls)])
+
+
+def inverse_class(cls: str) -> str:
+    return _SWAPPED.get(_cover_class(cls), cls)
+
+
 def frob_charpoly(cls: str, eps_val: int) -> list[Fp2Elem]:
-    """Coefficients [1, c1, c2, c3] of det(1 - eps * rho(Frob) * t) over
-    F_25: the twist of 1 - X(cls)*t + X(cls^-1)*t^2 - t^3 by eps."""
+    """det(1 - eps * rho(Frob) * t) over F_25 for a cover class."""
     if eps_val not in (1, -1):
         raise InconsistencyError("eps_val must be +1 or -1")
-    one = Fp2Elem(5, 1, 0)
-    return twist([one, -char_value(cls), char_value(inverse_class(cls)), -one], eps_val)
+    return class_charpolys(5, _cover_class(cls), eps_val)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -185,30 +192,3 @@ def a6_mod3_class_polys() -> tuple[dict, dict]:
     # (concretely this exchanges the golden traces of 5a and 5b)
     conjugate = {k: [c.frobenius() for c in v] for k, v in table.items()}
     return table, conjugate
-
-
-#: The first table of ``a6_mod3_class_polys``, frozen: class -> the
-#: coefficients of its charpoly as F_9 pairs (c0, c1).  The tests check it,
-#: and its Galois twin, against the group.
-MOD3_CLASS_POLYS = {
-    label: [Fp2Elem(3, c0, c1) for c0, c1 in pairs]
-    for label, pairs in (
-        ("1a", ((1, 0), (0, 0), (0, 0), (2, 0))),
-        ("2a", ((1, 0), (1, 0), (2, 0), (2, 0))),
-        ("3ab", ((1, 0), (0, 0), (0, 0), (2, 0))),
-        ("4a", ((1, 0), (2, 0), (1, 0), (2, 0))),
-        ("5a", ((1, 0), (1, 2), (2, 1), (2, 0))),
-        ("5b", ((1, 0), (1, 1), (2, 2), (2, 0))),
-    )
-}
-
-
-def mod3_charpoly_candidates(label: str) -> list[list[Fp2Elem]]:
-    """Charpoly candidates for a class label in the first mod-3 table.
-
-    "5ab", an order-5 class not resolved to 5a or 5b, gives both
-    candidates, in which case downstream checks can only conclude "equal or
-    conjugate"; any other label gives its one polynomial."""
-    if label == "5ab":
-        return [MOD3_CLASS_POLYS["5a"], MOD3_CLASS_POLYS["5b"]]
-    return [MOD3_CLASS_POLYS[label]]

@@ -1,0 +1,40 @@
+"""Helpers that only the tests call: the eigenvalue record whose Hecke
+polynomial is a given cubic, Horner evaluation of an ``IntPoly``, and the
+slopes and total multiplicity of a Newton polygon."""
+
+from padic_serre.arith import Fp2Elem
+from padic_serre.errors import InconsistencyError
+from padic_serre.hecke import EigenvalueRecord
+
+
+def solve_record(ell, cubic, p):
+    """Invert ``hecke_poly`` coefficientwise: the eigenvalue record whose
+    Hecke polynomial is the given cubic (constant coefficient must be 1)."""
+    if len(cubic) != 4 or cubic[0] != Fp2Elem(p, 1, 0):
+        raise InconsistencyError("cubic must have constant coefficient 1")
+    ell_mod = ell % p
+    if ell_mod == 0:
+        raise InconsistencyError(f"ell = {ell} is divisible by p = {p}")
+    return EigenvalueRecord(
+        ell,
+        -cubic[1],
+        cubic[2] * pow(ell_mod, -1, p),
+        -(cubic[3] * pow(ell_mod, -3, p)),
+    )
+
+
+def evaluate(f, x):
+    """f(x) by Horner; exact for int and Fraction arguments."""
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def slope_multiset(polygon):
+    """Each finite slope repeated by its multiplicity."""
+    return [s for s, m in polygon.segments for _ in range(m)]
+
+
+def total_multiplicity(polygon):
+    return sum(m for _, m in polygon.segments) + polygon.infinite_mult

@@ -21,7 +21,7 @@ from padic_serre.casefile import GOLDEN, load_bundled_case, verify_case
 from padic_serre.cli import main
 from padic_serre.errors import EvidenceError
 from padic_serre.galois_local import LevelDatum, RamFiltration, level_exponent, level
-from padic_serre.hecke import EigenvalueRecord, check_attached, solve_record
+from padic_serre.hecke import EigenvalueRecord, check_attached
 from padic_serre.krasner import (
     certify_same_extension,
     precision_report,
@@ -42,6 +42,7 @@ from padic_serre.rep3a6 import (
 )
 from padic_serre.weights import Triple, p_restrict
 
+from helpers import slope_multiset, solve_record
 from matrix_reference import _mat_key, _matrix_closure
 
 X3M2 = IntPoly([-2, 0, 0, 1])
@@ -186,9 +187,9 @@ def _sweep_6c():
         f = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [1])
         g = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [1])
         checked += 1
-        lhs = sorted(newton_polygon(f * g, p).slope_multiset())
-        rhs = sorted(newton_polygon(f, p).slope_multiset()
-                     + newton_polygon(g, p).slope_multiset())
+        lhs = sorted(slope_multiset(newton_polygon(f * g, p)))
+        rhs = sorted(slope_multiset(newton_polygon(f, p))
+                     + slope_multiset(newton_polygon(g, p)))
         if lhs != rhs:
             failures += 1
     return checked, failures

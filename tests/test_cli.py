@@ -421,6 +421,14 @@ def _stored_cycle_type(d, ell, cycle_type, sextic=True):
         row["cycle_type"] = cycle_type
 
 
+def _fine_order5(d, ell, fine, sextic=True):
+    """The order-5 class at ell set to fine; without the sextic, the row's
+    stored cycle type is the one read."""
+    if not sextic:
+        _drop(d, "sextic")
+    next(row for row in d["frobenius_inputs"] if row["ell"] == ell)["fine_order5"] = fine
+
+
 def _leading_coefficient_7(d):
     """The sextic T replaced by T + 6x^6: the same mod 2 and mod 3, so the
     rows at 2 and 3 still agree, with 7 | lc but not disc = 5 mod 7."""
@@ -457,12 +465,20 @@ def _leading_coefficient_7(d):
     ("3-13-9", lambda d: _stored_cycle_type(d, 7, [6, 0]),
      "(6, 0) is not a partition of 6"),
     ("5-17-1", _leading_coefficient_7, "leading coefficient vanishes mod ell"),
+    ("3-13-9", lambda d: _fine_order5(d, 5, "5a"),
+     "row at ell 5: fine_order5 5a contradicts the cycle type's class 3ab"),
+    ("3-13-9", lambda d: _fine_order5(d, 5, "5a", sextic=False),
+     "row at ell 5: fine_order5 5a contradicts the cycle type's class 3ab"),
+    ("5-17-1", lambda d: _fine_order5(d, 29, "5b"),
+     "row at ell 29: fine_order5 5b contradicts the cycle type's class 4a"),
 ], ids=["false-evidence", "unknown-nebentype-kind", "p-without-class-data",
         "repeated-frobenius-ell", "repeated-eigenvalue-ell", "frobenius-row-at-ell-dividing-N",
         "frobenius-row-at-p", "no-cycle-type-at-non-squarefree-ell", "no-cycle-type-no-sextic",
         "zero-part-no-sextic", "zero-part-last-no-sextic", "negative-part-no-sextic",
         "zero-part-no-sextic-p3", "negative-part-at-ell-dividing-disc",
-        "zero-part-at-ell-dividing-disc-p3", "leading-coefficient-7"])
+        "zero-part-at-ell-dividing-disc-p3", "leading-coefficient-7",
+        "fine-order5-on-3ab-row-p3", "fine-order5-on-stored-3ab-row-p3",
+        "fine-order5-on-4a-row-p5"])
 def test_well_formed_but_inconsistent_case_values_exit_3(tmp_path, capsys, case, edit, message):
     payload = case_json(case)
     edit(payload)

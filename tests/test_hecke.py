@@ -9,9 +9,9 @@ from padic_serre.hecke import (
     check_attached,
     conjugate_cubic,
     hecke_poly,
-    solve_record,
 )
 
+from helpers import solve_record
 from matrix_reference import _power
 
 

@@ -25,9 +25,9 @@ import pytest
 
 from padic_serre.arith import Fp2Elem
 from padic_serre.casefile import GOLDEN, CaseFile, load_bundled_case, report_to_json, verify_case
-from padic_serre.hecke import solve_record
 
 from bundled_json import case_json
+from helpers import solve_record
 
 SEED = 20041018
 SHUFFLES = 3

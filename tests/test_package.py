@@ -20,6 +20,21 @@ def test_all_exports_resolve_to_non_module_attributes():
         assert not isinstance(value, types.ModuleType), name
 
 
+def test_public_api_is_pinned():
+    assert padic_serre.__all__ == [
+        "AttachmentVerdict", "Certificate", "DirichletCharacter", "EigenvalueRecord",
+        "EvidenceError", "Fp2Elem", "InconsistencyError", "InertiaProfile", "IntPoly",
+        "LevelDatum", "NewtonPolygon", "ORD_INFINITY", "PadicSerreError", "PrecisionReport",
+        "RamFiltration", "SchemaError", "Triple", "a6_mod3_class_polys", "central_twist",
+        "certify_same_extension", "char_value", "check_attached",
+        "coarse_from_cycle_type", "cube_root_of_unity", "cycle_type_mod_ell", "discriminant",
+        "frob_charpoly", "frobenius_class", "hecke_poly", "inverse_class", "is_eisenstein",
+        "level", "level_exponent", "nebentype_factor", "newton_polygon", "ord_p", "p_restrict",
+        "precision_k", "precision_report", "predicted_weights", "resultant", "resultant_margin",
+        "root_diff_poly", "weighted_resultant_margin",
+    ]
+
+
 def test_cli_import_stays_lean():
     # -S: no site hooks, which may preload any of these on their own
     probe = ("import sys, padic_serre.cli; print(' '.join(m for m in"

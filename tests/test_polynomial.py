@@ -16,6 +16,8 @@ from padic_serre.polynomial import (
     root_diff_poly,
 )
 
+from helpers import evaluate, slope_multiset, total_multiplicity
+
 X3M2 = IntPoly([-2, 0, 0, 1])
 G1 = IntPoly([-14, 36, -20, 0, 1])           # x^4 - 20x^2 + 36x - 14
 T_5_17 = IntPoly([-13, -11, 5, 0, 0, -2, 1])  # the sextic ramified at 5 and 17
@@ -107,7 +109,7 @@ def test_shift_examples():
         assert f.shift(0) == f
         assert f.shift(a).shift(-a) == f
         x = rng.randint(-5, 5)
-        assert f.shift(a)(x) == f(x + a)
+        assert evaluate(f.shift(a), x) == evaluate(f, x + a)
 
 
 def test_newton_polygon_examples():
@@ -119,7 +121,7 @@ def test_newton_polygon_examples():
     assert np3.segments == ((Fraction(1), 1), (Fraction(2), 1))
     # trailing zeros become the infinite slope
     np4 = newton_polygon(IntPoly([0, 0, 2, 1]), 2)
-    assert np4.infinite_mult == 2 and np4.total_multiplicity() == 3
+    assert np4.infinite_mult == 2 and total_multiplicity(np4) == 3
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -128,9 +130,9 @@ def test_newton_polygon_product_additivity(p):
     for _ in range(80):
         f = _random_poly(rng, rng.randint(1, 4))
         g = _random_poly(rng, rng.randint(1, 4))
-        lhs = sorted(newton_polygon(f * g, p).slope_multiset())
-        rhs = sorted(newton_polygon(f, p).slope_multiset()
-                     + newton_polygon(g, p).slope_multiset())
+        lhs = sorted(slope_multiset(newton_polygon(f * g, p)))
+        rhs = sorted(slope_multiset(newton_polygon(f, p))
+                     + slope_multiset(newton_polygon(g, p)))
         assert lhs == rhs
 
 
@@ -207,7 +209,7 @@ def test_interpolation_matches_fraction_reference():
     rng = random.Random(21)
     for deg in range(0, 65, 4):
         coeffs = [rng.randint(-10**40, 10**40) for _ in range(deg)] + [rng.randint(1, 10**40)]
-        ys = [IntPoly(coeffs)(t) for t in range(deg + 1)]
+        ys = [evaluate(IntPoly(coeffs), t) for t in range(deg + 1)]
         assert _interpolate_int(ys) == coeffs
         assert _fraction_interpolate(list(enumerate(ys))) == coeffs
 

@@ -8,21 +8,31 @@ import pytest
 from padic_serre.arith import Fp2Elem, cube_root_of_unity
 from padic_serre.casefile import CaseFile, verify_case
 from padic_serre.errors import InconsistencyError
-from padic_serre.matrices import charpoly3_reversed, mat, trace
+from padic_serre.matrices import (
+    _classes,
+    _decode,
+    _group,
+    charpoly3_reversed,
+    det3,
+    identity,
+    mat,
+    trace,
+)
 from padic_serre.matrix_oracle import classified_cover, oracle_charpoly
 from padic_serre.rep3a6 import (
     COVER_COARSE,
-    MOD3_CLASS_POLYS,
+    TRACES,
     a6_mod3_class_polys,
     central_twist,
     char_value,
+    class_charpolys,
     coarse_from_cycle_type,
     frob_charpoly,
     frobenius_class,
     inverse_class,
-    mod3_charpoly_candidates,
     sl2_generators,
     sym_square,
+    twist,
 )
 
 from bundled_json import case_json
@@ -154,9 +164,9 @@ def test_mod3_tables_are_conjugate_pair():
 
 
 def test_mod3_candidates_for_unresolved_order5():
-    unresolved = mod3_charpoly_candidates("5ab")
+    unresolved = class_charpolys(3, "5ab", 1)
     assert len(unresolved) == 2
-    resolved = mod3_charpoly_candidates("5a")
+    resolved = class_charpolys(3, "5a", 1)
     assert len(resolved) == 1
     assert resolved[0] in unresolved
     # a (5, 1) row of a p = 3 case file resolved to 5a reports that candidate
@@ -180,11 +190,35 @@ def test_matrix_oracle_agrees_with_frozen_tables():
 
 def test_frozen_mod3_table_matches_the_closure():
     table, conjugate = a6_mod3_class_polys()
-    ok = list(MOD3_CLASS_POLYS) == list(table)
-    for label, poly in MOD3_CLASS_POLYS.items():
-        ok &= poly == table[label]
-        ok &= [c.frobenius() for c in poly] == conjugate[label]
+    ok = list(TRACES[3]) == list(table)
+    for label in table:
+        for eps in (1, -1):
+            (poly,) = class_charpolys(3, label, eps)
+            ok &= poly == twist(table[label], eps)
+            ok &= [c.frobenius() for c in poly] == twist(conjugate[label], eps)
     assert ok
+
+
+def _inverse(g):
+    """g^-1 as the last power of g before the identity."""
+    one, h = identity(g[0][0].p, 3), g
+    while _loop_mul(h, g) != one:
+        h = _loop_mul(h, g)
+    return h
+
+
+def test_charpoly_is_the_trace_rule_at_both_primes():
+    # det g = 1: det(1 - g t) = 1 - tr(g) t + tr(g^-1) t^2 - t^3
+    cover = classified_cover()
+    mod3 = _classes(_group([sym_square(g) for g in sl2_generators(3, (1, Fp2Elem(3, 0, 1)))],
+                           360), 3)
+    reps = [cover[cls]["representative"] for cls in COVER_COARSE]
+    reps += [_decode(members[0], 3) for members in mod3.values()]
+    assert len(reps) == 13 + 6
+    for g in reps:
+        one = Fp2Elem(g[0][0].p, 1, 0)
+        assert det3(g) == one
+        assert charpoly3_reversed(g) == [one, -trace(g), trace(_inverse(g)), -one]
 
 
 def test_p3_case_runs_no_closure():
