@@ -21,7 +21,7 @@ from itertools import count
 from operator import attrgetter
 from typing import Union
 
-from .errors import InconsistencyError, SchemaError
+from .errors import InconsistencyError, SchemaError, json_int
 
 #: Value of ord_p(0); compares above every rational.
 ORD_INFINITY = float("inf")
@@ -58,6 +58,13 @@ def is_prime(n: int) -> bool:
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+
+
+def json_prime(c) -> int:
+    """The one rule for primes read from JSON: ``json_int``, then
+    ``is_prime``; ValueError otherwise."""
+    _require_prime(p := json_int(c))
+    return p
 
 
 def _ord_int(n: int, p: int) -> int:

@@ -4,10 +4,12 @@ A case file is a JSON document describing one scenario: the defining
 sextic, the working prime p, ramification filtrations for the level, the
 nebentype character, the tame inertia profile for the weights, per-ell
 Frobenius inputs, optional eigenvalue records, and optional golden
-expected values.  Twelve scenarios ship with the package: six carry golden
-values (level, nebentype, weight set, and for the p=5 case one pinned
-Frobenius class), six are data-only records of fields whose verification
-was out of reach.
+expected values.  It is read by the field table CASE, or DATA_ONLY when its
+data_only is true, and the tables they nest; a key outside them is a schema
+error.  Twelve scenarios ship with the package: six carry golden values
+(level, nebentype, weight set, and for the p=5 case one pinned Frobenius
+class), six are data-only records of fields whose verification was out of
+reach.
 
 The pipeline: level -> nebentype validation -> predicted weights ->
 per-ell Frobenius class and its characteristic polynomials (one trace rule
@@ -24,10 +26,11 @@ import os
 from math import lcm
 from typing import Optional
 
-from .arith import Record, is_prime, quadratic_modulus
-from .errors import InconsistencyError, SchemaError, json_int, json_list, read_json
+from .arith import Record, json_prime, quadratic_modulus
+from .errors import (NULLABLE, REQUIRED, InconsistencyError, SchemaError, json_bool, json_int,
+                     json_str, read_fields, read_json)
 from .galois_local import LevelDatum, level
-from .hecke import EigenvalueRecord, check_attached
+from .hecke import EIGENVALUE, EigenvalueRecord, check_attached
 from .krasner import METHODS, certify_same_extension, parse_evidence
 from .polynomial import IntPoly, cycle_types, discriminant
 from .rep3a6 import class_charpolys, coarse_from_cycle_type, frobenius_class
@@ -44,138 +47,73 @@ GOLDEN = BUNDLED[:6]
 CASES_DIR = os.path.join(os.path.dirname(__file__), "cases")
 
 
+#: The field tables of a case file (see the README).  A row of
+#: frobenius_inputs without a residue degree reads the lcm of its cycle type.
+FROBENIUS_INPUT = {
+    "ell": (json_prime, REQUIRED), "cycle_type": ([json_int], ()),
+    "artin_power": (json_int, 0), "residue_degree": (json_int, None),
+    "fine_order5": (FINE_ORDER5, "unknown"),
+    "provenance": (json_str, ""), "artin_provenance": (json_str, ""),
+}
+CERTIFICATE = {  # the keyword arguments of certify_same_extension
+    "f": (IntPoly.from_json, REQUIRED), "g": (IntPoly.from_json, REQUIRED),
+    "p": (json_prime, REQUIRED), "evidence_f": (parse_evidence, REQUIRED),
+    "evidence_g": (parse_evidence, REQUIRED), "method": (METHODS, "prop1"),
+}
+EXPECTED = {  # the golden block; an absent value is not checked
+    "level": (lambda level: {str(json_int(q)): json_int(e) for q, e in level.items()}, None),
+    "frobenius_classes": (lambda classes: {json_int(ell): json_str(label)
+                                           for ell, label in classes.items()}, NULLABLE),
+    "nebentype": (json_str, None), "weights": ([[json_int, 3]], None), "source": (json_str, ""),
+}
+DATA_ONLY = {
+    "name": (json_str, REQUIRED), "data_only": (json_bool, False), "note": (json_str, ""),
+    "skipped_ells": ([json_int], ()), "sextic": (IntPoly.from_json, None),
+    "has_cover": (json_bool, None), "ramified": ([json_prime], ()),
+    "table_level": (json_str, NULLABLE),
+}
+CASE = {
+    **DATA_ONLY, "p": (json_prime, REQUIRED), "level_data": ([LevelDatum.from_json], REQUIRED),
+    "nebentype": ({"kinds": ([json_str], ()), "k": (json_int, 0)}, {"kinds": (), "k": 0}),
+    "inertia_profile": (InertiaProfile.from_json, REQUIRED),
+    "frobenius_inputs": ([FROBENIUS_INPUT], ()), "eigenvalues": ([EIGENVALUE], NULLABLE),
+    "expected": (EXPECTED, NULLABLE), "certificates": ([CERTIFICATE], ()),
+}
+
+
 class CaseFile(Record):
     __slots__ = ("name", "data_only", "sextic", "p", "level_data", "nebentype", "nebentype_k",
                  "inertia_profile", "frobenius_inputs", "eigenvalues", "expected",
                  "certificates", "note", "skipped_ells")
 
     def __init__(self, name: str, data_only: bool, sextic: Optional[IntPoly], p: Optional[int],
-                 level_data: list[LevelDatum], nebentype: Optional[DirichletCharacter],
+                 level_data: tuple[LevelDatum, ...], nebentype: Optional[DirichletCharacter],
                  nebentype_k: int, inertia_profile: Optional[InertiaProfile],
-                 frobenius_inputs: list[dict], eigenvalues: Optional[list[EigenvalueRecord]],
-                 expected: Optional[dict], certificates: Optional[list] = None,
-                 note: str = "", skipped_ells: Optional[list[int]] = None):
+                 frobenius_inputs: tuple[dict, ...], eigenvalues: list[EigenvalueRecord],
+                 expected: Optional[dict], certificates: tuple[dict, ...], note: str,
+                 skipped_ells: tuple[int, ...]):
         self._set(name, data_only, sextic, p, level_data, nebentype, nebentype_k,
-                  inertia_profile, frobenius_inputs, eigenvalues, expected,
-                  [] if certificates is None else certificates, note,
-                  [] if skipped_ells is None else skipped_ells)
+                  inertia_profile, frobenius_inputs, eigenvalues, expected, certificates,
+                  note, skipped_ells)
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "CaseFile":
-        try:
-            name = payload["name"]
-            if not isinstance(name, str):
-                raise SchemaError(f"name {name!r} is not a string")
-            data_only = payload.get("data_only", False)
-            if not isinstance(data_only, bool):
-                raise SchemaError(f"data_only {data_only!r} is not true or false")
-            note = payload.get("note", "")
-            if not isinstance(note, str):
-                raise SchemaError(f"note {note!r} is not a string")
-            skipped_ells = [json_int(ell) for ell in json_list(payload.get("skipped_ells", []))]
-            sextic = IntPoly.from_json(payload["sextic"]) if "sextic" in payload else None
-            if data_only:
-                return cls(name, True, sextic, None, [], None, 0, None, [], None, None,
-                           note=note, skipped_ells=skipped_ells)
-            p = json_int(payload["p"])
-            if not is_prime(p):
-                raise SchemaError(f"p = {p} is not prime")
-            neb = payload.get("nebentype", {"kinds": [], "k": 0})
-            profile = InertiaProfile.from_json(payload["inertia_profile"])
-            eigenvalues = payload.get("eigenvalues")  # null reads as absent
-            return cls(
-                name=name,
-                data_only=False,
-                sextic=sextic,
-                p=p,
-                level_data=[LevelDatum.from_json(d) for d in json_list(payload["level_data"])],
-                nebentype=DirichletCharacter.from_json(neb.get("kinds", []), p),
-                nebentype_k=json_int(neb.get("k", 0)),
-                inertia_profile=profile,
-                frobenius_inputs=[_frobenius_input(e)
-                                  for e in json_list(payload.get("frobenius_inputs", []))],
-                eigenvalues=[EigenvalueRecord.from_json(e, p)
-                             for e in json_list([] if eigenvalues is None else eigenvalues)],
-                expected=_expected(payload.get("expected")),
-                certificates=[_certificate_request(req)
-                              for req in json_list(payload.get("certificates", []))],
-                note=note,
-                skipped_ells=skipped_ells,
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed case file: {exc}") from exc
+    def from_dict(cls, payload) -> "CaseFile":
+        """The case read by DATA_ONLY if its data_only is true, else by CASE."""
+        data_only = isinstance(payload, dict) and payload.get("data_only") is True
+        f = read_fields(payload, DATA_ONLY if data_only else CASE)
+        if data_only:
+            return cls(f["name"], True, f["sextic"], None, (), None, 0, None, (), [], None, (),
+                       f["note"], f["skipped_ells"])
+        p, neb = f["p"], f["nebentype"]
+        return cls(f["name"], False, f["sextic"], p, f["level_data"],
+                   DirichletCharacter(p, frozenset(neb["kinds"])), neb["k"],
+                   f["inertia_profile"], f["frobenius_inputs"],
+                   [EigenvalueRecord.from_fields(e, p) for e in f["eigenvalues"] or ()],
+                   f["expected"], f["certificates"], f["note"], f["skipped_ells"])
 
     @classmethod
     def load(cls, path) -> "CaseFile":
         return cls.from_dict(read_json(path))
-
-
-def _frobenius_input(entry: dict) -> dict:
-    """A copy of the entry with ell, and the stored cycle type, Artin power
-    and residue degree if any, read as integers; ell checked to be prime,
-    the provenances to be strings, the order-5 class to be in FINE_ORDER5."""
-    out = dict(entry, ell=json_int(entry["ell"]))
-    if not is_prime(out["ell"]):
-        raise SchemaError(f"frobenius_inputs row at ell {out['ell']}: ell is not prime")
-    for key in ("artin_power", "residue_degree"):
-        if key in entry:
-            out[key] = json_int(entry[key])
-    for key in ("provenance", "artin_provenance"):
-        if not isinstance(entry.get(key, ""), str):
-            raise SchemaError(f"frobenius_inputs row at ell {out['ell']}: {key}"
-                              f" {entry[key]!r} is not a string")
-    if "cycle_type" in entry:
-        if not isinstance(entry["cycle_type"], list):
-            raise SchemaError(f"cycle_type {entry['cycle_type']!r} is not a list")
-        out["cycle_type"] = tuple(json_int(x) for x in entry["cycle_type"])
-    if entry.get("fine_order5", "unknown") not in FINE_ORDER5:
-        raise SchemaError(f"fine_order5 {entry['fine_order5']!r} is not one of {FINE_ORDER5}")
-    return out
-
-
-def _certificate_request(req: dict) -> dict:
-    """A certificate request as the keyword arguments of
-    ``certify_same_extension``, its p checked to be prime."""
-    method = req.get("method", "prop1")
-    if method not in METHODS:
-        raise SchemaError(f"certificate method {method!r} is not one of {METHODS}")
-    p = json_int(req["p"])
-    if not is_prime(p):
-        raise SchemaError(f"certificate p = {p} is not prime")
-    return {
-        "f": IntPoly.from_json(req["f"]),
-        "g": IntPoly.from_json(req["g"]),
-        "p": p,
-        "evidence_f": parse_evidence(req["evidence_f"]),
-        "evidence_g": parse_evidence(req["evidence_g"]),
-        "method": method,
-    }
-
-
-def _expected(expected: Optional[dict]) -> Optional[dict]:
-    """A copy of the golden block with the level primes and exponents, the
-    weights and the primes of the Frobenius classes read as integers; a
-    nebentype, source or class label that is not a string, or a weight that
-    is not three values: SchemaError."""
-    if expected is None:
-        return None
-    out = dict(expected)
-    if "level" in expected:
-        out["level"] = {str(json_int(q)): json_int(e) for q, e in expected["level"].items()}
-    for key in ("nebentype", "source"):
-        if not isinstance(expected.get(key, ""), str):
-            raise SchemaError(f"expected {key} {expected[key]!r} is not a string")
-    if "weights" in expected:
-        weights = [tuple(json_int(x) for x in json_list(w)) for w in json_list(expected["weights"])]
-        if any(len(w) != 3 for w in weights):
-            raise SchemaError(f"expected weights {weights} must each have three values")
-        out["weights"] = sorted(weights)
-    labels = expected.get("frobenius_classes")
-    if labels is not None:
-        if not all(isinstance(label, str) for label in labels.values()):
-            raise SchemaError(f"expected Frobenius class labels {labels!r} must be strings")
-        out["frobenius_classes"] = {json_int(ell): label for ell, label in labels.items()}
-    return out
 
 
 def bundled_case_names() -> tuple[str, ...]:
@@ -192,8 +130,7 @@ def _cycle_type_checked(case: CaseFile, entry: dict, computed: dict) -> tuple[in
     """Stored cycle type, cross-checked against the sextic mod ell whenever
     the reduction is squarefree; computed maps those ells to the cycle
     types of the sextic."""
-    ell = entry["ell"]
-    stored = entry.get("cycle_type", ())
+    ell, stored = entry["ell"], entry["cycle_type"]
     if ell in computed:
         if stored and stored != computed[ell]:
             raise InconsistencyError(f"case {case.name}: stored cycle type {stored} at ell={ell}"
@@ -214,13 +151,14 @@ def _frobenius_entry(entry: dict, cycle_type, eps_sign: int, p: int) -> tuple[di
     twisted by the nebentype sign; returned with those twisted charpolys.
     Two candidates mean an unresolved order-5 class."""
     label = coarse_from_cycle_type(cycle_type)
-    fine = entry.get("fine_order5", "unknown")
+    fine = entry["fine_order5"]
     if fine != "unknown" and label != "5ab":
         raise InconsistencyError(f"frobenius_inputs row at ell {entry['ell']}: fine_order5"
                                  f" {fine} contradicts the cycle type's class {label}")
     if p == 5:
-        label = frobenius_class(cycle_type, entry.get("artin_power", 0),
-                                entry.get("residue_degree", lcm(*cycle_type)))
+        residue_degree = entry["residue_degree"]
+        label = frobenius_class(cycle_type, entry["artin_power"],
+                                lcm(*cycle_type) if residue_degree is None else residue_degree)
     elif fine != "unknown":
         label = fine
     polys = class_charpolys(p, label, eps_sign)
@@ -266,23 +204,24 @@ def _frobenius_section(case: CaseFile, n: int, ell_max: int) -> tuple[list[dict]
 def _golden_mismatches(case: CaseFile, report: dict, ell_max: int) -> list[str]:
     """The golden values the report misses; a pinned Frobenius class above
     ell_max is out of the report's range, not missing."""
-    expected = case.expected or {}
-    mismatches = []
-    if "level" in expected:
+    expected, mismatches = case.expected, []
+    if expected is None:
+        return mismatches
+    if expected["level"] is not None:
         want = expected["level"]
         got = report["level"]["exponents"]
         if want != got:
             mismatches.append(f"level: expected {want}, computed {got}")
-    if "nebentype" in expected and expected["nebentype"] != report["nebentype"]["kind"]:
+    if expected["nebentype"] not in (None, report["nebentype"]["kind"]):
         mismatches.append(
             f"nebentype: expected {expected['nebentype']}, computed {report['nebentype']['kind']}"
         )
-    if "weights" in expected:
-        want_w = expected["weights"]
+    if expected["weights"] is not None:
+        want_w = sorted(expected["weights"])
         got_w = sorted(tuple(w) for w in report["weights"])
         if want_w != got_w:
             mismatches.append(f"weights: expected {want_w}, computed {got_w}")
-    for ell, label in (expected.get("frobenius_classes") or {}).items():
+    for ell, label in (expected["frobenius_classes"] or {}).items():
         if ell > ell_max:
             continue
         found = next((e for e in report["frobenius"] if e["ell"] == ell), None)

@@ -17,6 +17,7 @@ from functools import lru_cache
 
 from .arith import is_prime
 from .casefile import (
+    CASE,
     CaseFile,
     DEFAULT_ELL_MAX,
     bundled_case_names,
@@ -24,7 +25,7 @@ from .casefile import (
     report_to_json,
     verify_case,
 )
-from .errors import InconsistencyError, SchemaError, json_list, read_json
+from .errors import InconsistencyError, SchemaError, read_fields, read_json
 from .galois_local import LevelDatum, level
 from .krasner import METHODS, certify_same_extension, parse_evidence, precision_report
 from .polynomial import IntPoly, newton_polygon
@@ -36,16 +37,20 @@ EXIT_SCHEMA = 2
 EXIT_MATH = 3
 
 
-def _load(path: str, parse, key: str | None = None):
-    """parse applied to the JSON file at path, or to its field key if it has
-    one (so a case file serves too); SchemaError if parse cannot read it."""
+def _load(path: str, table, key: str | None = None):
+    """The JSON file at path read by table, or its field key read by table
+    if it is an object with one: a case file, its other keys declared by
+    CASE and not read.  A SchemaError names the file."""
     payload = read_json(path)
     if key is not None and isinstance(payload, dict) and key in payload:
-        payload = payload[key]
+        table = {**dict.fromkeys(CASE, (lambda value: value, None)), key: (table, None)}
+    else:
+        key = None
     try:
-        return parse(payload)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed input in {path}: {exc}") from exc
+        value = read_fields(payload, table)
+    except SchemaError as exc:
+        raise SchemaError(f"in {path}: {exc}") from exc
+    return value if key is None else value[key]
 
 
 def _evidence_flag(spec: str) -> tuple:
@@ -73,8 +78,7 @@ def cmd_certify(args) -> dict:
 
 
 def cmd_level(args) -> dict:
-    data = _load(args.data, lambda d: [LevelDatum.from_json(x) for x in json_list(d)],
-                 "level_data")
+    data = _load(args.data, [LevelDatum.from_json], "level_data")
     exponents, n = level(data, p=args.p)
     return {"exponents": {str(q): e for q, e in sorted(exponents.items())}, "N": str(n)}
 

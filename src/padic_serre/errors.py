@@ -1,13 +1,16 @@
 """Exception types shared across the package, the one reader of JSON
-files (``read_json``) and the one rule each for integers and lists read
-from JSON (``json_int``, ``json_list``).
+files (``read_json``), the one rule each for integers, strings, booleans
+and lists read from JSON (``json_int``, ``json_str``, ``json_bool``,
+``json_list``) and the one reader of a value by a table (``read_fields``).
 
-Outside input is parsed once, at load, by the type that owns it (a case
-file by ``CaseFile.from_dict``, an evidence claim by
-``krasner.parse_evidence``, anything else by its class's ``from_json``).
-The CLI maps the errors onto its exit-code contract: schema/parse problems
-exit 2, mathematical inconsistencies exit 3.  Exit 1 (a golden-value
-mismatch) is not an exception: ``verify-case`` reads it off the report.
+Outside input is read once, at load, by the field tables of the types that
+own it (``casefile.CASE`` and the tables it nests, ``PROFILE`` for a
+profile file).  As with JSON Schema's ``additionalProperties: false``, a
+key outside the table is an error, like a missing required key or a value
+its parser rejects: a SchemaError naming the key's dotted path.  The CLI
+maps the errors onto its exit-code contract: schema/parse problems exit 2,
+mathematical inconsistencies exit 3.  Exit 1 (a golden-value mismatch) is
+not an exception: ``verify-case`` reads it off the report.
 """
 
 import json
@@ -19,7 +22,12 @@ class PadicSerreError(Exception):
 
 
 class SchemaError(PadicSerreError):
-    """Malformed input file or JSON payload."""
+    """Malformed input file or JSON payload; path is the dotted path of the
+    offending value within it ("" for the value itself)."""
+
+    def __init__(self, message: str, path: str = ""):
+        self.message, self.path = message, path
+        super().__init__(f"{path}: {message}" if path else message)
 
 
 class InconsistencyError(PadicSerreError):
@@ -47,6 +55,20 @@ def json_int(c) -> int:
     raise ValueError(f"{c!r} is not an integer or a decimal string")
 
 
+def json_str(c) -> str:
+    """A string; ValueError otherwise."""
+    if isinstance(c, str):
+        return c
+    raise ValueError(f"{c!r} is not a string")
+
+
+def json_bool(c) -> bool:
+    """true or false, never 0, 1 or a string; ValueError otherwise."""
+    if isinstance(c, bool):
+        return c
+    raise ValueError(f"{c!r} is not true or false")
+
+
 def json_list(c) -> list:
     """The one rule for lists read from JSON: a list, never an object or a
     string; ValueError otherwise."""
@@ -55,10 +77,62 @@ def json_list(c) -> list:
     raise ValueError(f"{c!r} is not a list")
 
 
+REQUIRED, NULLABLE = object(), object()  # must be present; absent or null reads as None
+
+
+def read_fields(payload, table):
+    """payload read by table: a parser (a function of the value), a tuple of
+    the values allowed, a list [t] or [t, n] (a JSON list, of n items, each
+    read by t, read as a tuple) or a field table, a dict mapping each key
+    the object may hold to (t, mark), mark being REQUIRED, NULLABLE or the
+    value of an absent key (read as a dict with every key of the table).
+    An unknown key, a missing required key or a value a parser rejects:
+    SchemaError naming its path, e.g. ``frobenius_inputs[3].cycle_typ``."""
+    try:
+        if isinstance(table, dict):
+            if not isinstance(payload, dict):
+                raise ValueError(f"{payload!r} is not an object")
+            for key in payload:
+                if key not in table:
+                    raise SchemaError("unknown key", key)
+            return {key: _read_field(payload, key, t, mark) for key, (t, mark) in table.items()}
+        if isinstance(table, list):
+            items = json_list(payload)
+            if len(table) == 2 and len(items) != table[1]:
+                raise ValueError(f"{payload!r} does not have {table[1]} items")
+            return tuple(_read_at(f"[{i}]", item, table[0]) for i, item in enumerate(items))
+        if isinstance(table, tuple):
+            if payload not in table:
+                raise ValueError(f"{payload!r} is not one of {table}")
+            return payload
+        return table(payload)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(str(exc)) from exc
+
+
+def _read_field(payload: dict, key: str, table, mark):
+    if key in payload and not (mark is NULLABLE and payload[key] is None):
+        return _read_at(key, payload[key], table)
+    if mark is REQUIRED:
+        raise SchemaError("required key missing", key)
+    return None if mark is NULLABLE else mark
+
+
+def _read_at(step: str, value, table):
+    """value read by table, a SchemaError's path led by step."""
+    try:
+        return read_fields(value, table)
+    except SchemaError as exc:
+        dot = "." if exc.path and not exc.path.startswith("[") else ""
+        raise SchemaError(exc.message, step + dot + exc.path) from exc
+
+
 def read_json(path):
-    """The JSON document at path; SchemaError if unreadable or not JSON."""
+    """The JSON document at path; SchemaError if unreadable or not JSON (an
+    integer literal past the interpreter's digit limit and nesting past its
+    recursion limit included)."""
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise SchemaError(f"cannot parse {path}: {exc}") from exc

@@ -17,7 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import Record, is_prime
-from .errors import InconsistencyError, SchemaError, json_int
+from .errors import REQUIRED, InconsistencyError, SchemaError, json_int, json_str, read_fields
+
+#: One step (order_i, fixed_dim_i) of a filtration.
+STEP = {"order": (json_int, REQUIRED), "fixed_dim": (json_int, REQUIRED)}
 
 
 class RamFiltration(Record):
@@ -45,8 +48,15 @@ class RamFiltration(Record):
 
     @classmethod
     def from_json(cls, payload, dim: int = 3) -> "RamFiltration":
-        entries = tuple((json_int(e["order"]), json_int(e["fixed_dim"])) for e in payload)
-        return cls(entries, dim)
+        """The filtration read as a list of STEP objects; an empty object or
+        string reads as the empty list, which is inconsistent."""
+        steps = read_fields([] if payload in ({}, "") else payload, [STEP])
+        return cls(tuple((step["order"], step["fixed_dim"]) for step in steps), dim)
+
+
+#: A level datum; the provenance is an annotation, checked and not used.
+LEVEL_DATUM = {"q": (json_int, REQUIRED), "filtration": (RamFiltration.from_json, REQUIRED),
+               "provenance": (json_str, "")}
 
 
 class LevelDatum(Record):
@@ -59,7 +69,9 @@ class LevelDatum(Record):
 
     @classmethod
     def from_json(cls, payload) -> "LevelDatum":
-        return cls(json_int(payload["q"]), RamFiltration.from_json(payload["filtration"]))
+        """The datum read by LEVEL_DATUM."""
+        fields = read_fields(payload, LEVEL_DATUM)
+        return cls(fields["q"], fields["filtration"])
 
 
 def level_exponent(filt: RamFiltration) -> int:

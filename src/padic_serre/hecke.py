@@ -17,9 +17,13 @@ indeterminate.
 from __future__ import annotations
 
 from .arith import Fp2Elem, Record
-from .errors import InconsistencyError, SchemaError, json_int, json_list
+from .errors import REQUIRED, InconsistencyError, json_int, read_fields
 
 Cubic = list[Fp2Elem]
+
+#: An eigenvalue record: ell and the three eigenvalues, each a pair (c0, c1)
+#: of coefficients of an element of F_{p^2}.
+EIGENVALUE = {"ell": (json_int, REQUIRED), "a": ([[json_int, 2], 3], REQUIRED)}
 
 
 class EigenvalueRecord(Record):
@@ -39,13 +43,13 @@ class EigenvalueRecord(Record):
 
     @classmethod
     def from_json(cls, payload, p: int) -> "EigenvalueRecord":
-        """Integers go through ``json_int`` and lists through ``json_list``
-        (ValueError); a record without three eigenvalues: SchemaError."""
-        a = json_list(payload["a"])
-        if len(a) != 3:
-            raise SchemaError(f"expected three eigenvalues, got {len(a)}")
-        a1, a2, a3 = (Fp2Elem(p, json_int(c0), json_int(c1)) for c0, c1 in map(json_list, a))
-        return cls(json_int(payload["ell"]), a1, a2, a3)
+        """The record read by EIGENVALUE, over F_{p^2}."""
+        return cls.from_fields(read_fields(payload, EIGENVALUE), p)
+
+    @classmethod
+    def from_fields(cls, fields: dict, p: int) -> "EigenvalueRecord":
+        """The record of fields read by EIGENVALUE, over F_{p^2}."""
+        return cls(fields["ell"], *(Fp2Elem(p, c0, c1) for c0, c1 in fields["a"]))
 
     def to_json(self) -> dict:
         return {

@@ -40,8 +40,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .arith import ORD_INFINITY, Record, is_prime, ord_p
-from .errors import EvidenceError, InconsistencyError, SchemaError, json_int
+from .arith import ORD_INFINITY, Record, json_prime, ord_p
+from .errors import EvidenceError, InconsistencyError, SchemaError, json_int, read_fields
 from .polynomial import (
     IntPoly,
     cycle_type_mod_ell,
@@ -72,22 +72,18 @@ def is_eisenstein(f: IntPoly, p: int) -> bool:
 
 def parse_evidence(claim) -> tuple:
     """The claim ["kind"] or ["kind", arg] as a tuple, with the argument of
-    "eisenstein-after-shift" and "irreducible-mod-q" read by ``json_int``.
-    SchemaError for a claim that is not a list or tuple, an unknown kind,
-    a missing, extra or non-integer argument, or a q that is not prime."""
+    "eisenstein-after-shift" read by ``json_int`` and the q of
+    "irreducible-mod-q" by ``json_prime``.  SchemaError for a claim that is
+    not a list or tuple, an unknown kind, a missing, extra or non-integer
+    argument, or a q that is not prime."""
     if not isinstance(claim, (list, tuple)) or not claim or claim[0] not in EVIDENCE_KINDS:
         raise SchemaError(f"evidence {claim!r} is not a list starting with one of {EVIDENCE_KINDS}")
     kind, *args = claim
     arity = int(kind in ("eisenstein-after-shift", "irreducible-mod-q"))
     if len(args) != arity:
         raise SchemaError(f"evidence {kind} takes {arity} argument(s), got {args!r}")
-    try:
-        parsed = (kind, *map(json_int, args))
-    except ValueError as exc:
-        raise SchemaError(f"evidence {kind} needs an integer argument, got {args!r}") from exc
-    if kind == "irreducible-mod-q" and not is_prime(parsed[1]):
-        raise SchemaError(f"evidence {kind}: q = {parsed[1]} is not prime")
-    return parsed
+    parse = json_prime if kind == "irreducible-mod-q" else json_int
+    return (kind, *(read_fields(arg, parse) for arg in args))
 
 
 def validate_evidence(f: IntPoly, p: int, evidence, which: str) -> bool:

@@ -33,7 +33,7 @@ from math import lcm
 from typing import NamedTuple, Optional
 
 from .arith import Record, is_prime, legendre_symbol
-from .errors import InconsistencyError, SchemaError, json_int, json_list
+from .errors import NULLABLE, REQUIRED, InconsistencyError, json_int, json_str, read_fields
 
 
 class Triple(NamedTuple):
@@ -82,6 +82,14 @@ def p_restrict(A: int, B: int, C: int, p: int, flags=("none", "none")) -> set[Tr
     return out
 
 
+#: An inertia profile: the niveau, the niveau-1 exponent triples, the tame
+#: exponents k and m (null reads as absent), the très/peu flags of the two
+#: blocks and a provenance string.
+PROFILE = {"niveau": (json_int, REQUIRED), "triples": ([[json_int, 3]], ()),
+           "k": (json_int, NULLABLE), "m": (json_int, NULLABLE),
+           "flags": ([FLAGS, 2], ("none", "none")), "provenance": (json_str, "")}
+
+
 class InertiaProfile(Record):
     __slots__ = ("niveau", "triples", "k", "m", "flags", "provenance")
 
@@ -103,29 +111,8 @@ class InertiaProfile(Record):
 
     @classmethod
     def from_json(cls, payload) -> "InertiaProfile":
-        """Integers go through ``json_int`` and lists through ``json_list``
-        (ValueError); a triple that is not three values, flags that are not
-        two of FLAGS or a provenance that is not a string: SchemaError."""
-        niveau = json_int(payload["niveau"])
-        triples = tuple(tuple(json_int(x) for x in json_list(t))
-                        for t in json_list(payload.get("triples", [])))
-        if any(len(t) != 3 for t in triples):
-            raise SchemaError(f"exponent triples {triples} must each have three values")
-        flags = payload.get("flags", ["none", "none"])
-        if not (isinstance(flags, list) and len(flags) == 2 and all(f in FLAGS for f in flags)):
-            raise SchemaError(f"flags {flags!r} must be a list of two of {FLAGS}")
-        provenance = payload.get("provenance", "")
-        if not isinstance(provenance, str):
-            raise SchemaError(f"provenance {provenance!r} is not a string")
-        k, m = payload.get("k"), payload.get("m")
-        return cls(
-            niveau=niveau,
-            triples=triples,
-            k=None if k is None else json_int(k),
-            m=None if m is None else json_int(m),
-            flags=tuple(flags),
-            provenance=provenance,
-        )
+        """The profile read by PROFILE."""
+        return cls(**read_fields(payload, PROFILE))
 
 
 _NOT_GENUINE = {
@@ -192,14 +179,6 @@ class DirichletCharacter(Record):
     @property
     def kind(self) -> str:
         return "*".join(sorted(self.kinds)) if self.kinds else "trivial"
-
-    @classmethod
-    def from_json(cls, payload, p: int) -> "DirichletCharacter":
-        """The product of the kinds listed in payload, a list of strings
-        (SchemaError otherwise); an unknown kind is an InconsistencyError."""
-        if not (isinstance(payload, list) and all(isinstance(k, str) for k in payload)):
-            raise SchemaError(f"nebentype kinds {payload!r} must be a list of strings")
-        return cls(p, frozenset(payload))
 
     def sign_at(self, ell: int) -> int:
         if not is_prime(ell):

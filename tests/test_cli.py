@@ -1,5 +1,6 @@
 import json
 import signal
+import sys
 
 import pytest
 
@@ -356,6 +357,7 @@ def _certificate_without_f(d):
     ("5-17-1", lambda d: d["expected"].update(source=1.5)),
     ("5-17-1", lambda d: _first_frobenius_row(d, provenance=[1])),
     ("5-17-1", lambda d: _first_frobenius_row(d, artin_provenance=7)),
+    ("5-17-1", lambda d: d.update(data_only=True, expected=dict(d["expected"], level={"17": 5}))),
 ], ids=["p-float", "p-not-prime", "artin-power-float", "residue-degree-float",
         "cycle-type-int", "nebentype-k-bool",
         "certificate-p-float", "evidence-q-float", "expected-level-float", "expected-level-list",
@@ -373,7 +375,7 @@ def _certificate_without_f(d):
         "expected-nebentype-int", "expected-class-int", "expected-level-word",
         "expected-weight-short", "expected-weight-long", "expected-list",
         "expected-classes-list", "expected-source-float", "row-provenance-list",
-        "row-artin-provenance-int"])
+        "row-artin-provenance-int", "data-only-golden-case"])
 def test_case_values_outside_the_schema_exit_2(tmp_path, capsys, case, edit):
     payload = case_json(case)
     edit(payload)
@@ -382,16 +384,76 @@ def test_case_values_outside_the_schema_exit_2(tmp_path, capsys, case, edit):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("edit,key", [
-    (lambda d: d["expected"].update(source=1.5), "source"),
-    (lambda d: _first_frobenius_row(d, provenance=[1]), "provenance"),
-    (lambda d: _first_frobenius_row(d, artin_provenance=7), "artin_provenance"),
-], ids=["source", "provenance", "artin-provenance"])
-def test_non_string_annotation_names_its_key(tmp_path, capsys, edit, key):
+@pytest.mark.parametrize("edit,path", [
+    (lambda d: d["expected"].update(source=1.5), "expected.source"),
+    (lambda d: _first_frobenius_row(d, provenance=[1]), "frobenius_inputs[0].provenance"),
+    (lambda d: _first_frobenius_row(d, artin_provenance=7),
+     "frobenius_inputs[0].artin_provenance"),
+    (lambda d: d["level_data"][0].update(provenance=None), "level_data[0].provenance"),
+    (lambda d: d.update(has_cover="yes"), "has_cover"),
+    (lambda d: d.update(ramified=[5, 18]), "ramified[1]"),
+], ids=["source", "provenance", "artin-provenance", "level-provenance", "has-cover",
+        "ramified-not-prime"])
+def test_non_string_annotation_names_its_key(tmp_path, capsys, edit, path):
     payload = case_json("5-17-1")
     edit(payload)
     assert main(["verify-case", _write(tmp_path, "annotation.json", payload)]) == 2
-    assert f"{key} " in capsys.readouterr().err
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
+def _rename(d, key, new):
+    d[new] = d.pop(key)
+
+
+# a misspelt key used to be dropped silently, switching its check off
+@pytest.mark.parametrize("argv,edit,path", [
+    (["verify-case"], lambda d: _rename(d, "expected", "expectd"), "expectd"),
+    (["verify-case"], lambda d: _rename(d["expected"], "weights", "weight"), "expected.weight"),
+    (["verify-case"], lambda d: _rename(d, "frobenius_inputs", "frobenius_input"),
+     "frobenius_input"),
+    (["verify-case"], lambda d: _rename(d["frobenius_inputs"][3], "cycle_type", "cycle_typ"),
+     "frobenius_inputs[3].cycle_typ"),
+    (["verify-case"], lambda d: _rename(d["inertia_profile"], "flags", "flgs"),
+     "inertia_profile.flgs"),
+    (["verify-case"], lambda d: d.update(extra=1), "extra"),
+    (["verify-case"], lambda d: d["level_data"][0].update(extra=1), "level_data[0].extra"),
+    (["level"], lambda d: d.update(extra=1), "extra"),
+    (["level"], lambda d: d["level_data"][0].update(extra=1), "level_data[0].extra"),
+    (["weights", "--p", "3"], lambda d: _rename(d["inertia_profile"], "flags", "flgs"),
+     "inertia_profile.flgs"),
+], ids=["expected", "expected-weights", "frobenius-inputs", "cycle-type", "profile-flags",
+        "top", "level-datum", "level-top", "level-level-datum", "weights-profile-flags"])
+def test_unknown_key_exits_2_naming_its_path(tmp_path, capsys, argv, edit, path):
+    payload = case_json("3-13-9")
+    edit(payload)
+    assert main([argv[0], _write(tmp_path, "typo.json", payload), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(f" {path}: unknown key\n")
+
+
+def test_weights_on_a_profile_with_a_misspelt_flags_key_exits_2(tmp_path, capsys):
+    """Dropping flgs silently read (5,3,1)'s profile with its très-ramifiée
+    refinement switched off, four weights instead of one."""
+    profile = case_json("3-13-9")["inertia_profile"]
+    assert main(["weights", _write(tmp_path, "prof.json", profile), "--p", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["printed"] == ["(5,3,1)"]
+    _rename(profile, "flags", "flgs")
+    path = _write(tmp_path, "prof.json", profile)
+    assert main(["weights", path, "--p", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: in {path}: flgs: unknown key\n"
+
+
+@pytest.mark.parametrize("text", [
+    "[" + "1" * (sys.get_int_max_str_digits() + 700) + ", 0, 1]",
+    "[" * 100_000 + "]" * 100_000,
+], ids=["integer-past-the-digit-limit", "nested-100000-deep"])
+def test_json_the_interpreter_cannot_parse_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "poly.json"
+    path.write_text(text)
+    assert main(["polygon", str(path), "--p", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: cannot parse {path}: ")
 
 
 def test_evidence_flag_and_case_file_claim_parse_alike():

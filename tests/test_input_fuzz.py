@@ -2,7 +2,8 @@
 
 Each mutation takes one valid input (a bundled case file, a level file, an
 inertia profile or a polynomial), replaces one of its nodes by a float, a
-bool, a string, null, a list or an object, or drops it, and runs
+bool, a string, null, a list or an object, drops it, renames its key (a
+letter appended) or adds a key to it if it is an object, and runs
 ``cli.main`` in-process.  The exit-code contract must hold: no exception
 escapes, the code is 0, 1, 2 or 3, stdout is empty on 2 and 3, and exit 1
 comes with a parseable report whose ``golden.mismatches`` is not empty.
@@ -14,8 +15,9 @@ Every mutation of one golden case's certificate request runs; the rest are
 sampled, a few per input, with a fixed seed to keep the suite fast.  Every
 mutation of that case's golden block runs as well, on top of the sample:
 a golden value of the wrong type exits 2, and exit 1 is reached only by a
-well-typed value that differs.  ``all_mutations`` is the full set, for
-running the fuzzer exhaustively by hand.
+well-typed value that differs.  A renamed or added key exits 2 wherever it
+is: every object of every input is read by a closed field table.
+``all_mutations`` is the full set; CI runs it exhaustively.
 """
 
 import contextlib
@@ -69,13 +71,16 @@ def _inputs() -> list[tuple[str, object, list[str]]]:
     return out
 
 
-def _paths(node, prefix=()):
-    """Every path to a node below the root, parents before children."""
+ADDED_KEY = "added"
+
+
+def _nodes(node, prefix=()):
+    """Every (path, node) from the root down, parents before children."""
+    yield prefix, node
     children = node.items() if isinstance(node, dict) else (
         enumerate(node) if isinstance(node, list) else ())
     for key, child in children:
-        yield prefix + (key,)
-        yield from _paths(child, prefix + (key,))
+        yield from _nodes(child, prefix + (key,))
 
 
 def _mutated(payload, path, kind, value):
@@ -83,7 +88,11 @@ def _mutated(payload, path, kind, value):
     parent = out
     for key in path[:-1]:
         parent = parent[key]
-    if kind == "drop":
+    if kind == "add":
+        (parent[path[-1]] if path else out)[ADDED_KEY] = value
+    elif kind == "rename":
+        parent[path[-1] + "x"] = parent.pop(path[-1])
+    elif kind == "drop":
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
@@ -91,13 +100,20 @@ def _mutated(payload, path, kind, value):
 
 
 def all_mutations(rng: random.Random) -> list[tuple]:
-    """(label, payload, argv, path, kind, value) for every node of every
-    input and every kind of replacement, values drawn from rng."""
+    """(label, payload, argv, path, kind, value) for every node below the
+    root of every input and every kind of replacement, values drawn from
+    rng; a rename of every object key; and an added key, with value 0, on
+    every object, the root included."""
     out = []
     for label, payload, argv in _inputs():
-        for path in _paths(payload):
-            for kind, pool in [*REPLACEMENTS.items(), ("drop", (None,))]:
-                out.append((label, payload, argv, path, kind, rng.choice(pool)))
+        for path, node in _nodes(payload):
+            if path:
+                for kind, pool in [*REPLACEMENTS.items(), ("drop", (None,))]:
+                    out.append((label, payload, argv, path, kind, rng.choice(pool)))
+                if isinstance(path[-1], str):
+                    out.append((label, payload, argv, path, "rename", None))
+            if isinstance(node, dict):
+                out.append((label, payload, argv, path, "add", 0))
     return out
 
 
@@ -162,6 +178,19 @@ def test_unmutated_inputs_are_valid(tmp_path):
 
 
 def test_fuzzed_inputs_keep_the_exit_code_contract(tmp_path):
-    codes = [run_mutation(tmp_path, m) for m in sampled_mutations()]
-    # the sample reaches every outcome of the contract
+    sample = sampled_mutations()
+    codes = [run_mutation(tmp_path, m) for m in sample]
+    # the sample reaches every outcome of the contract, and every kind
     assert set(codes) == {0, 1, 2, 3}
+    assert {m[4] for m in sample} == {*REPLACEMENTS, "drop", "rename", "add"}
+    for m, code in zip(sample, codes):
+        if m[4] in ("rename", "add"):
+            assert code == 2, m[:5]
+
+
+def test_every_renamed_or_added_key_exits_2(tmp_path):
+    """The closed schema on its own: no input holds a key that its reader
+    ignores, at any depth."""
+    for m in all_mutations(random.Random(SEED)):
+        if m[4] in ("rename", "add"):
+            assert run_mutation(tmp_path, m) == 2, m[:5]
