@@ -110,6 +110,14 @@ def quadratic_modulus(p: int) -> tuple[int, int]:
     return (0, next(c for c in count(1) if legendre_symbol(-c, p) == -1))
 
 
+def frobenius_pairs(p: int, pairs) -> tuple[tuple[int, int], ...]:
+    """x -> x^p on pairs (c0, c1), x = c0 + c1*w, as reduced pairs.  The roots
+    w and w^p of the modulus sum to -b, so w^p = -b - w and
+    (c0 + c1*w)^p = (c0 - b*c1) - c1*w."""
+    b = quadratic_modulus(p)[0]
+    return tuple([((c0 - b * c1) % p, -c1 % p) for c0, c1 in pairs])
+
+
 class Record:
     """Base of the package's value types.  The fields are the ``__slots__``,
     in constructor order: ``__init__`` validates, then sets them all with
@@ -195,11 +203,8 @@ class Fp2Elem(Record):
         return Fp2Elem(self.p, -self.c0, -self.c1)
 
     def frobenius(self) -> "Fp2Elem":
-        """The field automorphism x -> x^p, an involution fixing F_p.  The
-        roots w and w^p of the modulus sum to -b, so w^p = -b - w and
-        (c0 + c1*w)^p = (c0 - b*c1) - c1*w."""
-        b = quadratic_modulus(self.p)[0]
-        return Fp2Elem(self.p, self.c0 - b * self.c1, -self.c1)
+        """The field automorphism x -> x^p, an involution fixing F_p."""
+        return Fp2Elem(self.p, *frobenius_pairs(self.p, ((self.c0, self.c1),))[0])
 
     def __bool__(self):
         return self.c0 != 0 or self.c1 != 0

@@ -21,14 +21,13 @@ byte-identical.
 
 from __future__ import annotations
 
-import json
 import os
 from math import lcm
 from typing import Optional
 
 from .arith import Record, json_prime, quadratic_modulus
 from .errors import (NULLABLE, REQUIRED, InconsistencyError, SchemaError, json_bool, json_int,
-                     json_str, read_fields, read_json)
+                     json_str, read_fields, read_json, write_json)
 from .galois_local import LevelDatum, level
 from .hecke import EIGENVALUE, EigenvalueRecord, check_attached
 from .krasner import METHODS, certify_same_extension, parse_evidence
@@ -113,7 +112,12 @@ class CaseFile(Record):
 
     @classmethod
     def load(cls, path) -> "CaseFile":
-        return cls.from_dict(read_json(path))
+        """The case file at path; a SchemaError names the file."""
+        payload = read_json(path)
+        try:
+            return cls.from_dict(payload)
+        except SchemaError as exc:
+            raise SchemaError(f"in {path}: {exc}") from exc
 
 
 def bundled_case_names() -> tuple[str, ...]:
@@ -285,5 +289,5 @@ def verify_case(case: CaseFile, ell_max: int = DEFAULT_ELL_MAX) -> dict:
 
 
 def report_to_json(report: dict) -> str:
-    """Canonical serialization: sorted keys, no trailing whitespace."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization (``write_json``): sorted keys, two-space indent."""
+    return write_json(report)

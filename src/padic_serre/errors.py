@@ -1,7 +1,7 @@
-"""Exception types shared across the package, the one reader of JSON
-files (``read_json``), the one rule each for integers, strings, booleans
-and lists read from JSON (``json_int``, ``json_str``, ``json_bool``,
-``json_list``) and the one reader of a value by a table (``read_fields``).
+"""Exception types shared across the package, the one reader and writer of
+JSON files (``read_json``, ``write_json``), the one rule each for integers,
+strings, booleans and lists read from JSON (``json_int``, ``json_str``,
+``json_bool``, ``json_list``) and the one reader by a table (``read_fields``).
 
 Outside input is read once, at load, by the field tables of the types that
 own it (``casefile.CASE`` and the tables it nests, ``PROFILE`` for a
@@ -15,6 +15,7 @@ not an exception: ``verify-case`` reads it off the report.
 
 import json
 import re
+from json.encoder import encode_basestring_ascii
 
 
 class PadicSerreError(Exception):
@@ -125,6 +126,35 @@ def _read_at(step: str, value, table):
     except SchemaError as exc:
         dot = "." if exc.path and not exc.path.startswith("[") else ""
         raise SchemaError(exc.message, step + dot + exc.path) from exc
+
+
+def write_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, byte for
+    byte, without the pure-Python encoder that indent selects: str, int,
+    bool, None, list, tuple and dict with str keys, and their subclasses;
+    TypeError on any other value or key (a float included)."""
+    return _write(obj, "\n") + "\n"
+
+
+def _write(obj, newline: str) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "  # an item's line; a list's ints skip the call
+    if isinstance(obj, (list, tuple)):
+        items = [int.__repr__(v) if type(v) is int else _write(v, inner) for v in obj]
+        brackets = "[]"
+    elif isinstance(obj, dict):
+        items = [encode_basestring_ascii(key) + ": " + _write(value, inner)
+                 for key, value in sorted(obj.items())]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return (brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+            if items else brackets)
 
 
 def read_json(path):

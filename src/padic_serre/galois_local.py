@@ -48,9 +48,8 @@ class RamFiltration(Record):
 
     @classmethod
     def from_json(cls, payload, dim: int = 3) -> "RamFiltration":
-        """The filtration read as a list of STEP objects; an empty object or
-        string reads as the empty list, which is inconsistent."""
-        steps = read_fields([] if payload in ({}, "") else payload, [STEP])
+        """The filtration read as a list of STEP objects."""
+        steps = read_fields(payload, [STEP])
         return cls(tuple((step["order"], step["fixed_dim"]) for step in steps), dim)
 
 

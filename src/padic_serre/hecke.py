@@ -16,7 +16,7 @@ indeterminate.
 
 from __future__ import annotations
 
-from .arith import Fp2Elem, Record
+from .arith import Fp2Elem, Record, frobenius_pairs
 from .errors import REQUIRED, InconsistencyError, json_int, read_fields
 
 Cubic = list[Fp2Elem]
@@ -37,9 +37,7 @@ class EigenvalueRecord(Record):
         return self.a1.p
 
     def conjugate(self) -> "EigenvalueRecord":
-        return EigenvalueRecord(
-            self.ell, self.a1.frobenius(), self.a2.frobenius(), self.a3.frobenius()
-        )
+        return EigenvalueRecord(self.ell, *(a.frobenius() for a in (self.a1, self.a2, self.a3)))
 
     @classmethod
     def from_json(cls, payload, p: int) -> "EigenvalueRecord":
@@ -58,12 +56,18 @@ class EigenvalueRecord(Record):
         }
 
 
-def hecke_poly(rec: EigenvalueRecord, p: int) -> Cubic:
-    """Coefficients [1, -a1, ell*a2, -ell^3*a3] over F_{p^2}."""
+def _hecke_pairs(rec: EigenvalueRecord, p: int) -> tuple[tuple[int, int], ...]:
+    """hecke_poly as reduced coefficient pairs (c0, c1)."""
     ell = rec.ell % p
     if ell == 0:
         raise InconsistencyError(f"ell = {rec.ell} is divisible by p = {p}")
-    return [Fp2Elem(p, 1, 0), -rec.a1, rec.a2 * ell, -(rec.a3 * pow(ell, 3, p))]
+    scaled = zip((rec.a1, rec.a2, rec.a3), (-1, ell, -pow(ell, 3, p)))
+    return ((1, 0), *[(a.c0 * s % p, a.c1 * s % p) for a, s in scaled])
+
+
+def hecke_poly(rec: EigenvalueRecord, p: int) -> Cubic:
+    """Coefficients [1, -a1, ell*a2, -ell^3*a3] over F_{p^2}."""
+    return [Fp2Elem(p, c0, c1) for c0, c1 in _hecke_pairs(rec, p)]
 
 
 def conjugate_cubic(cubic: Cubic) -> Cubic:
@@ -95,30 +99,22 @@ def check_attached(records: list[EigenvalueRecord], frob_polys: dict) -> Attachm
     Overall: "attached" when everything matches outright,
     "attached-up-to-conjugacy" when one global conjugation fixes it.
     Records are read in order of ell, so ``indeterminate_ells`` is sorted.
+    The cubics are compared as tuples of coefficient pairs (c0, c1).
     """
-    per_ell = {}
-    indeterminate = []
-    all_direct = True
-    all_conjugate = True
+    per_ell, indeterminate, direct, conjugate = {}, [], [], []
     for rec in sorted(records, key=lambda r: r.ell):
         if rec.ell in per_ell:
             raise InconsistencyError(f"duplicate ell {rec.ell} in eigenvalue records")
         if rec.ell not in frob_polys:
             raise InconsistencyError(f"no Frobenius polynomial supplied for ell = {rec.ell}")
-        candidates = frob_polys[rec.ell]
+        candidates = [tuple([(c.c0, c.c1) for c in cubic]) for cubic in frob_polys[rec.ell]]
         if len(candidates) > 1:
             indeterminate.append(rec.ell)
-        h = hecke_poly(rec, rec.p)
-        hc = conjugate_cubic(h)
-        direct = any(h == c for c in candidates)
-        conj = any(hc == c for c in candidates)
-        all_direct &= direct
-        all_conjugate &= conj
-        per_ell[rec.ell] = "match" if direct else "conjugate-match" if conj else "mismatch"
-    if all_direct:
-        overall = "attached"
-    elif all_conjugate:
-        overall = "attached-up-to-conjugacy"
-    else:
-        overall = "not-attached"
+        h = _hecke_pairs(rec, rec.p)
+        direct.append(h in candidates)
+        conjugate.append(frobenius_pairs(rec.p, h) in candidates)
+        per_ell[rec.ell] = ("match" if direct[-1] else
+                            "conjugate-match" if conjugate[-1] else "mismatch")
+    overall = ("attached" if all(direct) else
+               "attached-up-to-conjugacy" if all(conjugate) else "not-attached")
     return AttachmentVerdict(per_ell, overall, tuple(indeterminate))

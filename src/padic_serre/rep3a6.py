@@ -104,21 +104,21 @@ def twist(poly: list[Fp2Elem], eps_sign: int) -> list[Fp2Elem]:
 
 
 @lru_cache(maxsize=None)
-def _class_polys(p: int) -> dict[str, list[Fp2Elem]]:
-    """Class -> det(1 - g*t) over F_{p^2}, from the traces of g and g^-1."""
-    trace = {label: Fp2Elem(p, c0, c1) for label, (c0, c1) in TRACES[p].items()}
+def _class_polys(p: int, label: str, eps_sign: int) -> tuple[tuple[Fp2Elem, ...], ...]:
+    """class_charpolys as tuples, built once per (p, label, eps_sign)."""
+    trace = TRACES[p]
     one = Fp2Elem(p, 1, 0)
-    return {label: [one, -tr, trace[_SWAPPED.get(label, label)], -one]
-            for label, tr in trace.items()}
+    labels = ("5a", "5b") if p == 3 and label == "5ab" else (label,)
+    return tuple(tuple(twist([one, -Fp2Elem(p, *trace[name]),
+                              Fp2Elem(p, *trace[_SWAPPED.get(name, name)]), -one], eps_sign))
+                 for name in labels)
 
 
 def class_charpolys(p: int, label: str, eps_sign: int) -> list[list[Fp2Elem]]:
     """det(1 - eps*rho(g)*t) for each class g the label names, p in (3, 5).
     At p = 3, "5ab" (order 5, not resolved to 5a or 5b) names both, and
     downstream checks can only conclude "equal or conjugate"."""
-    polys = _class_polys(p)
-    labels = ("5a", "5b") if p == 3 and label == "5ab" else (label,)
-    return [twist(polys[name], eps_sign) for name in labels]
+    return [list(poly) for poly in _class_polys(p, label, eps_sign)]
 
 
 def _cover_class(cls: str) -> str:

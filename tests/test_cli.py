@@ -358,6 +358,8 @@ def _certificate_without_f(d):
     ("5-17-1", lambda d: _first_frobenius_row(d, provenance=[1])),
     ("5-17-1", lambda d: _first_frobenius_row(d, artin_provenance=7)),
     ("5-17-1", lambda d: d.update(data_only=True, expected=dict(d["expected"], level={"17": 5}))),
+    ("5-17-1", lambda d: d["level_data"][0].update(filtration={})),
+    ("3-7-3", lambda d: d["level_data"][0].update(filtration="")),
 ], ids=["p-float", "p-not-prime", "artin-power-float", "residue-degree-float",
         "cycle-type-int", "nebentype-k-bool",
         "certificate-p-float", "evidence-q-float", "expected-level-float", "expected-level-list",
@@ -375,7 +377,8 @@ def _certificate_without_f(d):
         "expected-nebentype-int", "expected-class-int", "expected-level-word",
         "expected-weight-short", "expected-weight-long", "expected-list",
         "expected-classes-list", "expected-source-float", "row-provenance-list",
-        "row-artin-provenance-int", "data-only-golden-case"])
+        "row-artin-provenance-int", "data-only-golden-case", "filtration-object",
+        "filtration-empty-string"])
 def test_case_values_outside_the_schema_exit_2(tmp_path, capsys, case, edit):
     payload = case_json(case)
     edit(payload)
@@ -397,8 +400,29 @@ def test_case_values_outside_the_schema_exit_2(tmp_path, capsys, case, edit):
 def test_non_string_annotation_names_its_key(tmp_path, capsys, edit, path):
     payload = case_json("5-17-1")
     edit(payload)
-    assert main(["verify-case", _write(tmp_path, "annotation.json", payload)]) == 2
-    assert f"error: {path}: " in capsys.readouterr().err
+    file = _write(tmp_path, "annotation.json", payload)
+    assert main(["verify-case", file]) == 2
+    assert f"error: in {file}: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify-case", "frobenius"])
+def test_case_file_schema_error_names_the_file(tmp_path, capsys, command):
+    """CaseFile.load prefixes the file, as the other subcommands' loader does."""
+    payload = case_json("5-17-1")
+    del payload["p"]
+    path = _write(tmp_path, "no-p.json", payload)
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: in {path}: p: required key missing\n"
+
+
+def test_empty_filtration_list_is_inconsistent(tmp_path, capsys):
+    """An empty list is a list: it passes the schema and fails the level rule."""
+    payload = case_json("5-17-1")
+    payload["level_data"][0]["filtration"] = []
+    assert main(["verify-case", _write(tmp_path, "empty.json", payload)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "filtration needs at least the inertia entry" in captured.err
 
 
 def _rename(d, key, new):
