@@ -31,7 +31,7 @@ from .errors import (NULLABLE, REQUIRED, InconsistencyError, SchemaError, json_b
 from .galois_local import LevelDatum, level
 from .hecke import EIGENVALUE, EigenvalueRecord, check_attached
 from .krasner import METHODS, certify_same_extension, parse_evidence
-from .polynomial import IntPoly, cycle_types, discriminant
+from .polynomial import IntPoly, cycle_types
 from .rep3a6 import class_charpolys, coarse_from_cycle_type, frobenius_class
 from .weights import DirichletCharacter, InertiaProfile, nebentype_factor, predicted_weights
 
@@ -132,20 +132,18 @@ def load_bundled_case(name: str) -> CaseFile:
 
 def _cycle_type_checked(case: CaseFile, entry: dict, computed: dict) -> tuple[int, ...]:
     """Stored cycle type, cross-checked against the sextic mod ell whenever
-    the reduction is squarefree; computed maps those ells to the cycle
-    types of the sextic."""
+    the reduction is squarefree; computed maps the ells to the cycle types
+    of the sextic, None where the reduction is not squarefree."""
     ell, stored = entry["ell"], entry["cycle_type"]
-    if ell in computed:
+    if computed.get(ell) is not None:
         if stored and stored != computed[ell]:
             raise InconsistencyError(f"case {case.name}: stored cycle type {stored} at ell={ell}"
                                      f" disagrees with the recomputed {computed[ell]}")
         return computed[ell]
-    if not stored and case.sextic is None:
-        raise InconsistencyError(f"case {case.name}: ell={ell} has no stored cycle type"
-                                 " and no sextic to compute it from")
     if not stored:
-        raise InconsistencyError(f"case {case.name}: ell={ell} has non-squarefree reduction"
-                                 " and no stored cycle type")
+        raise InconsistencyError(f"case {case.name}: ell={ell} has " + (
+            "no stored cycle type and no sextic to compute it from" if case.sextic is None
+            else "non-squarefree reduction and no stored cycle type"))
     return stored
 
 
@@ -193,9 +191,8 @@ def _frobenius_section(case: CaseFile, n: int, ell_max: int) -> tuple[list[dict]
         if case.p * n % e["ell"] == 0:
             raise InconsistencyError(f"frobenius_inputs row at ell {e['ell']}: ell divides"
                                      f" pN = {case.p * n}, where Frobenius is not defined")
-    disc = discriminant(case.sextic) if entries and case.sextic is not None else None
-    ells = [e["ell"] for e in entries if disc is not None and disc % e["ell"]]
-    computed = dict(zip(ells, cycle_types(case.sextic, ells) if ells else ()))
+    ells = [e["ell"] for e in entries]
+    computed = dict(zip(ells, cycle_types(case.sextic, ells))) if case.sextic is not None else {}
     section, frob_polys = [], {}
     for entry in entries:
         out, frob_polys[entry["ell"]] = _frobenius_entry(

@@ -132,29 +132,39 @@ def write_json(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, byte for
     byte, without the pure-Python encoder that indent selects: str, int,
     bool, None, list, tuple and dict with str keys, and their subclasses;
-    TypeError on any other value or key (a float included)."""
-    return _write(obj, "\n") + "\n"
+    TypeError on any other value or key (a float included), in one buffer."""
+    out = []
+    _write(obj, "\n", out.append)
+    return "".join(out) + "\n"
 
 
-def _write(obj, newline: str) -> str:
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None or isinstance(obj, bool):
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = newline + "  "  # an item's line; a list's ints skip the call
-    if isinstance(obj, (list, tuple)):
-        items = [int.__repr__(v) if type(v) is int else _write(v, inner) for v in obj]
-        brackets = "[]"
-    elif isinstance(obj, dict):
-        items = [encode_basestring_ascii(key) + ": " + _write(value, inner)
-                 for key, value in sorted(obj.items())]
-        brackets = "{}"
-    else:
+_KINDS = frozenset((str, int, bool, type(None), list, tuple, dict))
+
+
+def _write(obj, newline: str, put) -> None:
+    kind = type(obj)
+    if kind not in _KINDS:  # a subclass is written as its base
+        kind = next((t for t in (str, int, list, tuple, dict) if isinstance(obj, t)), None)
+    if kind is str or kind is int:
+        put(encode_basestring_ascii(obj) if kind is str else int.__repr__(obj))
+    elif obj is None or kind is bool:
+        put("null" if obj is None else "true" if obj else "false")
+    elif kind is None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return (brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
-            if items else brackets)
+    else:
+        brackets, inner = "{}" if kind is dict else "[]", newline + "  "  # an item's line
+        sep, comma = brackets[0] + inner, "," + inner
+        for item in sorted(obj.items()) if kind is dict else obj:
+            if kind is dict:
+                put(sep + encode_basestring_ascii(item[0]) + ": ")
+                _write(item[1], inner, put)
+            elif type(item) is int:  # a list's ints skip the call
+                put(sep + int.__repr__(item))
+            else:
+                put(sep)
+                _write(item, inner, put)
+            sep = comma
+        put(newline + brackets[1] if obj else brackets)
 
 
 def read_json(path):

@@ -11,8 +11,8 @@ distinct-degree factorization that counts the factors of each degree and
 never splits them off, for many ells from one Frobenius matrix Q (rows
 x^(ell*i) mod r) over Z/(product of the ells), which the CRT splits into
 each F_ell[x]/(r): for ell > deg r the counts of degree 1 and 2 are Tr Q
-and Tr Q^2 mod ell, the others degrees of gcds; squarefree means
-gcd(r, r') = 1 in F_ell[x], with disc(T) only computed when ell | lc(T).
+and Tr Q^2 mod ell, the others degrees of gcds; r is squarefree when ell
+does not divide disc(T), computed once per call.
 """
 
 from __future__ import annotations
@@ -328,38 +328,43 @@ def _gcd_degree(a: list[int], b: list[int], ell: int) -> int:
         a, b = b, a[:k]
 
 
-def cycle_types(T: IntPoly, ells) -> list[tuple[int, ...]]:
-    """``cycle_type_mod_ell`` at each ell, checked and raising in the order
-    of ells, from one Frobenius matrix Q over Z/m, m the product of the
-    distinct ells, which the CRT splits into the F_ell[x]/(r).  x^ell is one
-    power for all ells: square, then move the components whose ell has the
-    bit set to x*X, as X + s*(x*X - X), s the sum of their CRT idempotents.
-    For ell > deg T, N_1 and N_2 are Tr Q and Tr Q^2 mod ell: Frobenius
-    permutes a normal basis of each factor's field, and N_d <= deg T < ell."""
-    ells, reduced = tuple(ells), {}
+def cycle_types(T: IntPoly, ells) -> list[tuple[int, ...] | None]:
+    """``cycle_type_mod_ell`` at each ell, raising in the order of ells, but None
+    where ell divides disc(T) (computed once) and not lc(T).  ``_frobenius_types``
+    gets 32 ells at a time: products mod m grow faster than the ells they serve."""
+    ells, n, disc = tuple(ells), T.degree, None
     for ell in ells:
         if not is_prime(ell):
             raise ValueError(f"{ell} is not prime")
-        if T.degree < 1:
+        if n < 1:
             raise ValueError("constant polynomial has no cycle type")
+        if disc is None:
+            disc = discriminant(T) if n >= 2 else 1
         if T.leading % ell == 0:
-            if T.degree >= 2 and discriminant(T) % ell == 0:
-                raise InconsistencyError("ramified or non-squarefree reduction")
-            raise InconsistencyError("leading coefficient vanishes mod ell")
-        inv = pow(T.leading, -1, ell)
-        r = reduced[ell] = [c * inv % ell for c in T.coeffs]
-        if _gcd_degree(r, [i * c for i, c in enumerate(r)][1:], ell):
-            raise InconsistencyError("ramified or non-squarefree reduction")
-    if len(ells) > 32:  # products mod m grow faster than the ells they serve
-        return [ct for i in range(0, len(ells), 32) for ct in cycle_types(T, ells[i:i + 32])]
+            raise InconsistencyError("ramified or non-squarefree reduction" if disc % ell == 0
+                                     else "leading coefficient vanishes mod ell")
+    batch, found = list(dict.fromkeys(ell for ell in ells if disc % ell)), {}
+    for i in range(0, len(batch), 32):
+        found.update(zip(batch[i:i + 32], _frobenius_types(T, batch[i:i + 32])))
+    return [found.get(ell) for ell in ells]
+
+
+def _frobenius_types(T: IntPoly, ells: list[int]) -> list[tuple[int, ...]]:
+    """The cycle types at distinct primes ells prime to lc(T) disc(T), from one
+    Frobenius matrix Q over Z/m, m their product, split by the CRT into the
+    F_ell[x]/(r).  x^ell is one power for all ells: square, then move the
+    components whose ell has the bit set to x*X, as X + s*(x*X - X), s the
+    sum of their CRT idempotents.  For ell > deg T, N_1 and N_2 are Tr Q and
+    Tr Q^2 mod ell: Frobenius permutes a normal basis of each factor's field,
+    and N_d <= deg T < ell."""
     n = T.degree
-    if n == 1 or not reduced:
+    if n == 1:
         return [(1,)] * len(ells)
-    m = prod(reduced)
+    m = prod(ells)
     inv = pow(T.leading, -1, m)
     r = [c * inv % m for c in T.coeffs]
-    moves = [0] * max(reduced).bit_length()  # the idempotents of the ells with bit b set
-    for ell in reduced:
+    moves = [0] * max(ells).bit_length()  # the idempotents of the ells with bit b set
+    for ell in ells:
         e = m // ell * pow(m // ell, -1, ell)
         for b in range(ell.bit_length()):
             moves[b] += e * (ell >> b & 1)
@@ -373,7 +378,7 @@ def cycle_types(T: IntPoly, ells) -> list[tuple[int, ...]]:
     while len(rows) < n:
         rows.append(_mulmod(rows[-1], x_ell, r, m))
     cols = list(zip(*rows))
-    traces = () if max(reduced) <= n else (  # Tr Q^d, d = 0, 1, 2
+    traces = () if max(ells) <= n else (  # Tr Q^d, d = 0, 1, 2
         n, sum(row[i] for i, row in enumerate(rows)),
         sum(sum(map(mul, row, col)) for row, col in zip(rows, cols)))
     powers, out = [[0, 1] + [0] * (n - 2)], []  # x^(ell^d) mod r, d = 0, 1, ...
@@ -387,7 +392,7 @@ def cycle_types(T: IntPoly, ells) -> list[tuple[int, ...]]:
                 while len(powers) <= d:
                     powers.append([sum(map(mul, powers[-1], col)) % m for col in cols])
                 h = powers[d]
-                found = _gcd_degree(reduced[ell], [h[0], h[1] - 1] + h[2:], ell)
+                found = _gcd_degree([c % ell for c in r], [h[0], h[1] - 1] + h[2:], ell)
             parts += [d] * ((found - sum(e for e in parts if d % e == 0)) // d)
         if sum(parts) < n:
             parts.append(n - sum(parts))
@@ -401,6 +406,8 @@ def cycle_type_mod_ell(T: IntPoly, ell: int) -> tuple[int, ...]:
     GTM 138, 3.4.3) that never splits.  N_d, the number of roots of r = T
     mod ell in F_(ell^d), is deg gcd(r, x^(ell^d) - x) and the sum of e*c_e
     over e | d, c_e the number of degree-e factors, so c_d follows from N_d
-    and the counts below d; once 2d exceeds the degree left, the rest is one factor.
-    r must be squarefree; disc(T) is computed only when ell | lc(T)."""
-    return cycle_types(T, (ell,))[0]
+    and the counts below d; once 2d exceeds the degree left, the rest is one
+    factor.  r must be squarefree: ell must not divide disc(T)."""
+    if (found := cycle_types(T, (ell,))[0]) is None:
+        raise InconsistencyError("ramified or non-squarefree reduction")
+    return found

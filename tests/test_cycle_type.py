@@ -1,15 +1,16 @@
 """cycle_type_mod_ell against an independent brute-force count of the
 irreducible factors mod ell and against a splitting distinct-degree
 factorization, its exact error contract, the batch cycle_types against the
-same reference one ell at a time, and the number of integer discriminants
-the Frobenius section computes."""
+same reference one ell at a time, None exactly at the primes of the
+discriminant, and the number of integer discriminants a call and the
+Frobenius section compute."""
 
 import itertools
 import random
 
 import pytest
 
-from padic_serre import casefile, polynomial
+from padic_serre import polynomial
 from padic_serre.casefile import GOLDEN, load_bundled_case, verify_case
 from padic_serre.errors import InconsistencyError
 from padic_serre.polynomial import IntPoly, cycle_type_mod_ell, cycle_types, discriminant
@@ -197,13 +198,17 @@ def test_counting_pass_matches_splitting_reference(ell):
 
 def _looped(f, ells):
     """What a loop of single calls gives: the splitting reference's cycle
-    type at each ell, or the type and message of the first error that
-    cycle_type_mod_ell raises."""
+    type at each ell, None where cycle_type_mod_ell finds a ramified or
+    non-squarefree reduction with a unit leading coefficient, or the type
+    and message of the first other error it raises."""
     out = []
     for ell in ells:
         try:
             cycle_type_mod_ell(f, ell)
         except (InconsistencyError, ValueError) as exc:
+            if str(exc) == "ramified or non-squarefree reduction" and f.leading % ell:
+                out.append(None)
+                continue
             return type(exc), str(exc)
         out.append(_splitting_cycle_type(f, ell))
     return out
@@ -230,11 +235,12 @@ def test_batch_matches_the_per_ell_reference():
     """Batches that mix ell <= deg with ell > deg, repeat an ell, put
     1,000,003 beside 2, hold a number that is not prime or run past the 32
     ells of one product modulus give, ell by ell, the splitting reference's
-    cycle types, or the first error of a loop."""
+    cycle types and None at a non-squarefree reduction, or the first error
+    of a loop."""
     rng = random.Random("cycle-types/batch")
     primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
     more = [ell for ell in range(53, 400) if all(ell % q for q in range(2, ell))]
-    values, errors = [], set()
+    values, errors, nones = [], set(), 0
     for _ in range(300):
         ells = rng.sample(primes, rng.randint(1, 6))
         if rng.random() < 0.3:
@@ -255,6 +261,7 @@ def test_batch_matches_the_per_ell_reference():
         assert got == want, (f, ells)
         if isinstance(want, list):
             values.append((f.degree, ells))
+            nones += want.count(None)
         else:
             errors.add(want)
     assert errors == {(InconsistencyError, "ramified or non-squarefree reduction"),
@@ -262,6 +269,7 @@ def test_batch_matches_the_per_ell_reference():
                       (ValueError, "1 is not prime"), (ValueError, "4 is not prime"),
                       (ValueError, "9 is not prime")}
     assert len(values) >= 100
+    assert nones
     assert any(min(ells) <= n < max(ells) for n, ells in values)
     assert any(2 in ells and 1_000_003 in ells for n, ells in values)
     assert any(len(set(ells)) < len(ells) for n, ells in values)
@@ -280,34 +288,52 @@ def test_cycle_type_errors_are_pinned(coeffs, ell, message):
     assert str(info.value) == message
 
 
-def _counting(monkeypatch, module):
+def test_none_exactly_at_the_primes_of_the_discriminant():
+    """The monic 5-17-1 sextic at every prime below 100: None at the primes
+    dividing its discriminant, the splitting reference's type elsewhere."""
+    sextic = load_bundled_case("5-17-1").sextic
+    primes = [ell for ell in range(2, 100) if all(ell % q for q in range(2, ell))]
+    disc, got = discriminant(sextic), cycle_types(sextic, primes)
+    assert sextic.is_monic()
+    assert [ell for ell, ct in zip(primes, got) if ct is None] == [
+        ell for ell in primes if disc % ell == 0] != []
+    for ell, ct in zip(primes, got):
+        if ct is not None:
+            assert ct == _splitting_cycle_type(sextic, ell), ell
+
+
+def _counting(monkeypatch):
     calls = []
 
     def counted(f):
         calls.append(f)
         return discriminant(f)
 
-    monkeypatch.setattr(module, "discriminant", counted)
+    monkeypatch.setattr(polynomial, "discriminant", counted)
     return calls
 
 
 def test_verify_case_computes_one_discriminant(monkeypatch):
-    calls = _counting(monkeypatch, casefile)
+    calls = _counting(monkeypatch)
     for name in GOLDEN:
         before = len(calls)
         verify_case(load_bundled_case(name))
-        assert len(calls) - before <= 1, name
-    assert calls
+        assert len(calls) - before == 1, name
 
 
-def test_cycle_type_needs_no_integer_discriminant_when_lc_is_a_unit(monkeypatch):
-    calls = _counting(monkeypatch, polynomial)
+def test_cycle_types_computes_at_most_one_discriminant(monkeypatch):
+    """One discriminant per call, whatever the batch size (70 ells run as
+    three products mod m), none at degree 1 or before the first prime, and
+    one for a single call that raises at ell | lc."""
+    calls = _counting(monkeypatch)
     sextic = load_bundled_case("5-17-1").sextic
-    for ell in (2, 3, 7, 11, 13, 47):
-        cycle_type_mod_ell(sextic, ell)
-    with pytest.raises(InconsistencyError):
-        cycle_type_mod_ell(IntPoly([1, -1, -1, 1]), 3)
-    assert calls == []
+    primes = [ell for ell in range(2, 400) if all(ell % q for q in range(2, ell))][:70]
+    cycle_types(sextic, primes)
+    assert len(calls) == 1
+    cycle_types(IntPoly([3, 1]), primes)
+    with pytest.raises(ValueError):
+        cycle_types(sextic, [4, 2])
+    assert len(calls) == 1
     with pytest.raises(InconsistencyError):
         cycle_type_mod_ell(IntPoly([1, 1, 3]), 3)
-    assert len(calls) == 1
+    assert len(calls) == 2
