@@ -168,7 +168,7 @@ def _frobenius_entry(entry: dict, cycle_type, eps_sign: int, p: int) -> tuple[di
         "ell": entry["ell"],
         "cycle_type": list(cycle_type),
         "class": label,
-        "charpolys": [[[c.c0, c.c1] for c in poly] for poly in polys],
+        "charpolys": [[list(c) for c in poly] for poly in polys],
     }
     if len(polys) > 1:
         out["note"] = "order-5 class unresolved: equal or conjugate"
@@ -176,9 +176,9 @@ def _frobenius_entry(entry: dict, cycle_type, eps_sign: int, p: int) -> tuple[di
 
 
 def _frobenius_section(case: CaseFile, n: int, ell_max: int) -> tuple[list[dict], dict]:
-    """The Frobenius entries at the rows with ell <= ell_max, and their
-    twisted charpolys by ell; n is the level.  Rows must have distinct ells
-    prime to pN, where Frobenius is defined."""
+    """The Frobenius entries at the rows with ell <= ell_max and the twisted
+    charpolys by ell, None above ell_max; n is the level.  Rows must have
+    distinct ells prime to pN, where Frobenius is defined."""
     inputs = sorted(case.frobenius_inputs, key=lambda e: e["ell"])
     for a, b in zip(inputs, inputs[1:]):
         if a["ell"] == b["ell"]:
@@ -193,7 +193,7 @@ def _frobenius_section(case: CaseFile, n: int, ell_max: int) -> tuple[list[dict]
                                      f" pN = {case.p * n}, where Frobenius is not defined")
     ells = [e["ell"] for e in entries]
     computed = dict(zip(ells, cycle_types(case.sextic, ells))) if case.sextic is not None else {}
-    section, frob_polys = [], {}
+    section, frob_polys = [], dict.fromkeys(e["ell"] for e in inputs)
     for entry in entries:
         out, frob_polys[entry["ell"]] = _frobenius_entry(
             entry, _cycle_type_checked(case, entry, computed),
@@ -255,8 +255,8 @@ def verify_case(case: CaseFile, ell_max: int = DEFAULT_ELL_MAX) -> dict:
     nebentype_factor(case.nebentype_k, case.nebentype, n)
     weights = predicted_weights(case.inertia_profile, case.p)
     frob_section, frob_polys = _frobenius_section(case, n, ell_max)
-    attachment = (check_attached(case.eigenvalues, frob_polys).to_json()
-                  if case.eigenvalues else None)
+    verdict = check_attached(case.eigenvalues, frob_polys) if case.eigenvalues else None
+    attachment = verdict.to_json() if verdict and verdict.per_ell else None
     b, c = quadratic_modulus(case.p)
     report = {
         "name": case.name,

@@ -6,7 +6,9 @@ For a prime ell (away from p and the level) with eigenvalues a1, a2, a3
     1 - a1*t + ell*a2*t^2 - ell^3*a3*t^3
 
 with ell reduced into F_p; the k-th coefficient carries ell^(k(k-1)/2) and
-an alternating sign.  "Attached" means this cubic equals the Frobenius
+an alternating sign; ``hecke_poly`` gives it as reduced coefficient pairs
+(c0, c1), as the Frobenius charpolys are given, and ``arith.frobenius_pairs``
+conjugates them.  "Attached" means this cubic equals the Frobenius
 characteristic polynomial at every supplied ell.  Since eigensystems come
 in Galois-conjugate pairs, the checker also recognizes the globally
 conjugated match, and a two-candidate Frobenius entry (an unresolved
@@ -18,8 +20,6 @@ from __future__ import annotations
 
 from .arith import Fp2Elem, Record, frobenius_pairs
 from .errors import REQUIRED, InconsistencyError, json_int, read_fields
-
-Cubic = list[Fp2Elem]
 
 #: An eigenvalue record: ell and the three eigenvalues, each a pair (c0, c1)
 #: of coefficients of an element of F_{p^2}.
@@ -56,22 +56,13 @@ class EigenvalueRecord(Record):
         }
 
 
-def _hecke_pairs(rec: EigenvalueRecord, p: int) -> tuple[tuple[int, int], ...]:
-    """hecke_poly as reduced coefficient pairs (c0, c1)."""
+def hecke_poly(rec: EigenvalueRecord, p: int) -> tuple[tuple[int, int], ...]:
+    """Coefficients [1, -a1, ell*a2, -ell^3*a3] as reduced pairs (c0, c1)."""
     ell = rec.ell % p
     if ell == 0:
         raise InconsistencyError(f"ell = {rec.ell} is divisible by p = {p}")
     scaled = zip((rec.a1, rec.a2, rec.a3), (-1, ell, -pow(ell, 3, p)))
     return ((1, 0), *[(a.c0 * s % p, a.c1 * s % p) for a, s in scaled])
-
-
-def hecke_poly(rec: EigenvalueRecord, p: int) -> Cubic:
-    """Coefficients [1, -a1, ell*a2, -ell^3*a3] over F_{p^2}."""
-    return [Fp2Elem(p, c0, c1) for c0, c1 in _hecke_pairs(rec, p)]
-
-
-def conjugate_cubic(cubic: Cubic) -> Cubic:
-    return [c.frobenius() for c in cubic]
 
 
 class AttachmentVerdict(Record):
@@ -91,28 +82,33 @@ class AttachmentVerdict(Record):
 
 def check_attached(records: list[EigenvalueRecord], frob_polys: dict) -> AttachmentVerdict:
     """Compare Hecke polynomials against Frobenius characteristic
-    polynomials.
+    polynomials, as tuples of coefficient pairs (c0, c1) reduced mod p.
 
-    frob_polys maps ell to a list of candidate cubics (two entries when the
-    class is only known up to the order-5 ambiguity).  Per-ell status is
-    "match", "conjugate-match" (the Galois twin matches) or "mismatch".
+    frob_polys maps ell to its candidate cubics, each a sequence of four
+    integer pairs (two for an unresolved order-5 class), or to None for a
+    row above the range checked, whose record is skipped.  Per-ell status
+    is "match", "conjugate-match" (the Galois twin matches) or "mismatch".
     Overall: "attached" when everything matches outright,
     "attached-up-to-conjugacy" when one global conjugation fixes it.
     Records are read in order of ell, so ``indeterminate_ells`` is sorted.
-    The cubics are compared as tuples of coefficient pairs (c0, c1).
     """
-    per_ell, indeterminate, direct, conjugate = {}, [], [], []
+    seen, per_ell, indeterminate, direct, conjugate = set(), {}, [], [], []
     for rec in sorted(records, key=lambda r: r.ell):
-        if rec.ell in per_ell:
+        if rec.ell in seen:
             raise InconsistencyError(f"duplicate ell {rec.ell} in eigenvalue records")
         if rec.ell not in frob_polys:
             raise InconsistencyError(f"no Frobenius polynomial supplied for ell = {rec.ell}")
-        candidates = [tuple([(c.c0, c.c1) for c in cubic]) for cubic in frob_polys[rec.ell]]
+        seen.add(rec.ell)
+        if frob_polys[rec.ell] is None:
+            continue
+        p = rec.p
+        candidates = [tuple([(c0 % p, c1 % p) for c0, c1 in cubic])
+                      for cubic in frob_polys[rec.ell]]
         if len(candidates) > 1:
             indeterminate.append(rec.ell)
-        h = _hecke_pairs(rec, rec.p)
+        h = hecke_poly(rec, p)
         direct.append(h in candidates)
-        conjugate.append(frobenius_pairs(rec.p, h) in candidates)
+        conjugate.append(frobenius_pairs(p, h) in candidates)
         per_ell[rec.ell] = ("match" if direct[-1] else
                             "conjugate-match" if conjugate[-1] else "mismatch")
     overall = ("attached" if all(direct) else

@@ -15,6 +15,8 @@ lift uniquely; multiplying by the central scalar walks 1a->3a->3b,
 the charpolys, det(1 - g*t) = 1 - tr(g)*t + tr(g^-1)*t^2 - t^3 for det g = 1,
 from the traces frozen below; the tests check them against the cover in
 SL_3(F_25) that matrix_oracle.py builds and the Sym^2 image in SL_3(F_9).
+A charpoly is a tuple of reduced coefficient pairs (c0, c1); Fp2Elem only
+builds the mod-3 group and the p = 5 oracle views char_value, frob_charpoly.
 """
 
 from __future__ import annotations
@@ -96,29 +98,16 @@ def frobenius_class(cycle_type, artin_power: int, residue_degree: int) -> str:
     return central_twist(base, artin_power * residue_degree)
 
 
-def twist(poly: list[Fp2Elem], eps_sign: int) -> list[Fp2Elem]:
-    """det(1 - eps*A*t) from the coefficients of det(1 - A*t), for a sign
-    eps = +1 or -1: the t^k coefficient times eps^k, so eps = -1 negates
-    the odd coefficients."""
-    return [-c if eps_sign == -1 and k % 2 else c for k, c in enumerate(poly)]
-
-
 @lru_cache(maxsize=None)
-def _class_polys(p: int, label: str, eps_sign: int) -> tuple[tuple[Fp2Elem, ...], ...]:
-    """class_charpolys as tuples, built once per (p, label, eps_sign)."""
+def class_charpolys(p: int, label: str, eps_sign: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """det(1 - eps*rho(g)*t) for each class g the label names, p in (3, 5),
+    as reduced coefficient pairs (c0, c1): (1, 0), -eps*tr(g), tr(g^-1) and
+    -eps.  At p = 3, "5ab" (order 5, not resolved to 5a or 5b) names both,
+    and downstream checks can only conclude "equal or conjugate"."""
     trace = TRACES[p]
-    one = Fp2Elem(p, 1, 0)
     labels = ("5a", "5b") if p == 3 and label == "5ab" else (label,)
-    return tuple(tuple(twist([one, -Fp2Elem(p, *trace[name]),
-                              Fp2Elem(p, *trace[_SWAPPED.get(name, name)]), -one], eps_sign))
-                 for name in labels)
-
-
-def class_charpolys(p: int, label: str, eps_sign: int) -> list[list[Fp2Elem]]:
-    """det(1 - eps*rho(g)*t) for each class g the label names, p in (3, 5).
-    At p = 3, "5ab" (order 5, not resolved to 5a or 5b) names both, and
-    downstream checks can only conclude "equal or conjugate"."""
-    return [list(poly) for poly in _class_polys(p, label, eps_sign)]
+    return tuple(((1, 0), tuple([-eps_sign * c % p for c in trace[name]]),
+                  trace[_SWAPPED.get(name, name)], (-eps_sign % p, 0)) for name in labels)
 
 
 def _cover_class(cls: str) -> str:
@@ -141,7 +130,7 @@ def frob_charpoly(cls: str, eps_val: int) -> list[Fp2Elem]:
     """det(1 - eps * rho(Frob) * t) over F_25 for a cover class."""
     if eps_val not in (1, -1):
         raise InconsistencyError("eps_val must be +1 or -1")
-    return class_charpolys(5, _cover_class(cls), eps_val)[0]
+    return [Fp2Elem(5, *c) for c in class_charpolys(5, _cover_class(cls), eps_val)[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ from padic_serre.hecke import EigenvalueRecord
 
 def solve_record(ell, cubic, p):
     """Invert ``hecke_poly`` coefficientwise: the eigenvalue record whose
-    Hecke polynomial is the given cubic (constant coefficient must be 1)."""
+    Hecke polynomial is the given cubic of coefficient pairs (c0, c1), as
+    ``class_charpolys`` and a report's charpolys give them (constant
+    coefficient must be 1)."""
+    cubic = [Fp2Elem(p, c0, c1) for c0, c1 in cubic]
     if len(cubic) != 4 or cubic[0] != Fp2Elem(p, 1, 0):
         raise InconsistencyError("cubic must have constant coefficient 1")
     ell_mod = ell % p

@@ -223,8 +223,7 @@ def _sweep_6f():
         ells = [ell for ell in (2, 3, 7, 11, 13) if ell % p]
         polys = {}
         for ell in ells:
-            polys[ell] = [[Fp2Elem(p, 1, 0)] + [Fp2Elem(p, rng.randrange(p), rng.randrange(p))
-                                                for _ in range(3)]]
+            polys[ell] = [[(1, 0)] + [(rng.randrange(p), rng.randrange(p)) for _ in range(3)]]
         records = [solve_record(ell, polys[ell][0], p) for ell in ells]
         if check_attached(records, polys).overall != "attached":
             failures += 1
@@ -321,11 +320,7 @@ def test_criterion_7_matrix_oracle_agreement():
 
 def test_criterion_8_attachment_discriminates():
     report = verify_case(load_bundled_case("5-17-1"), ell_max=47)
-    frob_polys = {}
-    for entry in report["frobenius"]:
-        frob_polys[entry["ell"]] = [
-            [Fp2Elem(5, c0, c1) for c0, c1 in poly] for poly in entry["charpolys"]
-        ]
+    frob_polys = {entry["ell"]: entry["charpolys"] for entry in report["frobenius"]}
     records = [solve_record(ell, polys[0], 5) for ell, polys in sorted(frob_polys.items())]
     verdict = check_attached(records, frob_polys)
     ok = verdict.overall == "attached"

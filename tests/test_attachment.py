@@ -1,13 +1,14 @@
 """check_attached, which compares coefficient pairs, against a reference
-that compares F_{p^2} elements: hecke_poly, conjugate_cubic and list
-equality, as the check read before it worked in pairs."""
+that compares F_{p^2} elements: the Hecke cubic by Fp2Elem arithmetic, its
+coefficientwise Frobenius and list equality, as the check read before it
+worked in pairs."""
 
 import random
 
 import pytest
 
 from padic_serre.arith import Fp2Elem
-from padic_serre.hecke import EigenvalueRecord, check_attached, conjugate_cubic, hecke_poly
+from padic_serre.hecke import EigenvalueRecord, check_attached, hecke_poly
 from padic_serre.rep3a6 import TRACES, class_charpolys
 
 from helpers import solve_record
@@ -20,14 +21,14 @@ ELLS = (2, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 def _reference(records, frob_polys) -> tuple[dict, str, tuple]:
     per_ell, indeterminate, direct, conjugate = {}, [], [], []
     for rec in sorted(records, key=lambda r: r.ell):
-        h = hecke_poly(rec, rec.p)
         ell = Fp2Elem(rec.p, rec.ell, 0)  # the Hecke cubic by F_{p^2} arithmetic
-        assert h == [Fp2Elem(rec.p, 1, 0), -rec.a1, rec.a2 * ell, -(rec.a3 * ell * ell * ell)]
-        candidates = [list(c) for c in frob_polys[rec.ell]]
+        h = [Fp2Elem(rec.p, 1, 0), -rec.a1, rec.a2 * ell, -(rec.a3 * ell * ell * ell)]
+        assert hecke_poly(rec, rec.p) == tuple((c.c0, c.c1) for c in h)
+        candidates = [[Fp2Elem(rec.p, *c) for c in cubic] for cubic in frob_polys[rec.ell]]
         if len(candidates) > 1:
             indeterminate.append(rec.ell)
         direct.append(h in candidates)
-        conjugate.append(conjugate_cubic(h) in candidates)
+        conjugate.append([c.frobenius() for c in h] in candidates)
         per_ell[rec.ell] = ("match" if direct[-1] else
                             "conjugate-match" if conjugate[-1] else "mismatch")
     overall = ("attached" if all(direct) else
@@ -62,8 +63,9 @@ def test_check_attached_matches_the_element_reference(p):
         rows = {ell: _row(rng, p, ell) for ell in ells}
         frob_polys = {ell: candidates for ell, (candidates, _) in rows.items()}
         records = [rec for _, rec in rows.values()]
-        if rng.random() < 0.5:  # tuples of cubics, as a cache would hold them
-            frob_polys = {ell: tuple(tuple(c) for c in cs) for ell, cs in frob_polys.items()}
+        if rng.random() < 0.5:  # lists of lists, as a report's JSON holds them
+            frob_polys = {ell: [[list(c) for c in cubic] for cubic in cs]
+                          for ell, cs in frob_polys.items()}
         verdict = check_attached(records, frob_polys)
         assert (verdict.per_ell, verdict.overall, verdict.indeterminate_ells) == \
             _reference(records, frob_polys)

@@ -18,6 +18,7 @@ from padic_serre.errors import SchemaError
 from padic_serre.krasner import METHODS, parse_evidence
 
 from bundled_json import case_json
+from helpers import solve_record
 
 
 def _write(tmp_path, name, payload):
@@ -233,6 +234,45 @@ def test_golden_class_above_ell_max_is_not_checked(capsys):
     assert report["frobenius"] == [] and report["golden"]["mismatches"] == []
     assert main(["verify-case", "5-17-1", "--ell-max", "2"]) == 0
     assert [e["class"] for e in json.loads(capsys.readouterr().out)["frobenius"]] == ["15bd"]
+
+
+def _with_solved_records(name: str) -> dict:
+    """The case with one eigenvalue record per Frobenius row of its report,
+    solved from the row's first candidate."""
+    payload = case_json(name)
+    report = verify_case(CaseFile.from_dict(payload))
+    payload["eigenvalues"] = [solve_record(e["ell"], e["charpolys"][0], report["p"]).to_json()
+                              for e in report["frobenius"]]
+    return payload
+
+
+def test_ell_max_scopes_the_eigenvalue_records(tmp_path, capsys):
+    # the records of 5-17-1 at its 12 rows, 2 to 47: a record above
+    # --ell-max is out of range, as a golden class is
+    path = _write(tmp_path, "records.json", _with_solved_records("5-17-1"))
+    for ell_max, top in (("47", 47), ("40", 37), ("2", 2)):
+        assert main(["verify-case", path, "--ell-max", ell_max]) == 0
+        attachment = json.loads(capsys.readouterr().out)["attachment"]
+        assert attachment["overall"] == "attached"
+        assert max(int(ell) for ell in attachment["per_ell"]) == top
+    assert main(["verify-case", path, "--ell-max", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["attachment"] is None
+
+
+@pytest.mark.parametrize("extra,message", [
+    ({"ell": 53, "a": [[1, 0], [0, 0], [0, 0]]}, "no Frobenius polynomial supplied for ell = 53"),
+    (None, "duplicate ell 43 in eigenvalue records"),
+], ids=["record-without-row", "repeated-record"])
+@pytest.mark.parametrize("ell_max", ["1", "40", "47", "60"])
+def test_unmatched_records_are_inconsistent_at_any_ell_max(tmp_path, capsys, extra, message,
+                                                           ell_max):
+    payload = _with_solved_records("5-17-1")
+    records = payload["eigenvalues"]
+    records.append(extra or next(rec for rec in records if rec["ell"] == 43))
+    path = _write(tmp_path, "records.json", payload)
+    assert main(["verify-case", path, "--ell-max", ell_max]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_schema_error_exit_code(tmp_path):

@@ -2,29 +2,24 @@ import random
 
 import pytest
 
-from padic_serre.arith import Fp2Elem
+from padic_serre.arith import Fp2Elem, frobenius_pairs
 from padic_serre.errors import InconsistencyError, SchemaError
-from padic_serre.hecke import (
-    EigenvalueRecord,
-    check_attached,
-    conjugate_cubic,
-    hecke_poly,
-)
+from padic_serre.hecke import EigenvalueRecord, check_attached, hecke_poly
 
 from helpers import solve_record
 from matrix_reference import _power
 
 
 def _random_cubic(rng, p):
-    return [Fp2Elem(p, 1, 0)] + [Fp2Elem(p, rng.randrange(p), rng.randrange(p)) for _ in range(3)]
+    return [(1, 0)] + [(rng.randrange(p), rng.randrange(p)) for _ in range(3)]
 
 
 def test_hecke_poly_trivial_representation():
     ell = 7
     inv = _power(Fp2Elem(5, 7, 0), 5 * 5 - 2)
     rec = EigenvalueRecord(ell, Fp2Elem(5, 3, 0), Fp2Elem(5, 3, 0) * inv, _power(inv, 3))
-    assert hecke_poly(rec, 5) == [Fp2Elem(5, 1, 0), Fp2Elem(5, -3, 0),
-                                  Fp2Elem(5, 3, 0), Fp2Elem(5, -1, 0)]
+    expect = [Fp2Elem(5, 1, 0), Fp2Elem(5, -3, 0), Fp2Elem(5, 3, 0), Fp2Elem(5, -1, 0)]
+    assert hecke_poly(rec, 5) == tuple((c.c0, c.c1) for c in expect)
 
 
 def test_hecke_poly_coefficient_pattern():
@@ -33,11 +28,11 @@ def test_hecke_poly_coefficient_pattern():
     rng = random.Random(70)
     for _ in range(100):
         ell = rng.choice([2, 3, 7, 11, 13])
-        rec = EigenvalueRecord(ell, *(_random_cubic(rng, 5)[1:]))
-        base = hecke_poly(rec, 5)
+        rec = EigenvalueRecord(ell, *(Fp2Elem(5, *c) for c in _random_cubic(rng, 5)[1:]))
+        base = [Fp2Elem(5, *c) for c in hecke_poly(rec, 5)]
         delta = Fp2Elem(5, rng.randrange(1, 5), rng.randrange(5))
         bumped = EigenvalueRecord(ell, rec.a1, rec.a2 + delta, rec.a3)
-        diff = [b - a for a, b in zip(base, hecke_poly(bumped, 5))]
+        diff = [Fp2Elem(5, *b) - a for a, b in zip(base, hecke_poly(bumped, 5))]
         li = Fp2Elem(5, ell, 0)
         assert diff == [Fp2Elem(5, 0, 0), Fp2Elem(5, 0, 0), li * delta, Fp2Elem(5, 0, 0)]
 
@@ -78,7 +73,7 @@ def test_global_conjugation_detected():
     polys = {}
     for ell in ells:
         cubic = _random_cubic(rng, 5)
-        while conjugate_cubic(cubic) == cubic:
+        while frobenius_pairs(5, cubic) == tuple(cubic):
             cubic = _random_cubic(rng, 5)
         polys[ell] = [cubic]
     records = [solve_record(ell, polys[ell][0], 5).conjugate() for ell in ells]
@@ -98,7 +93,7 @@ def test_verdict_equivariance_under_conjugation():
             r = records[i]
             records[i] = EigenvalueRecord(r.ell, r.a1, r.a2 + 1, r.a3)
         before = check_attached(records, polys)
-        conj_polys = {ell: [conjugate_cubic(c) for c in polys[ell]] for ell in ells}
+        conj_polys = {ell: [frobenius_pairs(5, c) for c in polys[ell]] for ell in ells}
         conj_records = [r.conjugate() for r in records]
         after = check_attached(conj_records, conj_polys)
         assert before.overall == after.overall
@@ -117,14 +112,30 @@ def test_two_candidate_entries():
 
 
 def test_missing_ell_rejected():
-    rec = solve_record(7, [Fp2Elem(5, 1, 0)] + [Fp2Elem(5, 0, 0)] * 3, 5)
+    rec = solve_record(7, [(1, 0)] + [(0, 0)] * 3, 5)
     with pytest.raises(InconsistencyError):
-        check_attached([rec], {11: [[Fp2Elem(5, 1, 0)] + [Fp2Elem(5, 0, 0)] * 3]})
+        check_attached([rec], {11: [[(1, 0)] + [(0, 0)] * 3]})
+
+
+def test_candidates_are_read_as_integer_pairs_mod_p():
+    # tuples, JSON lists and unreduced integers name the same cubic
+    rng = random.Random(76)
+    for _ in range(50):
+        cubic = _random_cubic(rng, 5)
+        records = [solve_record(7, cubic, 5)]
+        shifted = [[c0 + 5 * rng.randrange(-3, 4), c1 - 5 * rng.randrange(4)] for c0, c1 in cubic]
+        for form in (tuple(cubic), [list(c) for c in cubic], shifted):
+            assert check_attached(records, {7: [form]}).overall == "attached"
+        conj = frobenius_pairs(5, cubic)
+        if conj != tuple(cubic):
+            shifted = [[c0 + 5, c1 + 10] for c0, c1 in conj]
+            verdict = check_attached(records, {7: [shifted]})
+            assert verdict.per_ell == {7: "conjugate-match"}
 
 
 def test_solve_record_requires_unit_constant():
     with pytest.raises(InconsistencyError):
-        solve_record(7, [Fp2Elem(5, 2, 0)] + [Fp2Elem(5, 0, 0)] * 3, 5)
+        solve_record(7, [(2, 0)] + [(0, 0)] * 3, 5)
 
 
 def test_record_json_round_trip():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from padic_serre.arith import Fp2Elem, cube_root_of_unity
+from padic_serre.arith import Fp2Elem, cube_root_of_unity, frobenius_pairs
 from padic_serre.casefile import CaseFile, verify_case
 from padic_serre.errors import InconsistencyError
 from padic_serre.matrices import (
@@ -32,7 +32,6 @@ from padic_serre.rep3a6 import (
     inverse_class,
     sl2_generators,
     sym_square,
-    twist,
 )
 
 from bundled_json import case_json
@@ -174,7 +173,7 @@ def test_mod3_candidates_for_unresolved_order5():
     payload["frobenius_inputs"][0]["fine_order5"] = "5a"
     entry = verify_case(CaseFile.from_dict(payload))["frobenius"][0]
     assert entry["cycle_type"] == [5, 1] and entry["class"] == "5a" and "note" not in entry
-    assert entry["charpolys"] == [[[c.c0, c.c1] for c in resolved[0]]]
+    assert entry["charpolys"] == [[list(c) for c in resolved[0]]]
 
 
 def test_matrix_oracle_agrees_with_frozen_tables():
@@ -188,14 +187,21 @@ def test_matrix_oracle_agrees_with_frozen_tables():
         assert oracle_charpoly(cls, -1) == frob_charpoly(cls, -1)
 
 
+def _twisted_pairs(poly, eps):
+    """det(1 - eps*A*t) as coefficient pairs, from the coefficients of
+    det(1 - A*t) over F_{p^2}: eps = -1 negates the odd coefficients."""
+    twisted = [-c if eps == -1 and k % 2 else c for k, c in enumerate(poly)]
+    return tuple((c.c0, c.c1) for c in twisted)
+
+
 def test_frozen_mod3_table_matches_the_closure():
     table, conjugate = a6_mod3_class_polys()
     ok = list(TRACES[3]) == list(table)
     for label in table:
         for eps in (1, -1):
             (poly,) = class_charpolys(3, label, eps)
-            ok &= poly == twist(table[label], eps)
-            ok &= [c.frobenius() for c in poly] == twist(conjugate[label], eps)
+            ok &= poly == _twisted_pairs(table[label], eps)
+            ok &= frobenius_pairs(3, poly) == _twisted_pairs(conjugate[label], eps)
     assert ok
 
 
@@ -227,6 +233,26 @@ def test_p3_case_runs_no_closure():
              "from padic_serre.rep3a6 import a6_mod3_class_polys\n"
              "verify_case(load_bundled_case('3-13-9'))\n"
              "print(a6_mod3_class_polys.cache_info().misses)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout.strip() == "0"
+
+
+def test_verify_path_builds_no_field_elements():
+    # charpolys stay coefficient pairs from the trace table to the report:
+    # a cold pass over the 12 bundled cases constructs no Fp2Elem
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = ("from padic_serre import arith\n"
+             "built, init = [], arith.Fp2Elem.__init__\n"
+             "def counted(self, *args):\n"
+             "    built.append(args)\n"
+             "    init(self, *args)\n"
+             "arith.Fp2Elem.__init__ = counted\n"
+             "from padic_serre.casefile import BUNDLED, load_bundled_case, report_to_json,"
+             " verify_case\n"
+             "for name in BUNDLED:\n"
+             "    report_to_json(verify_case(load_bundled_case(name)))\n"
+             "print(len(built))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
     assert proc.stdout.strip() == "0"
