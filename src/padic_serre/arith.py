@@ -120,13 +120,18 @@ def frobenius_pairs(p: int, pairs) -> tuple[tuple[int, int], ...]:
 
 class Record:
     """Base of the package's value types.  The fields are the ``__slots__``,
-    in constructor order: ``__init__`` validates, then sets them all with
-    ``_set``, and from then on the record is read-only.  Equality, hash,
-    repr and pickling go by the field values; equality and hash read them
-    with one ``attrgetter`` per class, ``_values``, which gives the bare
-    value of a one-field record."""
+    in constructor order.  The default ``__init__`` takes one value per
+    field and sets them all with ``_set``; a record that validates,
+    normalizes or has a default writes its own, which ends in ``_set``.
+    From then on the record is read-only.  Equality, hash, repr and
+    pickling go by the field values; equality and hash read them with one
+    ``attrgetter`` per class, ``_values``, which gives the bare value of a
+    one-field record."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        self._set(*values)
 
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values, strict=True):

@@ -11,10 +11,10 @@ error.  Twelve scenarios ship with the package: six carry golden values
 class), six are data-only records of fields whose verification was out of
 reach.
 
-The pipeline: level -> nebentype validation -> predicted weights ->
-per-ell Frobenius class and its characteristic polynomials (one trace rule
-for p=5 and p=3) -> attachment check when
-eigenvalues are present -> comparison against the golden block.  Reports
+The pipeline: level -> nebentype validation -> per-ell Frobenius class and
+its characteristic polynomials (one trace rule for p=5 and p=3; the
+frobenius subcommand stops here) -> predicted weights -> attachment check
+when eigenvalues are present -> comparison against the golden block.  Reports
 are deterministic (sorted keys, fixed field models), so repeated runs are
 byte-identical.
 """
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 from math import lcm
-from typing import Optional
 
 from .arith import Record, json_prime, quadratic_modulus
 from .errors import (NULLABLE, REQUIRED, InconsistencyError, SchemaError, json_bool, json_int,
@@ -81,34 +80,23 @@ CASE = {
 
 
 class CaseFile(Record):
-    __slots__ = ("name", "data_only", "sextic", "p", "level_data", "nebentype", "nebentype_k",
-                 "inertia_profile", "frobenius_inputs", "eigenvalues", "expected",
-                 "certificates", "note", "skipped_ells")
+    """A case file: one field per key of CASE, absent keys read by its
+    table, a data-only case's keys outside DATA_ONLY None.  nebentype is a
+    DirichletCharacter, its k apart in nebentype_k, and eigenvalues a list
+    of EigenvalueRecords."""
 
-    def __init__(self, name: str, data_only: bool, sextic: Optional[IntPoly], p: Optional[int],
-                 level_data: tuple[LevelDatum, ...], nebentype: Optional[DirichletCharacter],
-                 nebentype_k: int, inertia_profile: Optional[InertiaProfile],
-                 frobenius_inputs: tuple[dict, ...], eigenvalues: list[EigenvalueRecord],
-                 expected: Optional[dict], certificates: tuple[dict, ...], note: str,
-                 skipped_ells: tuple[int, ...]):
-        self._set(name, data_only, sextic, p, level_data, nebentype, nebentype_k,
-                  inertia_profile, frobenius_inputs, eigenvalues, expected, certificates,
-                  note, skipped_ells)
+    __slots__ = (*CASE, "nebentype_k")
 
     @classmethod
     def from_dict(cls, payload) -> "CaseFile":
         """The case read by DATA_ONLY if its data_only is true, else by CASE."""
         data_only = isinstance(payload, dict) and payload.get("data_only") is True
         f = read_fields(payload, DATA_ONLY if data_only else CASE)
-        if data_only:
-            return cls(f["name"], True, f["sextic"], None, (), None, 0, None, (), [], None, (),
-                       f["note"], f["skipped_ells"])
-        p, neb = f["p"], f["nebentype"]
-        return cls(f["name"], False, f["sextic"], p, f["level_data"],
-                   DirichletCharacter(p, frozenset(neb["kinds"])), neb["k"],
-                   f["inertia_profile"], f["frobenius_inputs"],
-                   [EigenvalueRecord.from_fields(e, p) for e in f["eigenvalues"] or ()],
-                   f["expected"], f["certificates"], f["note"], f["skipped_ells"])
+        if not data_only:
+            p, neb, records = f["p"], f["nebentype"], f["eigenvalues"] or ()
+            f.update(nebentype=DirichletCharacter(p, frozenset(neb["kinds"])), nebentype_k=neb["k"],
+                     eigenvalues=[EigenvalueRecord.from_fields(e, p) for e in records])
+        return cls(*map(f.get, cls.__slots__))
 
     @classmethod
     def load(cls, path) -> "CaseFile":
@@ -175,10 +163,14 @@ def _frobenius_entry(entry: dict, cycle_type, eps_sign: int, p: int) -> tuple[di
     return out, polys
 
 
-def _frobenius_section(case: CaseFile, n: int, ell_max: int) -> tuple[list[dict], dict]:
-    """The Frobenius entries at the rows with ell <= ell_max and the twisted
-    charpolys by ell, None above ell_max; n is the level.  Rows must have
-    distinct ells prime to pN, where Frobenius is defined."""
+def frobenius_stage(case: CaseFile, ell_max: int = DEFAULT_ELL_MAX):
+    """The stages up to the Frobenius classes: the level exponents and N,
+    the nebentype checked against N (its sign twists the charpolys), the
+    Frobenius entries at the rows with ell <= ell_max and the twisted
+    charpolys by ell, None above ell_max.  Rows must have distinct ells
+    prime to pN, where Frobenius is defined."""
+    exponents, n = level(case.level_data, p=case.p)
+    nebentype_factor(case.nebentype_k, case.nebentype, n)
     inputs = sorted(case.frobenius_inputs, key=lambda e: e["ell"])
     for a, b in zip(inputs, inputs[1:]):
         if a["ell"] == b["ell"]:
@@ -199,7 +191,7 @@ def _frobenius_section(case: CaseFile, n: int, ell_max: int) -> tuple[list[dict]
             entry, _cycle_type_checked(case, entry, computed),
             case.nebentype.sign_at(entry["ell"]), case.p)
         section.append(out)
-    return section, frob_polys
+    return exponents, n, section, frob_polys
 
 
 def _golden_mismatches(case: CaseFile, report: dict, ell_max: int) -> list[str]:
@@ -251,10 +243,8 @@ def verify_case(case: CaseFile, ell_max: int = DEFAULT_ELL_MAX) -> dict:
             "note": case.note,
             "golden": {"checked": False, "mismatches": []},
         }
-    exponents, n = level(case.level_data, p=case.p)
-    nebentype_factor(case.nebentype_k, case.nebentype, n)
+    exponents, n, frob_section, frob_polys = frobenius_stage(case, ell_max)
     weights = predicted_weights(case.inertia_profile, case.p)
-    frob_section, frob_polys = _frobenius_section(case, n, ell_max)
     verdict = check_attached(case.eigenvalues, frob_polys) if case.eigenvalues else None
     attachment = verdict.to_json() if verdict and verdict.per_ell else None
     b, c = quadratic_modulus(case.p)

@@ -5,8 +5,9 @@ verify-case.  Polynomials travel as JSON arrays of decimal coefficient
 strings, constant term first.  Each subcommand returns a JSON payload, which
 ``main`` alone writes, to stdout or --json-out, and turns into the exit code:
 0 success, 1 golden mismatch, 2 parse or schema error (a non-prime --p, a
-Frobenius row at a non-prime ell or an unwritable --json-out too), 3
-mathematical inconsistency (a Frobenius row at an ell dividing pN too).
+Frobenius row at a non-prime ell, a level N past the interpreter's digit
+limit or an unwritable --json-out too), 3 mathematical inconsistency (a
+Frobenius row at an ell dividing pN too); frobenius stops at its section.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .casefile import (
     CaseFile,
     DEFAULT_ELL_MAX,
     bundled_case_names,
+    frobenius_stage,
     load_bundled_case,
     report_to_json,
     verify_case,
@@ -97,8 +99,9 @@ def _load_case(ref: str) -> CaseFile:
 
 
 def cmd_frobenius(args) -> dict:
-    report = verify_case(_load_case(args.case), ell_max=args.ell_max)
-    return {"name": report["name"], "frobenius": report.get("frobenius", [])}
+    case = _load_case(args.case)
+    return {"name": case.name,
+            "frobenius": [] if case.data_only else frobenius_stage(case, args.ell_max)[2]}
 
 
 def cmd_verify_case(args) -> dict:

@@ -14,6 +14,7 @@ filtration is inconsistent.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .arith import Record, is_prime
@@ -85,7 +86,8 @@ def level_exponent(filt: RamFiltration) -> int:
 
 
 def level(data: list[LevelDatum], p: int | None = None) -> tuple[dict[int, int], int]:
-    """Exponent map q -> n_q and the level N as an integer."""
+    """Exponent map q -> n_q and the level N as an integer; SchemaError for
+    an N with more digits than the interpreter writes in decimal."""
     exponents: dict[int, int] = {}
     for datum in data:
         if datum.q in exponents:
@@ -96,4 +98,7 @@ def level(data: list[LevelDatum], p: int | None = None) -> tuple[dict[int, int],
     n = 1
     for q, e in exponents.items():
         n *= q**e
+    limit = sys.get_int_max_str_digits()  # 2^(3 limit) < 10^limit
+    if limit and n.bit_length() > 3 * limit and n >= 10**limit:
+        raise SchemaError(f"N has more than {limit} digits, the limit for writing an integer")
     return exponents, n

@@ -27,10 +27,7 @@ EIGENVALUE = {"ell": (json_int, REQUIRED), "a": ([[json_int, 2], 3], REQUIRED)}
 
 
 class EigenvalueRecord(Record):
-    __slots__ = ("ell", "a1", "a2", "a3")
-
-    def __init__(self, ell: int, a1: Fp2Elem, a2: Fp2Elem, a3: Fp2Elem):
-        self._set(ell, a1, a2, a3)
+    __slots__ = ("ell", "a1", "a2", "a3")  # the eigenvalues a1, a2, a3 are Fp2Elems
 
     @property
     def p(self) -> int:
@@ -68,9 +65,6 @@ def hecke_poly(rec: EigenvalueRecord, p: int) -> tuple[tuple[int, int], ...]:
 class AttachmentVerdict(Record):
     # overall: "attached" | "attached-up-to-conjugacy" | "not-attached"
     __slots__ = ("per_ell", "overall", "indeterminate_ells")
-
-    def __init__(self, per_ell: dict, overall: str, indeterminate_ells: tuple[int, ...]):
-        self._set(per_ell, overall, indeterminate_ells)
 
     def to_json(self) -> dict:
         return {

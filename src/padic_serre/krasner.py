@@ -150,13 +150,6 @@ class PrecisionReport(Record):
     __slots__ = ("n", "d", "a", "lam", "k_prop1", "k_prop1bis", "bound_prop1",
                  "bound_prop1bis", "method_used", "k_safe", "bound_safe")
 
-    def __init__(self, n: int, d: int, a: int, lam: Optional[Fraction],
-                 k_prop1: Optional[int], k_prop1bis: int, bound_prop1: Optional[Fraction],
-                 bound_prop1bis: Fraction, method_used: str, k_safe: Optional[int] = None,
-                 bound_safe: Optional[Fraction] = None):
-        self._set(n, d, a, lam, k_prop1, k_prop1bis, bound_prop1, bound_prop1bis,
-                  method_used, k_safe, bound_safe)
-
     def to_json(self) -> dict:
         out = {
             "n": self.n,

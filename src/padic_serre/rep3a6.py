@@ -10,8 +10,8 @@ classes are
     1a 3a 3b 2a 6a 6b 3cd 4a 12a 12b 5ab 15ac 15bd
 
 with 3a/3b the central scalars z, z^2.  Class labels with order prime to 3
-lift uniquely; multiplying by the central scalar walks 1a->3a->3b,
-2a->6a->6b, 4a->12a->12b, 5ab->15ac->15bd.  At both primes one rule gives
+lift uniquely, and one table, _TWISTS, walks each lift through its central
+twists (1a->3a->3b, ...).  At both primes one rule gives
 the charpolys, det(1 - g*t) = 1 - tr(g)*t + tr(g^-1)*t^2 - t^3 for det g = 1,
 from the traces frozen below; the tests check them against the cover in
 SL_3(F_25) that matrix_oracle.py builds and the Sym^2 image in SL_3(F_9).
@@ -48,17 +48,12 @@ _CYCLE_TYPE_TO_COARSE = {
     (5, 1): "5ab",
 }
 
-#: central twist: base class and scalar power i -> cover class
-_CENTRAL_TWIST = {
-    ("1a", 0): "1a", ("1a", 1): "3a", ("1a", 2): "3b",
-    ("2a", 0): "2a", ("2a", 1): "6a", ("2a", 2): "6b",
-    ("4a", 0): "4a", ("4a", 1): "12a", ("4a", 2): "12b",
-    ("5ab", 0): "5ab", ("5ab", 1): "15ac", ("5ab", 2): "15bd",
-}
+#: central twist: base class -> its unique same-order lift times z^0, z^1, z^2
+_TWISTS = {"1a": ("1a", "3a", "3b"), "2a": ("2a", "6a", "6b"), "4a": ("4a", "12a", "12b"),
+           "5ab": ("5ab", "15ac", "15bd")}
 
 #: the classes that are not their own inverse: the two scalar twists swap
-_SWAPPED = {"3a": "3b", "3b": "3a", "6a": "6b", "6b": "6a",
-            "12a": "12b", "12b": "12a", "15ac": "15bd", "15bd": "15ac"}
+_SWAPPED = {a: b for _, x, y in _TWISTS.values() for a, b in ((x, y), (y, x))}
 
 
 def coarse_from_cycle_type(partition) -> str:
@@ -77,7 +72,7 @@ def central_twist(base: str, i: int) -> str:
     of the central scalar.  Order-3 base classes have no such unique lift."""
     if base == "3ab":
         raise InconsistencyError("order-3 base class: use the order-3 rule (3cd)")
-    return _CENTRAL_TWIST[(base, i % 3)]
+    return _TWISTS[base][i % 3]
 
 
 def frobenius_class(cycle_type, artin_power: int, residue_degree: int) -> str:

@@ -1,10 +1,13 @@
 import json
+import pickle
 import signal
 import sys
 
 import pytest
 
 from padic_serre.casefile import (
+    CASE,
+    DATA_ONLY,
     CaseFile,
     GOLDEN,
     bundled_case_names,
@@ -15,7 +18,8 @@ from padic_serre.casefile import (
 from padic_serre import cli
 from padic_serre.cli import _evidence_flag, main
 from padic_serre.errors import SchemaError
-from padic_serre.krasner import METHODS, parse_evidence
+from padic_serre.krasner import METHODS, parse_evidence, precision_report
+from padic_serre.polynomial import IntPoly
 
 from bundled_json import case_json
 from helpers import solve_record
@@ -275,6 +279,18 @@ def test_unmatched_records_are_inconsistent_at_any_ell_max(tmp_path, capsys, ext
     assert captured.out == "" and message in captured.err
 
 
+def test_frobenius_runs_only_the_stages_its_payload_shows(tmp_path, capsys):
+    """A record without a Frobenius row fails the attachment check, which
+    frobenius does not run: it prints the case's own section."""
+    payload = dict(case_json("5-17-1"), eigenvalues=[{"ell": 53, "a": [[1, 0], [0, 0], [0, 0]]}])
+    path = _write(tmp_path, "record-at-53.json", payload)
+    assert main(["frobenius", "5-17-1"]) == 0
+    section = capsys.readouterr().out
+    assert main(["frobenius", path]) == 0
+    assert capsys.readouterr().out == section
+    assert main(["verify-case", path]) == 3
+
+
 def test_schema_error_exit_code(tmp_path):
     path = _write(tmp_path, "incomplete.json", {"name": "x", "sextic": ["1", "1"]})
     assert main(["verify-case", path]) == 2
@@ -329,6 +345,10 @@ def _certificate(d, **fields):
 def _certificate_without_f(d):
     _certificate(d)
     _drop(d["certificates"][0], "f")
+
+
+# N = 2^15000, 4,516 digits: past the interpreter's limit for writing an integer
+LEVEL_PAST_THE_DIGIT_LIMIT = [{"q": 2, "filtration": [{"order": 1, "fixed_dim": 0}] * 5000}]
 
 
 # each value is a schema error, not something to coerce with int() or to
@@ -400,6 +420,7 @@ def _certificate_without_f(d):
     ("5-17-1", lambda d: d.update(data_only=True, expected=dict(d["expected"], level={"17": 5}))),
     ("5-17-1", lambda d: d["level_data"][0].update(filtration={})),
     ("3-7-3", lambda d: d["level_data"][0].update(filtration="")),
+    ("5-17-1", lambda d: d.update(level_data=LEVEL_PAST_THE_DIGIT_LIMIT)),
 ], ids=["p-float", "p-not-prime", "artin-power-float", "residue-degree-float",
         "cycle-type-int", "nebentype-k-bool",
         "certificate-p-float", "evidence-q-float", "expected-level-float", "expected-level-list",
@@ -418,7 +439,7 @@ def _certificate_without_f(d):
         "expected-weight-short", "expected-weight-long", "expected-list",
         "expected-classes-list", "expected-source-float", "row-provenance-list",
         "row-artin-provenance-int", "data-only-golden-case", "filtration-object",
-        "filtration-empty-string"])
+        "filtration-empty-string", "level-past-the-digit-limit"])
 def test_case_values_outside_the_schema_exit_2(tmp_path, capsys, case, edit):
     payload = case_json(case)
     edit(payload)
@@ -597,6 +618,17 @@ def _leading_coefficient_7(d):
      "row at ell 5: fine_order5 5a contradicts the cycle type's class 3ab"),
     ("5-17-1", lambda d: _fine_order5(d, 29, "5b"),
      "row at ell 29: fine_order5 5b contradicts the cycle type's class 4a"),
+    ("5-17-1", lambda d: d["inertia_profile"].update(niveau=4), "niveau must be 1, 2 or 3"),
+    ("5-17-1", lambda d: d.update(inertia_profile={"niveau": 1}),
+     "niveau 1 profile needs exponent triples"),
+    ("5-17-1", lambda d: d.update(inertia_profile={"niveau": 3}), "niveau 3 profile needs m"),
+    ("5-17-1", lambda d: d["level_data"][0]["filtration"][0].update(fixed_dim=4),
+     "fixed dimension out of range"),
+    ("5-17-1", lambda d: d["level_data"][0]["filtration"][0].update(fixed_dim=-1),
+     "fixed dimension out of range"),
+    ("5-17-1", lambda d: _certificate(d, f=["-4", "0", "1"], g=["-2", "0", "1"],
+                                      evidence_f=["single-slope"]),
+     "f: slope 1 does not have denominator 2"),
 ], ids=["false-evidence", "unknown-nebentype-kind", "p-without-class-data",
         "repeated-frobenius-ell", "repeated-eigenvalue-ell", "frobenius-row-at-ell-dividing-N",
         "frobenius-row-at-p", "no-cycle-type-at-non-squarefree-ell", "no-cycle-type-no-sextic",
@@ -604,7 +636,8 @@ def _leading_coefficient_7(d):
         "zero-part-no-sextic-p3", "negative-part-at-ell-dividing-disc",
         "zero-part-at-ell-dividing-disc-p3", "leading-coefficient-7",
         "fine-order5-on-3ab-row-p3", "fine-order5-on-stored-3ab-row-p3",
-        "fine-order5-on-4a-row-p5"])
+        "fine-order5-on-4a-row-p5", "niveau-4", "niveau-1-without-triples",
+        "niveau-3-without-m", "fixed-dim-4", "fixed-dim-negative", "single-slope-denominator"])
 def test_well_formed_but_inconsistent_case_values_exit_3(tmp_path, capsys, case, edit, message):
     payload = case_json(case)
     edit(payload)
@@ -676,6 +709,29 @@ def test_level_rejects_a_level_list_that_is_not_a_list(tmp_path, capsys, payload
 def test_null_eigenvalues_read_as_absent():
     payload = case_json("5-17-1")
     assert CaseFile.from_dict(dict(payload, eigenvalues=None)).eigenvalues == []
+
+
+def test_case_file_fields_are_the_case_table():
+    assert set(CASE) <= set(CaseFile.__slots__)
+    assert load_bundled_case("5-17-1").ramified == (5, 17)
+    data_only = load_bundled_case("2-3-59")
+    assert all(getattr(data_only, key) is None for key in CASE.keys() - DATA_ONLY.keys())
+
+
+def test_records_survive_a_pickle_round_trip():
+    """Pickling rebuilds a record through Record's default constructor."""
+    records = (CaseFile.from_dict(dict(case_json("5-17-1"), eigenvalues=[EIGENVALUES_AT_2])),
+               load_bundled_case("2-3-59"),
+               precision_report(IntPoly.from_json(["-2", "0", "0", "1"]), 2, "safe"))
+    for record in records:
+        assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_a_level_past_the_digit_limit_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, "lvl.json", {"level_data": LEVEL_PAST_THE_DIGIT_LIMIT})
+    assert main(["level", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"more than {sys.get_int_max_str_digits()} digits" in captured.err
 
 
 def test_main_builds_its_parser_once(monkeypatch, capsys):
