@@ -94,7 +94,7 @@ class CaseFile(Record):
         f = read_fields(payload, DATA_ONLY if data_only else CASE)
         if not data_only:
             p, neb, records = f["p"], f["nebentype"], f["eigenvalues"] or ()
-            f.update(nebentype=DirichletCharacter(p, frozenset(neb["kinds"])), nebentype_k=neb["k"],
+            f.update(nebentype=DirichletCharacter(p, neb["kinds"]), nebentype_k=neb["k"],
                      eigenvalues=[EigenvalueRecord.from_fields(e, p) for e in records])
         return cls(*map(f.get, cls.__slots__))
 
@@ -195,39 +195,24 @@ def frobenius_stage(case: CaseFile, ell_max: int = DEFAULT_ELL_MAX):
 
 
 def _golden_mismatches(case: CaseFile, report: dict, ell_max: int) -> list[str]:
-    """The golden values the report misses; a pinned Frobenius class above
-    ell_max is out of the report's range, not missing."""
-    expected, mismatches = case.expected, []
+    """The golden values the report misses: "{key}: expected {want}, computed
+    {got}" for the level, nebentype and weights (sorted tuples), then the pinned
+    Frobenius classes; a class pinned above ell_max is out of range, not missing."""
+    expected = case.expected
     if expected is None:
-        return mismatches
-    if expected["level"] is not None:
-        want = expected["level"]
-        got = report["level"]["exponents"]
-        if want != got:
-            mismatches.append(f"level: expected {want}, computed {got}")
-    if expected["nebentype"] not in (None, report["nebentype"]["kind"]):
-        mismatches.append(
-            f"nebentype: expected {expected['nebentype']}, computed {report['nebentype']['kind']}"
-        )
-    if expected["weights"] is not None:
-        want_w = sorted(expected["weights"])
-        got_w = sorted(tuple(w) for w in report["weights"])
-        if want_w != got_w:
-            mismatches.append(f"weights: expected {want_w}, computed {got_w}")
-    for ell, label in (expected["frobenius_classes"] or {}).items():
-        if ell > ell_max:
-            continue
-        found = next((e for e in report["frobenius"] if e["ell"] == ell), None)
-        if found is None or found.get("class") != label:
-            mismatches.append(
-                f"frobenius class at {ell}: expected {label}, "
-                f"computed {found.get('class') if found else 'missing'}"
-            )
+        return []
+    got = {"level": report["level"]["exponents"], "nebentype": report["nebentype"]["kind"],
+           "weights": sorted(map(tuple, report["weights"]))}
+    want = dict(expected, weights=sorted(expected["weights"] or ()))
+    mismatches = [f"{key}: expected {want[key]}, computed {got[key]}"
+                  for key in got if expected[key] is not None and want[key] != got[key]]
+    pinned = expected["frobenius_classes"] or {}
+    classes = {e["ell"]: e["class"] for e in report["frobenius"]} if pinned else {}
+    for ell, label in pinned.items():
+        if ell <= ell_max and classes.get(ell) != label:
+            mismatches.append(f"frobenius class at {ell}: expected {label},"
+                              f" computed {classes.get(ell, 'missing')}")
     return mismatches
-
-
-def _certificate_section(case: CaseFile) -> list[dict]:
-    return [certify_same_extension(**req).to_json() for req in case.certificates]
 
 
 def verify_case(case: CaseFile, ell_max: int = DEFAULT_ELL_MAX) -> dict:
@@ -262,7 +247,7 @@ def verify_case(case: CaseFile, ell_max: int = DEFAULT_ELL_MAX) -> dict:
         "weights_printed": [str(w) for w in sorted(weights)],
         "frobenius": frob_section,
         "attachment": attachment,
-        "certificates": _certificate_section(case),
+        "certificates": [certify_same_extension(**req).to_json() for req in case.certificates],
         "provenance": {
             "inertia_profile": case.inertia_profile.provenance,
             "skipped_ells": case.skipped_ells,

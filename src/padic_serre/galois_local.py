@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import prod
 
 from .arith import Record, is_prime
 from .errors import REQUIRED, InconsistencyError, SchemaError, json_int, json_str, read_fields
@@ -95,10 +96,9 @@ def level(data: list[LevelDatum], p: int | None = None) -> tuple[dict[int, int],
         if p is not None and datum.q == p:
             raise InconsistencyError(f"level prime {datum.q} equals the residue characteristic")
         exponents[datum.q] = level_exponent(datum.filtration)
-    n = 1
-    for q, e in exponents.items():
-        n *= q**e
-    limit = sys.get_int_max_str_digits()  # 2^(3 limit) < 10^limit
-    if limit and n.bit_length() > 3 * limit and n >= 10**limit:
+    limit = sys.get_int_max_str_digits()  # 2^(3 limit) < 10^limit < 2^(4 limit)
+    bound = sum(e * (q.bit_length() - 1) for q, e in exponents.items())  # N >= 2^bound
+    n = None if limit and bound >= 4 * limit else prod(q**e for q, e in exponents.items())
+    if n is None or limit and n.bit_length() > 3 * limit and n >= 10**limit:
         raise SchemaError(f"N has more than {limit} digits, the limit for writing an integer")
     return exponents, n

@@ -30,7 +30,7 @@ succeeds).  Niveau 2 and 3 ambiguities always admit both choices.
 from __future__ import annotations
 
 from math import lcm
-from typing import NamedTuple, Optional
+from typing import Collection, NamedTuple, Optional
 
 from .arith import Record, is_prime, legendre_symbol
 from .errors import NULLABLE, REQUIRED, InconsistencyError, json_int, json_str, read_fields
@@ -157,24 +157,31 @@ def predicted_weights(profile: InertiaProfile, p: int) -> set[Triple]:
 # ---------------------------------------------------------------------------
 # Dirichlet characters
 
-_CONDUCTORS = {"eps17": 17, "omega4": 4, "psi8": 8}
+#: Each quadratic character kind's conductor and sign at a prime ell away from it.
+_CHARACTERS = {"eps17": (17, lambda ell: legendre_symbol(ell, 17)),
+               "omega4": (4, lambda ell: 1 if ell % 4 == 1 else -1),
+               "psi8": (8, lambda ell: 1 if ell % 8 in (1, 7) else -1)}
 
 
 class DirichletCharacter(Record):
-    """A product of the quadratic characters eps17, omega4, psi8 (values in
-    {+-1}), evaluated at primes away from the conductor."""
+    """A product of distinct kinds of _CHARACTERS (values in {+-1}), evaluated
+    at primes away from the conductor; a repeated kind is inconsistent, as
+    psi8 * psi8 is the trivial character, not psi8."""
 
     __slots__ = ("p", "kinds")
 
-    def __init__(self, p: int, kinds: frozenset = frozenset()):
-        unknown = set(kinds) - set(_CONDUCTORS)
+    def __init__(self, p: int, kinds: Collection[str] = ()):
+        unknown = set(kinds) - _CHARACTERS.keys()
         if unknown:
             raise InconsistencyError(f"unknown character kinds {sorted(unknown)}")
-        self._set(p, kinds)
+        repeated = sorted(kind for kind in set(kinds) if list(kinds).count(kind) > 1)
+        if repeated:
+            raise InconsistencyError(f"duplicate kind {repeated[0]} in nebentype kinds")
+        self._set(p, frozenset(kinds))
 
     @property
     def conductor(self) -> int:
-        return lcm(*(_CONDUCTORS[k] for k in self.kinds)) if self.kinds else 1
+        return lcm(*(_CHARACTERS[kind][0] for kind in self.kinds)) if self.kinds else 1
 
     @property
     def kind(self) -> str:
@@ -186,12 +193,8 @@ class DirichletCharacter(Record):
         if self.conductor % ell == 0:
             raise InconsistencyError(f"{ell} divides the conductor {self.conductor}")
         sign = 1
-        if "eps17" in self.kinds:
-            sign *= legendre_symbol(ell, 17)
-        if "omega4" in self.kinds:
-            sign *= 1 if ell % 4 == 1 else -1
-        if "psi8" in self.kinds:
-            sign *= 1 if ell % 8 in (1, 7) else -1
+        for kind in self.kinds:
+            sign *= _CHARACTERS[kind][1](ell)
         return sign
 
 

@@ -230,6 +230,28 @@ def test_golden_mismatch_exit_code(tmp_path, capsys, case, expected, mismatch):
     assert main(["verify-case", path, "--json-out", str(tmp_path / "r.json")]) == 1
 
 
+@pytest.mark.parametrize("case,expected,mismatches", [
+    ("3-13-9", {"weights": [[2, 1, 0]]}, ["weights: expected [(2, 1, 0)], computed [(5, 3, 1)]"]),
+    ("3-13-9", {"weights": []}, ["weights: expected [], computed [(5, 3, 1)]"]),
+    ("3-13-9", {"level": {}}, ["level: expected {}, computed {'13': 2}"]),
+    ("5-17-1", {"level": {"17": 2}, "nebentype": "trivial", "weights": [[1, 1, 1], [0, 0, 0]],
+                "frobenius_classes": {"2": "5a", "23": "x", "97": "y"}},
+     ["level: expected {'17': 2}, computed {'17': 1}",
+      "nebentype: expected trivial, computed eps17",
+      "weights: expected [(0, 0, 0), (1, 1, 1)], computed [(6, 3, 0)]",
+      "frobenius class at 2: expected 5a, computed 15bd",
+      "frobenius class at 23: expected x, computed missing"]),
+], ids=["weights", "weights-empty", "level-empty", "every-kind"])
+def test_golden_mismatch_messages_in_full(tmp_path, capsys, case, expected, mismatches):
+    """Every golden mismatch message in full, in order: level, nebentype,
+    weights (sorted on both sides), then the pinned classes; the class
+    pinned at 97 is above the default --ell-max 47, so it is not listed."""
+    payload = case_json(case)
+    payload["expected"] = dict(payload["expected"], **expected)
+    assert main(["verify-case", _write(tmp_path, "tampered.json", payload)]) == 1
+    assert json.loads(capsys.readouterr().out)["golden"]["mismatches"] == mismatches
+
+
 def test_golden_class_above_ell_max_is_not_checked(capsys):
     # 5-17-1 pins the class at 2; with --ell-max 1 no Frobenius row is
     # computed, so the pin is out of range, not missing
@@ -629,6 +651,10 @@ def _leading_coefficient_7(d):
     ("5-17-1", lambda d: _certificate(d, f=["-4", "0", "1"], g=["-2", "0", "1"],
                                       evidence_f=["single-slope"]),
      "f: slope 1 does not have denominator 2"),
+    ("2-3-57", lambda d: d["nebentype"].update(kinds=["psi8", "psi8"]),
+     "duplicate kind psi8 in nebentype kinds"),
+    ("2-3-57", lambda d: d["nebentype"].update(kinds=["omega4", "psi8", "omega4"]),
+     "duplicate kind omega4 in nebentype kinds"),
 ], ids=["false-evidence", "unknown-nebentype-kind", "p-without-class-data",
         "repeated-frobenius-ell", "repeated-eigenvalue-ell", "frobenius-row-at-ell-dividing-N",
         "frobenius-row-at-p", "no-cycle-type-at-non-squarefree-ell", "no-cycle-type-no-sextic",
@@ -637,7 +663,8 @@ def _leading_coefficient_7(d):
         "zero-part-at-ell-dividing-disc-p3", "leading-coefficient-7",
         "fine-order5-on-3ab-row-p3", "fine-order5-on-stored-3ab-row-p3",
         "fine-order5-on-4a-row-p5", "niveau-4", "niveau-1-without-triples",
-        "niveau-3-without-m", "fixed-dim-4", "fixed-dim-negative", "single-slope-denominator"])
+        "niveau-3-without-m", "fixed-dim-4", "fixed-dim-negative", "single-slope-denominator",
+        "repeated-nebentype-kind", "repeated-nebentype-kind-among-others"])
 def test_well_formed_but_inconsistent_case_values_exit_3(tmp_path, capsys, case, edit, message):
     payload = case_json(case)
     edit(payload)
@@ -730,6 +757,25 @@ def test_records_survive_a_pickle_round_trip():
 def test_a_level_past_the_digit_limit_exits_2(tmp_path, capsys):
     path = _write(tmp_path, "lvl.json", {"level_data": LEVEL_PAST_THE_DIGIT_LIMIT})
     assert main(["level", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"more than {sys.get_int_max_str_digits()} digits" in captured.err
+
+
+def test_a_level_far_past_the_digit_limit_exits_2_within_2_s(tmp_path, capsys):
+    """N = q^300000 at q = 10^16 + 61, about 16 million bits: a lower bound
+    on N's bit length decides the digit limit before N is built."""
+    def expire(signum, frame):
+        raise TimeoutError("level with N = (10^16 + 61)^300000 ran past 2 s")
+
+    steps = [{"order": 1, "fixed_dim": 0}] * 100_000
+    path = _write(tmp_path, "lvl.json", {"level_data": [{"q": 10**16 + 61, "filtration": steps}]})
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        assert main(["level", path]) == 2
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     captured = capsys.readouterr()
     assert captured.out == "" and f"more than {sys.get_int_max_str_digits()} digits" in captured.err
 

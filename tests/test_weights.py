@@ -1,7 +1,8 @@
 import json
 import random
 import signal
-from itertools import product
+from itertools import combinations, product
+from math import prod
 
 import pytest
 
@@ -263,6 +264,31 @@ def test_sign_at_examples():
     assert omega4.sign_at(3) == -1
     psi8 = DirichletCharacter(3, frozenset({"psi8"}))
     assert psi8.sign_at(7) == 1
+
+
+def _kronecker(d: int, ell: int) -> int:
+    """The Kronecker symbol (d/ell) at a prime ell prime to d: Euler's
+    criterion for odd ell; at ell = 2 only d = 17 occurs, and (17/2) = +1."""
+    if ell == 2:
+        assert d == 17
+        return 1
+    return 1 if pow(d, (ell - 1) // 2, ell) == 1 else -1
+
+
+def test_sign_at_is_the_product_of_kronecker_symbols():
+    """Every product of eps17, omega4 and psi8 at every prime ell < 200 prime
+    to its conductor is the product of (d/ell) over d = 17, -4 and 8."""
+    discriminants = {"eps17": 17, "omega4": -4, "psi8": 8}
+    pairs = 0
+    for size in range(len(discriminants) + 1):
+        for kinds in combinations(discriminants, size):
+            character = DirichletCharacter(3, frozenset(kinds))
+            for ell in filter(is_prime, range(200)):
+                if character.conductor % ell:
+                    want = prod(_kronecker(discriminants[kind], ell) for kind in kinds)
+                    assert character.sign_at(ell) == want, (kinds, ell)
+                    pairs += 1
+    assert pairs == 358
 
 
 def test_char_conductors():
