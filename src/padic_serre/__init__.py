@@ -39,7 +39,6 @@ from .polynomial import (
 )
 from .rep3a6 import (
     a6_mod3_class_polys,
-    central_twist,
     char_value,
     coarse_from_cycle_type,
     frob_charpoly,

@@ -11,18 +11,17 @@ error.  Twelve scenarios ship with the package: six carry golden values
 class), six are data-only records of fields whose verification was out of
 reach.
 
-The pipeline: level -> nebentype validation -> per-ell Frobenius class and
-its characteristic polynomials (one trace rule for p=5 and p=3; the
-frobenius subcommand stops here) -> predicted weights -> attachment check
-when eigenvalues are present -> comparison against the golden block.  Reports
-are deterministic (sorted keys, fixed field models), so repeated runs are
-byte-identical.
+The pipeline: level -> nebentype validation -> per-ell Frobenius class (one
+rule for a row at p=5 and p=3, rep3a6.frobenius_class) and its charpolys
+(one trace rule; the frobenius subcommand stops here) -> predicted weights
+-> attachment check when eigenvalues are present -> comparison against the
+golden block.  Reports are deterministic (sorted keys, fixed field models),
+so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import os
-from math import lcm
 
 from .arith import Record, json_prime, quadratic_modulus
 from .errors import (NULLABLE, REQUIRED, InconsistencyError, SchemaError, json_bool, json_int,
@@ -31,11 +30,10 @@ from .galois_local import LevelDatum, level
 from .hecke import EIGENVALUE, EigenvalueRecord, check_attached
 from .krasner import METHODS, certify_same_extension, parse_evidence
 from .polynomial import IntPoly, cycle_types
-from .rep3a6 import class_charpolys, coarse_from_cycle_type, frobenius_class
+from .rep3a6 import TRACES, class_charpolys, frobenius_class
 from .weights import DirichletCharacter, InertiaProfile, nebentype_factor, predicted_weights
 
 DEFAULT_ELL_MAX = 47
-FINE_ORDER5 = ("5a", "5b", "unknown")
 
 BUNDLED = (
     "2-3-55", "2-3-57", "2-3-58", "3-7-3", "3-13-9", "5-17-1",
@@ -46,11 +44,11 @@ CASES_DIR = os.path.join(os.path.dirname(__file__), "cases")
 
 
 #: The field tables of a case file (see the README).  A row of
-#: frobenius_inputs without a residue degree reads the lcm of its cycle type.
+#: frobenius_inputs is read by rep3a6.frobenius_class at either prime.
 FROBENIUS_INPUT = {
     "ell": (json_prime, REQUIRED), "cycle_type": ([json_int], ()),
     "artin_power": (json_int, 0), "residue_degree": (json_int, None),
-    "fine_order5": (FINE_ORDER5, "unknown"),
+    "fine_order5": (("5a", "5b", "unknown"), "unknown"),
     "provenance": (json_str, ""), "artin_provenance": (json_str, ""),
 }
 CERTIFICATE = {  # the keyword arguments of certify_same_extension
@@ -136,21 +134,14 @@ def _cycle_type_checked(case: CaseFile, entry: dict, computed: dict) -> tuple[in
 
 
 def _frobenius_entry(entry: dict, cycle_type, eps_sign: int, p: int) -> tuple[dict, list]:
-    """The report entry at one ell: the mod-p class of Frobenius, by the
-    Artin power at p=5 and the order-5 class at p=3, and its charpolys
-    twisted by the nebentype sign; returned with those twisted charpolys.
-    Two candidates mean an unresolved order-5 class."""
-    label = coarse_from_cycle_type(cycle_type)
-    fine = entry["fine_order5"]
-    if fine != "unknown" and label != "5ab":
-        raise InconsistencyError(f"frobenius_inputs row at ell {entry['ell']}: fine_order5"
-                                 f" {fine} contradicts the cycle type's class {label}")
-    if p == 5:
-        residue_degree = entry["residue_degree"]
-        label = frobenius_class(cycle_type, entry["artin_power"],
-                                lcm(*cycle_type) if residue_degree is None else residue_degree)
-    elif fine != "unknown":
-        label = fine
+    """The report entry at one ell, with the class of Frobenius that
+    frobenius_class reads from the row and its charpolys twisted by the
+    nebentype sign, and those charpolys; two mean an unresolved order-5 class."""
+    try:
+        label = frobenius_class(p, cycle_type, entry["artin_power"], entry["residue_degree"],
+                                entry["fine_order5"])
+    except InconsistencyError as exc:
+        raise InconsistencyError(f"frobenius_inputs row at ell {entry['ell']}: {exc}") from exc
     polys = class_charpolys(p, label, eps_sign)
     out = {
         "ell": entry["ell"],
@@ -176,9 +167,9 @@ def frobenius_stage(case: CaseFile, ell_max: int = DEFAULT_ELL_MAX):
         if a["ell"] == b["ell"]:
             raise InconsistencyError(f"duplicate ell {a['ell']} in frobenius_inputs")
     entries = [e for e in inputs if e["ell"] <= ell_max]
-    if entries and case.p not in (3, 5):
+    if entries and case.p not in TRACES:
         raise InconsistencyError(f"no frozen class data for p = {case.p};"
-                                 " only p in (3, 5) is bundled")
+                                 f" only p in {tuple(sorted(TRACES))} is bundled")
     for e in inputs:
         if case.p * n % e["ell"] == 0:
             raise InconsistencyError(f"frobenius_inputs row at ell {e['ell']}: ell divides"
@@ -192,6 +183,17 @@ def frobenius_stage(case: CaseFile, ell_max: int = DEFAULT_ELL_MAX):
             case.nebentype.sign_at(entry["ell"]), case.p)
         section.append(out)
     return exponents, n, section, frob_polys
+
+
+def level_section(exponents: dict, n: int) -> dict:
+    """The level as reported: the exponents by prime, in order, and N in decimal."""
+    return {"exponents": {str(q): e for q, e in sorted(exponents.items())}, "N": str(n)}
+
+
+def weights_section(profile: InertiaProfile, p: int, printed: str = "weights_printed") -> dict:
+    """The predicted weights as reported, sorted: as lists, and as strings under printed."""
+    weights = sorted(predicted_weights(profile, p))
+    return {"weights": [list(w) for w in weights], printed: [str(w) for w in weights]}
 
 
 def _golden_mismatches(case: CaseFile, report: dict, ell_max: int) -> list[str]:
@@ -229,7 +231,7 @@ def verify_case(case: CaseFile, ell_max: int = DEFAULT_ELL_MAX) -> dict:
             "golden": {"checked": False, "mismatches": []},
         }
     exponents, n, frob_section, frob_polys = frobenius_stage(case, ell_max)
-    weights = predicted_weights(case.inertia_profile, case.p)
+    weights = weights_section(case.inertia_profile, case.p)
     verdict = check_attached(case.eigenvalues, frob_polys) if case.eigenvalues else None
     attachment = verdict.to_json() if verdict and verdict.per_ell else None
     b, c = quadratic_modulus(case.p)
@@ -237,14 +239,10 @@ def verify_case(case: CaseFile, ell_max: int = DEFAULT_ELL_MAX) -> dict:
         "name": case.name,
         "p": case.p,
         "field_model": {"p": case.p, "quadratic_modulus": [c, b, 1]},
-        "level": {
-            "exponents": {str(q): e for q, e in sorted(exponents.items())},
-            "N": str(n),
-        },
+        "level": level_section(exponents, n),
         "nebentype": {"kind": case.nebentype.kind, "conductor": case.nebentype.conductor,
                       "k": case.nebentype_k},
-        "weights": [list(w) for w in sorted(weights)],
-        "weights_printed": [str(w) for w in sorted(weights)],
+        **weights,
         "frobenius": frob_section,
         "attachment": attachment,
         "certificates": [certify_same_extension(**req).to_json() for req in case.certificates],

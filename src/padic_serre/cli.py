@@ -23,15 +23,17 @@ from .casefile import (
     DEFAULT_ELL_MAX,
     bundled_case_names,
     frobenius_stage,
+    level_section,
     load_bundled_case,
     report_to_json,
     verify_case,
+    weights_section,
 )
 from .errors import InconsistencyError, SchemaError, read_fields, read_json
 from .galois_local import LevelDatum, level
 from .krasner import METHODS, certify_same_extension, parse_evidence, precision_report
 from .polynomial import IntPoly, newton_polygon
-from .weights import InertiaProfile, predicted_weights
+from .weights import InertiaProfile
 
 EXIT_OK = 0
 EXIT_GOLDEN = 1
@@ -81,15 +83,12 @@ def cmd_certify(args) -> dict:
 
 def cmd_level(args) -> dict:
     data = _load(args.data, [LevelDatum.from_json], "level_data")
-    exponents, n = level(data, p=args.p)
-    return {"exponents": {str(q): e for q, e in sorted(exponents.items())}, "N": str(n)}
+    return level_section(*level(data, p=args.p))
 
 
 def cmd_weights(args) -> dict:
     profile = _load(args.profile, InertiaProfile.from_json, "inertia_profile")
-    weights = predicted_weights(profile, args.p)
-    return {"weights": [list(w) for w in sorted(weights)],
-            "printed": [str(w) for w in sorted(weights)]}
+    return weights_section(profile, args.p, printed="printed")
 
 
 def _load_case(ref: str) -> CaseFile:

@@ -78,12 +78,11 @@ class LevelDatum(Record):
 def level_exponent(filt: RamFiltration) -> int:
     """The conductor exponent n_q; raises when the sum is not integral."""
     order0 = filt.entries[0][0]
-    total = Fraction(0)
-    for order, fix in filt.entries:
-        total += Fraction(order, order0) * (filt.dim - fix)
-    if total.denominator != 1:
-        raise InconsistencyError(f"inconsistent filtration data: exponent {total}")
-    return int(total)
+    total = sum(order * (filt.dim - fix) for order, fix in filt.entries)
+    if total % order0:
+        raise InconsistencyError(
+            f"inconsistent filtration data: exponent {Fraction(total, order0)}")
+    return total // order0
 
 
 def level(data: list[LevelDatum], p: int | None = None) -> tuple[dict[int, int], int]:

@@ -1,7 +1,8 @@
 """Coarse conjugacy-class calculus for the alternating group on six letters
-and its triple cover, Frobenius class resolution, the characteristic
-polynomials of the 3-dimensional mod-p representations, and the mod-3
-symmetric-square construction.
+and its triple cover, one rule from a Frobenius row to its class at either
+prime (frobenius_class), the characteristic polynomials of the
+3-dimensional mod-p representations, and the mod-3 symmetric-square
+construction.
 
 Classes are plain label strings.  Classes of the base group are collapsed
 by character value into 1a, 2a, 3ab, 4a, 5ab; the cover's thirteen coarse
@@ -67,30 +68,22 @@ def coarse_from_cycle_type(partition) -> str:
     return _CYCLE_TYPE_TO_COARSE[key]
 
 
-def central_twist(base: str, i: int) -> str:
-    """Cover class of (unique same-order lift of base) times the i-th power
-    of the central scalar.  Order-3 base classes have no such unique lift."""
-    if base == "3ab":
-        raise InconsistencyError("order-3 base class: use the order-3 rule (3cd)")
-    return _TWISTS[base][i % 3]
-
-
-def frobenius_class(cycle_type, artin_power: int, residue_degree: int) -> str:
-    """Coarse cover class of a Frobenius element.
-
-    Order-3 cycle types land in 3cd outright.  Otherwise the class is the
-    unique same-order lift twisted by the central scalar to the power
-    artin_power * residue_degree (the residue degree must equal the element
-    order, and is its own inverse mod 3)."""
-    base = coarse_from_cycle_type(cycle_type)
-    if base == "3ab":
-        return "3cd"
-    order = lcm(*cycle_type)
-    if residue_degree != order:
-        raise InconsistencyError(
-            f"residue degree {residue_degree} does not match element order {order}"
-        )
-    return central_twist(base, artin_power * residue_degree)
+def frobenius_class(p: int, cycle_type, artin_power=0, residue_degree=None, fine="unknown") -> str:
+    """Class of a Frobenius row at p = 3 or 5.  A residue degree must equal the
+    element order, and fine (5a or 5b) splits an order-5 class, at p = 3 only.
+    At p = 5 order 3 lands in 3cd, any other order in the same-order lift
+    twisted by the central scalar to the power artin_power * order."""
+    base, order = coarse_from_cycle_type(cycle_type), lcm(*cycle_type)
+    if fine != "unknown" and base != "5ab":
+        raise InconsistencyError(f"fine_order5 {fine} contradicts the cycle type's class {base}")
+    if fine != "unknown" and p != 3:
+        raise InconsistencyError(f"fine_order5 {fine} splits 5ab only at p = 3, not at p = {p}")
+    if residue_degree not in (None, order):
+        raise InconsistencyError(f"residue degree {residue_degree} does not match element"
+                                 f" order {order}")
+    if p == 3:
+        return base if fine == "unknown" else fine
+    return "3cd" if order == 3 else _TWISTS[base][artin_power * order % 3]
 
 
 @lru_cache(maxsize=None)

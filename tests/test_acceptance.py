@@ -128,7 +128,7 @@ def test_criterion_4_weight_engine():
 
 
 def test_criterion_5_frobenius_pipeline():
-    cls = frobenius_class((5, 1), 1, 5)
+    cls = frobenius_class(5, (5, 1), 1, 5)
     ct = cycle_type_mod_ell(T_5_17, 2)
     ok = cls == "15bd" and ct == (5, 1)
     _report("5 (Frobenius pipeline)", ok, f"class={cls} cycle-type={ct}")

@@ -640,6 +640,10 @@ def _leading_coefficient_7(d):
      "row at ell 5: fine_order5 5a contradicts the cycle type's class 3ab"),
     ("5-17-1", lambda d: _fine_order5(d, 29, "5b"),
      "row at ell 29: fine_order5 5b contradicts the cycle type's class 4a"),
+    ("3-13-9", lambda d: d["frobenius_inputs"][0].update(residue_degree=7),
+     "row at ell 2: residue degree 7 does not match element order 5"),
+    ("5-17-1", lambda d: _fine_order5(d, 2, "5a"),
+     "row at ell 2: fine_order5 5a splits 5ab only at p = 3, not at p = 5"),
     ("5-17-1", lambda d: d["inertia_profile"].update(niveau=4), "niveau must be 1, 2 or 3"),
     ("5-17-1", lambda d: d.update(inertia_profile={"niveau": 1}),
      "niveau 1 profile needs exponent triples"),
@@ -662,9 +666,10 @@ def _leading_coefficient_7(d):
         "zero-part-no-sextic-p3", "negative-part-at-ell-dividing-disc",
         "zero-part-at-ell-dividing-disc-p3", "leading-coefficient-7",
         "fine-order5-on-3ab-row-p3", "fine-order5-on-stored-3ab-row-p3",
-        "fine-order5-on-4a-row-p5", "niveau-4", "niveau-1-without-triples",
-        "niveau-3-without-m", "fixed-dim-4", "fixed-dim-negative", "single-slope-denominator",
-        "repeated-nebentype-kind", "repeated-nebentype-kind-among-others"])
+        "fine-order5-on-4a-row-p5", "residue-degree-at-p3", "fine-order5-at-p5", "niveau-4",
+        "niveau-1-without-triples", "niveau-3-without-m", "fixed-dim-4", "fixed-dim-negative",
+        "single-slope-denominator", "repeated-nebentype-kind",
+        "repeated-nebentype-kind-among-others"])
 def test_well_formed_but_inconsistent_case_values_exit_3(tmp_path, capsys, case, edit, message):
     payload = case_json(case)
     edit(payload)

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,6 +29,30 @@ def test_level_exponent_rejects_fractional_total():
     filt = RamFiltration(((12, 0), (4, 0), (2, 1)))
     with pytest.raises(InconsistencyError):
         level_exponent(filt)
+
+
+def test_level_exponent_matches_fraction_reference():
+    """The integer sum against the formula term by term in Fractions, on
+    seeded filtrations: the value when the total is integral, and the same
+    exponent in the error text when it is not."""
+    rng = random.Random(35)
+    integral = fractional = 0
+    for _ in range(400):
+        orders = [rng.choice((1, 2, 3, 4, 6, 8, 12, 24, 60))]
+        for _ in range(rng.randint(0, 5)):
+            orders.append(rng.choice([d for d in range(1, orders[-1] + 1) if orders[-1] % d == 0]))
+        fixes = sorted(rng.randint(0, 3) for _ in orders)
+        filt = RamFiltration(tuple(zip(orders, fixes)))
+        want = sum(Fraction(order, orders[0]) * (3 - fix) for order, fix in filt.entries)
+        if want.denominator == 1:
+            integral += 1
+            assert level_exponent(filt) == want
+        else:
+            fractional += 1
+            with pytest.raises(InconsistencyError) as exc:
+                level_exponent(filt)
+            assert str(exc.value) == f"inconsistent filtration data: exponent {want}"
+    assert integral > 50 and fractional > 50
 
 
 def test_filtration_invariants_enforced():

@@ -25,7 +25,7 @@ def test_public_api_is_pinned():
         "AttachmentVerdict", "Certificate", "DirichletCharacter", "EigenvalueRecord",
         "EvidenceError", "Fp2Elem", "InconsistencyError", "InertiaProfile", "IntPoly",
         "LevelDatum", "NewtonPolygon", "ORD_INFINITY", "PadicSerreError", "PrecisionReport",
-        "RamFiltration", "SchemaError", "Triple", "a6_mod3_class_polys", "central_twist",
+        "RamFiltration", "SchemaError", "Triple", "a6_mod3_class_polys",
         "certify_same_extension", "char_value", "check_attached",
         "coarse_from_cycle_type", "cube_root_of_unity", "cycle_type_mod_ell", "discriminant",
         "frob_charpoly", "frobenius_class", "hecke_poly", "inverse_class", "is_eisenstein",

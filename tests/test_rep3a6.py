@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -23,7 +24,6 @@ from padic_serre.rep3a6 import (
     COVER_COARSE,
     TRACES,
     a6_mod3_class_polys,
-    central_twist,
     char_value,
     class_charpolys,
     coarse_from_cycle_type,
@@ -56,30 +56,52 @@ def test_coarse_rejects_odd_and_bad_partitions():
         coarse_from_cycle_type([5, 2])
 
 
-def test_central_twist():
-    assert central_twist("5ab", 2) == "15bd"
-    assert central_twist("1a", 1) == "3a"
-    assert central_twist("4a", 1) == "12a"
-    assert central_twist("2a", 0) == "2a"
-    with pytest.raises(InconsistencyError):
-        central_twist("3ab", 1)
+@pytest.mark.parametrize("p,cycle_type,artin_power,fine,label", [
+    (5, (5, 1), 1, "unknown", "15bd"),
+    (5, (1,) * 6, 1, "unknown", "3a"),
+    (5, (4, 2), 1, "unknown", "12a"),
+    (5, (2, 2, 1, 1), 0, "unknown", "2a"),
+    (5, (3, 3), 1, "unknown", "3cd"),
+    (3, (5, 1), 1, "unknown", "5ab"),
+    (3, (5, 1), 0, "5a", "5a"),
+    (3, (5, 1), 2, "5b", "5b"),
+    (3, (4, 2), 1, "unknown", "4a"),
+    (3, (3, 1, 1, 1), 2, "unknown", "3ab"),
+    (3, (1,) * 6, 1, "unknown", "1a"),
+], ids=["p5-15bd", "p5-3a", "p5-12a", "p5-2a", "p5-3cd", "p3-5ab", "p3-5a", "p3-5b", "p3-4a",
+        "p3-3ab", "p3-1a"])
+def test_frobenius_class_table(p, cycle_type, artin_power, fine, label):
+    order = max(cycle_type)  # the element order, for every even cycle type of degree 6
+    assert frobenius_class(p, cycle_type, artin_power, None, fine) == label
+    assert frobenius_class(p, cycle_type, artin_power, order, fine) == label
+
+
+@pytest.mark.parametrize("p,cycle_type,residue_degree,fine,message", [
+    (3, (5, 1), 4, "unknown", "residue degree 4 does not match element order 5"),
+    (5, (3, 3), 1, "unknown", "residue degree 1 does not match element order 3"),
+    (3, (4, 2), None, "5a", "fine_order5 5a contradicts the cycle type's class 4a"),
+    (5, (5, 1), None, "5b", "fine_order5 5b splits 5ab only at p = 3, not at p = 5"),
+], ids=["degree-p3", "degree-3cd-p5", "fine-on-4a-p3", "fine-p5"])
+def test_frobenius_class_rejects_inconsistent_rows(p, cycle_type, residue_degree, fine, message):
+    with pytest.raises(InconsistencyError, match=re.escape(message)):
+        frobenius_class(p, cycle_type, 0, residue_degree, fine)
 
 
 def test_frobenius_class_worked_values():
-    assert frobenius_class((5, 1), 1, 5) == "15bd"
-    assert frobenius_class((3, 3), 2, 3) == "3cd"
-    assert frobenius_class((1, 1, 1, 1, 1, 1), 0, 1) == "1a"
+    assert frobenius_class(5, (5, 1), 1, 5) == "15bd"
+    assert frobenius_class(5, (3, 3), 2, 3) == "3cd"
+    assert frobenius_class(5, (1, 1, 1, 1, 1, 1), 0, 1) == "1a"
 
 
 def test_frobenius_class_checks_residue_degree():
     with pytest.raises(InconsistencyError, match="residue degree 4 does not match element order 5"):
-        frobenius_class((5, 1), 1, 4)
+        frobenius_class(5, (5, 1), 1, 4)
 
 
 def test_frobenius_class_untwisted_lands_in_base_lifts():
     for cycle, f in (((5, 1), 5), ((2, 2, 1, 1), 2), ((4, 2), 4), ((1,) * 6, 1)):
-        assert frobenius_class(cycle, 0, f) in {"1a", "2a", "4a", "5ab"}
-    assert frobenius_class((3, 1, 1, 1), 0, 3) == "3cd"
+        assert frobenius_class(5, cycle, 0, f) in {"1a", "2a", "4a", "5ab"}
+    assert frobenius_class(5, (3, 1, 1, 1), 0, 3) == "3cd"
 
 
 def test_char_values_and_inverse():
