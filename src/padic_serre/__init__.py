@@ -6,7 +6,6 @@ from types import ModuleType as _ModuleType
 
 from .arith import (
     ORD_INFINITY,
-    Fp2Elem,
     cube_root_of_unity,
     ord_p,
 )

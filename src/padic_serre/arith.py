@@ -1,10 +1,10 @@
 """Exact arithmetic layer: p-adic valuations and the finite fields F_{p^2}.
 
-There is one finite-field element type, ``Fp2Elem``, built directly as
-``Fp2Elem(p, c0, c1)``; an element of the prime field F_p is an ``Fp2Elem``
-with c1 == 0, and ``elements(p)`` lists a whole field.  An element is a
-plain read-only value, a ``Record`` of p and its coefficients; +, - and *
-compute the coefficients of the result and return a new element.
+An element c0 + c1*w of F_{p^2} = F_p[w]/(w^2 + b*w + c) is the pair
+(c0, c1) of its coefficients reduced mod p, an element of F_p one with
+c1 == 0.  ``pair_mul`` is the field's one product and ``frobenius_pairs``
+its one conjugation; sums and negations are coefficientwise.  The group
+layer in matrices runs on the integer codes c0 + p*c1 of these pairs.
 
 Everything here is immutable and pure; rationals are ``fractions.Fraction``
 (always lowest terms, positive denominator), valuations are additive with
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import count, product
 from operator import attrgetter
 from typing import Union
 
@@ -110,12 +110,37 @@ def quadratic_modulus(p: int) -> tuple[int, int]:
     return (0, next(c for c in count(1) if legendre_symbol(-c, p) == -1))
 
 
+def pair_mul(p: int, x, y) -> tuple[int, int]:
+    """The product of x = x0 + x1*w and y = y0 + y1*w in F_{p^2}, given as
+    pairs, as a reduced pair: w^2 = -b*w - c."""
+    b, c = quadratic_modulus(p)
+    hi = x[1] * y[1]
+    return ((x[0] * y[0] - hi * c) % p, (x[0] * y[1] + x[1] * y[0] - hi * b) % p)
+
+
 def frobenius_pairs(p: int, pairs) -> tuple[tuple[int, int], ...]:
-    """x -> x^p on pairs (c0, c1), x = c0 + c1*w, as reduced pairs.  The roots
-    w and w^p of the modulus sum to -b, so w^p = -b - w and
+    """x -> x^p on pairs (c0, c1), as reduced pairs: the one conjugation.
+    The roots w and w^p of the modulus sum to -b, so w^p = -b - w and
     (c0 + c1*w)^p = (c0 - b*c1) - c1*w."""
     b = quadratic_modulus(p)[0]
     return tuple([((c0 - b * c1) % p, -c1 % p) for c0, c1 in pairs])
+
+
+def cube_root_of_unity(p: int) -> tuple[int, int]:
+    """A primitive cube root of unity in F_{p^2}, as a pair (c0, c1).
+
+    The first root of z^2 + z + 1 with c0 in the outer loop and c1 in the
+    inner.  When 3 | p-1 that polynomial splits over F_p, so the root found
+    lies in the prime field (c1 == 0).  Characteristic 3 has none.
+    """
+    _require_prime(p)
+    if p == 3:
+        raise InconsistencyError("no primitive cube root in characteristic 3")
+    for z in product(range(p), repeat=2):
+        z0, z1 = pair_mul(p, z, z)
+        if (z0 + z[0] + 1) % p == 0 and (z1 + z[1]) % p == 0:
+            return z
+    raise AssertionError("unreachable: F_{p^2}^* is cyclic of order divisible by 3")
 
 
 class Record:
@@ -162,80 +187,3 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__name__}({fields})"
-
-
-class Fp2Elem(Record):
-    """c0 + c1*w in F_p[w]/(w^2 + b*w + c), the modulus fixed by the prime.
-
-    A read-only value: the coefficients are reduced mod p, and equality,
-    hash and pickling go by (p, c0, c1).  Sums, differences and products
-    are computed from the coefficients, with w^2 = -b*w - c.
-    """
-
-    __slots__ = ("p", "c0", "c1")
-
-    def __init__(self, p: int, c0: int, c1: int):
-        self._set(p, c0 % p, c1 % p)
-
-    def _coerce(self, other) -> "Fp2Elem":
-        if isinstance(other, Fp2Elem):
-            if other.p != self.p:
-                raise ValueError("mixed characteristics")
-            return other
-        return Fp2Elem(self.p, int(other), 0)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return Fp2Elem(self.p, self.c0 + other.c0, self.c1 + other.c1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return Fp2Elem(self.p, self.c0 - other.c0, self.c1 - other.c1)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        b, c = quadratic_modulus(self.p)
-        # (x0 + x1 w)(y0 + y1 w) with w^2 = -b w - c
-        hi = self.c1 * other.c1
-        return Fp2Elem(self.p, self.c0 * other.c0 - hi * c,
-                       self.c0 * other.c1 + self.c1 * other.c0 - hi * b)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Fp2Elem(self.p, -self.c0, -self.c1)
-
-    def frobenius(self) -> "Fp2Elem":
-        """The field automorphism x -> x^p, an involution fixing F_p."""
-        return Fp2Elem(self.p, *frobenius_pairs(self.p, ((self.c0, self.c1),))[0])
-
-    def __bool__(self):
-        return self.c0 != 0 or self.c1 != 0
-
-    def __repr__(self):
-        return f"({self.c0} + {self.c1}*w mod {self.p})"
-
-
-def elements(p: int):
-    """Every element of F_{p^2}, c0 in the outer loop and c1 in the inner."""
-    for c0 in range(p):
-        for c1 in range(p):
-            yield Fp2Elem(p, c0, c1)
-
-
-def cube_root_of_unity(p: int) -> Fp2Elem:
-    """A primitive cube root of unity mod p, as an element of F_{p^2}.
-
-    The first root of z^2 + z + 1 in the order of ``elements``.
-    When 3 | p-1 that polynomial splits over F_p, so the root found lies in
-    the prime field (c1 == 0).  Characteristic 3 has none.
-    """
-    _require_prime(p)
-    if p == 3:
-        raise InconsistencyError("no primitive cube root in characteristic 3")
-    for z in elements(p):
-        if not z * z + z + 1:
-            return z
-    raise AssertionError("unreachable: F_{p^2}^* is cyclic of order divisible by 3")

@@ -47,7 +47,7 @@ CASES_DIR = os.path.join(os.path.dirname(__file__), "cases")
 #: frobenius_inputs is read by rep3a6.frobenius_class at either prime.
 FROBENIUS_INPUT = {
     "ell": (json_prime, REQUIRED), "cycle_type": ([json_int], ()),
-    "artin_power": (json_int, 0), "residue_degree": (json_int, None),
+    "artin_power": (json_int, None), "residue_degree": (json_int, None),
     "fine_order5": (("5a", "5b", "unknown"), "unknown"),
     "provenance": (json_str, ""), "artin_provenance": (json_str, ""),
 }

@@ -18,7 +18,7 @@ indeterminate.
 
 from __future__ import annotations
 
-from .arith import Fp2Elem, Record, frobenius_pairs
+from .arith import Record, frobenius_pairs
 from .errors import REQUIRED, InconsistencyError, json_int, read_fields
 
 #: An eigenvalue record: ell and the three eigenvalues, each a pair (c0, c1)
@@ -27,14 +27,16 @@ EIGENVALUE = {"ell": (json_int, REQUIRED), "a": ([[json_int, 2], 3], REQUIRED)}
 
 
 class EigenvalueRecord(Record):
-    __slots__ = ("ell", "a1", "a2", "a3")  # the eigenvalues a1, a2, a3 are Fp2Elems
+    """ell, the eigenvalues a1, a2, a3 as pairs (c0, c1) reduced mod p, and p."""
 
-    @property
-    def p(self) -> int:
-        return self.a1.p
+    __slots__ = ("ell", "a1", "a2", "a3", "p")
+
+    def __init__(self, ell: int, a1, a2, a3, p: int):
+        self._set(ell, *[(c0 % p, c1 % p) for c0, c1 in (a1, a2, a3)], p)
 
     def conjugate(self) -> "EigenvalueRecord":
-        return EigenvalueRecord(self.ell, *(a.frobenius() for a in (self.a1, self.a2, self.a3)))
+        return EigenvalueRecord(self.ell, *frobenius_pairs(self.p, (self.a1, self.a2, self.a3)),
+                                self.p)
 
     @classmethod
     def from_json(cls, payload, p: int) -> "EigenvalueRecord":
@@ -44,13 +46,10 @@ class EigenvalueRecord(Record):
     @classmethod
     def from_fields(cls, fields: dict, p: int) -> "EigenvalueRecord":
         """The record of fields read by EIGENVALUE, over F_{p^2}."""
-        return cls(fields["ell"], *(Fp2Elem(p, c0, c1) for c0, c1 in fields["a"]))
+        return cls(fields["ell"], *fields["a"], p)
 
     def to_json(self) -> dict:
-        return {
-            "ell": self.ell,
-            "a": [[x.c0, x.c1] for x in (self.a1, self.a2, self.a3)],
-        }
+        return {"ell": self.ell, "a": [list(x) for x in (self.a1, self.a2, self.a3)]}
 
 
 def hecke_poly(rec: EigenvalueRecord, p: int) -> tuple[tuple[int, int], ...]:
@@ -59,7 +58,7 @@ def hecke_poly(rec: EigenvalueRecord, p: int) -> tuple[tuple[int, int], ...]:
     if ell == 0:
         raise InconsistencyError(f"ell = {rec.ell} is divisible by p = {p}")
     scaled = zip((rec.a1, rec.a2, rec.a3), (-1, ell, -pow(ell, 3, p)))
-    return ((1, 0), *[(a.c0 * s % p, a.c1 * s % p) for a, s in scaled])
+    return ((1, 0), *[(c0 * s % p, c1 * s % p) for (c0, c1), s in scaled])
 
 
 class AttachmentVerdict(Record):

@@ -22,13 +22,14 @@ Construction, from scratch each run (deterministic):
 
 The cover is kept as the sorted code tuples of ``matrices._group``, built
 once; the order walks (one walk over the powers of an element gives the
-orders of all of them) and the bucketing by (order, trace) run on codes, and
-only the class representatives are decoded.  (order, trace) separates all
-thirteen coarse classes: the scalars z*I and z^2*I (traces 3z and 3z^2, for
-the deterministic cube root z) are classes "3a" and "3b", and in orders 6,
-12 and 15 the trace picks the central twist.  The inverse of a class is read
-from the representative's characteristic polynomial, whose t^2 coefficient
-is the trace of the inverse (determinant one).
+orders of all of them) and the bucketing by (order, trace) run on codes; a
+class representative is a code tuple, and traces and charpolys are reduced
+pairs (c0, c1).  (order, trace) separates all thirteen coarse classes: the
+scalars z*I and z^2*I (traces 3z and 3z^2, for the deterministic cube root
+z) are classes "3a" and "3b", and in orders 6, 12 and 15 the trace picks
+the central twist.  The inverse of a class is read from the
+representative's characteristic polynomial, whose t^2 coefficient is the
+trace of the inverse (determinant one).
 """
 
 from __future__ import annotations
@@ -36,21 +37,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import matrices
-from .arith import Fp2Elem, cube_root_of_unity
+from .arith import cube_root_of_unity, pair_mul
 from .errors import InconsistencyError
-from .matrices import (
-    Code,
-    _classes,
-    _decode,
-    _encode,
-    _group,
-    charpoly3_reversed,
-    det3,
-    identity,
-    mat,
-    scalar_mul,
-)
-from .rep3a6 import sl2_generators, sym_square
+from .matrices import Code, _classes, _group, charpoly, sym_square
+from .rep3a6 import sl2_generators
 
 #: The extra involution M, row by row, as code pairs (c0, c1) of the F_25
 #: entries c0 + c1*w, w a root of ``quadratic_modulus(5)``.
@@ -62,55 +52,54 @@ def _cover_codes() -> list[Code]:
     """The 1080-element cover in SL_3(F_25) as sorted flat code tuples,
     built and checked once."""
     p = 5
-    entries = [Fp2Elem(p, c0, c1) for c0, c1 in EXTRA_INVOLUTION]
-    m = mat([entries[0:3], entries[3:6], entries[6:9]])
-    e = identity(p, 3)
-    (code, e_code, z_code), _ = _encode([m, e, scalar_mul(cube_root_of_unity(p), e)])
+    m = tuple([c0 + p * c1 for c0, c1 in EXTRA_INVOLUTION])
     # resolved in matrices, like every other product of the build
-    if matrices._product(code, code, *matrices._tables(p)[1:]) != e_code:
+    if matrices._product(m, m, *matrices._tables(p)[:2]) != matrices._IDENTITY:
         raise AssertionError("the extra generator is not an involution")
-    if det3(m) != Fp2Elem(p, 1, 0):
+    if charpoly(m, p)[3] != (p - 1, 0):  # -det M
         raise AssertionError("the extra generator does not have determinant 1")
-    group = _group([sym_square(g) for g in sl2_generators(p, (1,))] + [m], 1080)
-    if z_code not in group:
+    group = _group([sym_square(g, p) for g in sl2_generators((1,))] + [m], p, 1080)
+    z0, z1 = cube_root_of_unity(p)
+    z = z0 + p * z1
+    if (z, 0, 0, 0, z, 0, 0, 0, z) not in group:
         raise AssertionError("the center does not contain the cube roots of unity")
     return group
 
 
-def _cover_label(order: int, tr: Fp2Elem, z: Fp2Elem) -> str:
-    """Coarse class of a cover element from its (order, trace)."""
-    if order == 3:
-        return {3 * z: "3a", 3 * z * z: "3b"}.get(tr, "3cd")
-    twisted = {6: ("6a", "6b", -z), 12: ("12a", "12b", z), 15: ("15ac", "15bd", -2 * z)}
-    if order in twisted:
-        label_a, label_b, trace_a = twisted[order]
-        return label_a if tr == trace_a else label_b
-    untwisted = {1: "1a", 2: "2a", 4: "4a", 5: "5ab"}
-    if order not in untwisted:
+def _cover_label(order: int, tr: tuple[int, int], z: tuple[int, int]) -> str:
+    """Coarse class of a cover element from its (order, trace), as pairs.
+    One class of each order 3, 6, 12 and 15 is named by its trace k*x: 3z
+    and 3z^2 (the scalars), and -z, z and -2z (the first central twist);
+    every other element takes its order's remaining class."""
+    named = {(3, 3, z): "3a", (3, 3, pair_mul(5, z, z)): "3b", (6, -1, z): "6a",
+             (12, 1, z): "12a", (15, -2, z): "15ac"}
+    by_trace = {(n, (k * x[0] % 5, k * x[1] % 5)): label for (n, k, x), label in named.items()}
+    by_order = {1: "1a", 2: "2a", 3: "3cd", 4: "4a", 5: "5ab", 6: "6b", 12: "12b", 15: "15bd"}
+    if order not in by_order:
         raise AssertionError(f"unexpected element order {order}")
-    return untwisted[order]
+    return by_trace.get((order, tr), by_order[order])
 
 
 @lru_cache(maxsize=None)
 def classified_cover() -> dict[str, dict]:
     """Class label -> {size, trace, charpoly, inverse_label, representative}
     derived purely from the explicit group, for cross-checking the frozen
-    tables."""
+    tables; the trace and the charpoly are reduced pairs, the
+    representative a code tuple."""
     z = cube_root_of_unity(5)
     out = {}
     for (order, tr), members in _classes(_cover_codes(), 5).items():
         label = _cover_label(order, tr, z)
         if label in out:
             raise AssertionError(f"class {label} has mixed traces")
-        representative = _decode(members[0], 5)
-        charpoly = charpoly3_reversed(representative)
+        cubic = charpoly(members[0], 5)
         out[label] = {
             "size": len(members),
             "trace": tr,
-            "charpoly": charpoly,
+            "charpoly": cubic,
             # the inverse has the same order, and its trace is charpoly[2]
-            "inverse_label": _cover_label(order, charpoly[2], z),
-            "representative": representative,
+            "inverse_label": _cover_label(order, cubic[2], z),
+            "representative": members[0],
         }
     expected_sizes = {
         "1a": 1, "3a": 1, "3b": 1, "2a": 45, "6a": 45, "6b": 45, "3cd": 240,
@@ -122,12 +111,14 @@ def classified_cover() -> dict[str, dict]:
     return out
 
 
-def oracle_charpoly(label: str, eps_val: int) -> list[Fp2Elem]:
-    """det(1 - eps*m*t) for a class representative, computed from the
-    matrix itself (eps in {+1,-1} twists the representative)."""
+def oracle_charpoly(label: str, eps_val: int) -> tuple[tuple[int, int], ...]:
+    """det(1 - eps*m*t) for a class representative, as reduced pairs,
+    computed from the matrix itself (eps in {+1,-1} twists the
+    representative)."""
     if eps_val not in (1, -1):
         raise InconsistencyError("eps_val must be +1 or -1")
     rep = classified_cover()[label]["representative"]
     if eps_val == -1:
-        rep = scalar_mul(Fp2Elem(5, -1, 0), rep)
-    return charpoly3_reversed(rep)
+        neg = matrices._tables(5)[2]
+        rep = tuple([neg[x] for x in rep])
+    return charpoly(rep, 5)

@@ -16,8 +16,9 @@ twists (1a->3a->3b, ...).  At both primes one rule gives
 the charpolys, det(1 - g*t) = 1 - tr(g)*t + tr(g^-1)*t^2 - t^3 for det g = 1,
 from the traces frozen below; the tests check them against the cover in
 SL_3(F_25) that matrix_oracle.py builds and the Sym^2 image in SL_3(F_9).
-A charpoly is a tuple of reduced coefficient pairs (c0, c1); Fp2Elem only
-builds the mod-3 group and the p = 5 oracle views char_value, frob_charpoly.
+Every F_{p^2} value here is a reduced pair (c0, c1), a charpoly a tuple of
+four of them, and a matrix of the mod-3 construction a tuple of codes
+c0 + p*c1 (see matrices).
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 
-from .arith import Fp2Elem
+from .arith import frobenius_pairs
 from .errors import InconsistencyError
-from .matrices import Matrix, _classes, _decode, _group, charpoly3_reversed, mat
+from .matrices import Code, _classes, _group, charpoly, sym_square
 
 #: trace of each class as the F_{p^2} pair (c0, c1): the cover's classes at
 #: p = 5, where z = (2, 1), and the Sym^2 image's at p = 3
@@ -68,11 +69,16 @@ def coarse_from_cycle_type(partition) -> str:
     return _CYCLE_TYPE_TO_COARSE[key]
 
 
-def frobenius_class(p: int, cycle_type, artin_power=0, residue_degree=None, fine="unknown") -> str:
+def frobenius_class(p: int, cycle_type, artin_power=None, residue_degree=None,
+                    fine="unknown") -> str:
     """Class of a Frobenius row at p = 3 or 5.  A residue degree must equal the
-    element order, and fine (5a or 5b) splits an order-5 class, at p = 3 only.
-    At p = 5 order 3 lands in 3cd, any other order in the same-order lift
-    twisted by the central scalar to the power artin_power * order."""
+    element order, fine (5a or 5b) splits an order-5 class at p = 3 only, and
+    an Artin power is read at p = 5 only.  At p = 5 order 3 lands in 3cd,
+    any other order in the same-order lift twisted by the central scalar to
+    the power artin_power * order, an absent Artin power reading 0."""
+    if p not in TRACES:
+        raise InconsistencyError(f"no frozen class data for p = {p};"
+                                 f" only p in {tuple(sorted(TRACES))} is bundled")
     base, order = coarse_from_cycle_type(cycle_type), lcm(*cycle_type)
     if fine != "unknown" and base != "5ab":
         raise InconsistencyError(f"fine_order5 {fine} contradicts the cycle type's class {base}")
@@ -82,8 +88,11 @@ def frobenius_class(p: int, cycle_type, artin_power=0, residue_degree=None, fine
         raise InconsistencyError(f"residue degree {residue_degree} does not match element"
                                  f" order {order}")
     if p == 3:
+        if artin_power is not None:
+            raise InconsistencyError(f"artin_power {artin_power} twists the class only at"
+                                     " p = 5, not at p = 3")
         return base if fine == "unknown" else fine
-    return "3cd" if order == 3 else _TWISTS[base][artin_power * order % 3]
+    return "3cd" if order == 3 else _TWISTS[base][(artin_power or 0) * order % 3]
 
 
 @lru_cache(maxsize=None)
@@ -104,50 +113,38 @@ def _cover_class(cls: str) -> str:
     return cls
 
 
-def char_value(cls: str) -> Fp2Elem:
+def char_value(cls: str) -> tuple[int, int]:
     """Trace character of the cover's 3-dimensional representation over
-    F_25, for the model where the central scalar has trace 3z."""
-    return Fp2Elem(5, *TRACES[5][_cover_class(cls)])
+    F_25, as a pair, for the model where the central scalar has trace 3z."""
+    return TRACES[5][_cover_class(cls)]
 
 
 def inverse_class(cls: str) -> str:
     return _SWAPPED.get(_cover_class(cls), cls)
 
 
-def frob_charpoly(cls: str, eps_val: int) -> list[Fp2Elem]:
-    """det(1 - eps * rho(Frob) * t) over F_25 for a cover class."""
+def frob_charpoly(cls: str, eps_val: int) -> tuple[tuple[int, int], ...]:
+    """det(1 - eps * rho(Frob) * t) over F_25 for a cover class, as pairs."""
     if eps_val not in (1, -1):
         raise InconsistencyError("eps_val must be +1 or -1")
-    return [Fp2Elem(5, *c) for c in class_charpolys(5, _cover_class(cls), eps_val)[0]]
+    return class_charpolys(5, _cover_class(cls), eps_val)[0]
 
 
 # ---------------------------------------------------------------------------
 # mod 3: the symmetric-square construction
 
 
-def sym_square(m: Matrix) -> Matrix:
-    """Symmetric square of a 2x2 matrix, on the basis (x^2, xy, y^2)."""
-    a, b = m[0]
-    c, d = m[1]
-    return mat([
-        [a * a, a * b, b * b],
-        [a * c + a * c, a * d + b * c, b * d + b * d],
-        [c * c, c * d, d * d],
-    ])
-
-
-def sl2_generators(p: int, entries) -> list[Matrix]:
-    """The transvections [[1, t], [0, 1]] and [[1, 0], [t, 1]] for each t in
-    entries.  With entries spanning F_q over F_p they generate SL_2(F_q)."""
-    one, zero = Fp2Elem(p, 1, 0), Fp2Elem(p, 0, 0)
-    ts = [one * t for t in entries]
-    return [mat([[one, t], [zero, one]]) for t in ts] + [mat([[one, zero], [t, one]]) for t in ts]
+def sl2_generators(entries) -> list[Code]:
+    """The transvections [[1, t], [0, 1]] and [[1, 0], [t, 1]] as 2x2 code
+    tuples, for each code t in entries (w is code p in F_{p^2}).  With
+    entries spanning F_q over F_p they generate SL_2(F_q)."""
+    return [(1, t, 0, 1) for t in entries] + [(1, 0, t, 1) for t in entries]
 
 
 @lru_cache(maxsize=None)
 def a6_mod3_class_polys() -> tuple[dict, dict]:
-    """The two Galois-conjugate tables class -> charpoly over F_9 for the
-    3-dimensional mod-3 representations.
+    """The two Galois-conjugate tables class -> charpoly (reduced pairs) over
+    F_9 for the 3-dimensional mod-3 representations.
 
     Built as the group in SL_3(F_9) generated by the symmetric squares of
     the four transvection generators of SL_2(F_9): the image of SL_2(F_9),
@@ -157,15 +154,14 @@ def a6_mod3_class_polys() -> tuple[dict, dict]:
     traces, labelled so that "5a" takes the lexicographically smaller one.  Keys: 1a, 2a, 3ab
     (both fine types share a unipotent charpoly), 4a, 5a, 5b.
     """
-    images = _group([sym_square(g) for g in sl2_generators(3, (1, Fp2Elem(3, 0, 1)))], 360)
+    images = _group([sym_square(g, 3) for g in sl2_generators((1, 3))], 3, 360)
     classes = _classes(images, 3)
-    keys = sorted(classes, key=lambda k: (k[0], k[1].c0, k[1].c1))
+    keys = sorted(classes)
     if [order for order, _ in keys] != [1, 2, 3, 4, 5, 5]:
         raise AssertionError(f"expected one class per order 1-4 and two of order 5: {keys}")
     labels = ("1a", "2a", "3ab", "4a", "5a", "5b")
-    table = {label: charpoly3_reversed(_decode(classes[key][0], 3))
-             for label, key in zip(labels, keys)}
+    table = {label: charpoly(classes[key][0], 3) for label, key in zip(labels, keys)}
     # the Galois twin: same classes, coefficientwise conjugate polynomials
     # (concretely this exchanges the golden traces of 5a and 5b)
-    conjugate = {k: [c.frobenius() for c in v] for k, v in table.items()}
+    conjugate = {k: frobenius_pairs(3, v) for k, v in table.items()}
     return table, conjugate

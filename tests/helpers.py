@@ -2,7 +2,6 @@
 polynomial is a given cubic, Horner evaluation of an ``IntPoly``, and the
 slopes and total multiplicity of a Newton polygon."""
 
-from padic_serre.arith import Fp2Elem
 from padic_serre.errors import InconsistencyError
 from padic_serre.hecke import EigenvalueRecord
 
@@ -12,18 +11,14 @@ def solve_record(ell, cubic, p):
     Hecke polynomial is the given cubic of coefficient pairs (c0, c1), as
     ``class_charpolys`` and a report's charpolys give them (constant
     coefficient must be 1)."""
-    cubic = [Fp2Elem(p, c0, c1) for c0, c1 in cubic]
-    if len(cubic) != 4 or cubic[0] != Fp2Elem(p, 1, 0):
+    if len(cubic) != 4 or (cubic[0][0] % p, cubic[0][1] % p) != (1, 0):
         raise InconsistencyError("cubic must have constant coefficient 1")
     ell_mod = ell % p
     if ell_mod == 0:
         raise InconsistencyError(f"ell = {ell} is divisible by p = {p}")
-    return EigenvalueRecord(
-        ell,
-        -cubic[1],
-        cubic[2] * pow(ell_mod, -1, p),
-        -(cubic[3] * pow(ell_mod, -3, p)),
-    )
+    # a1 = -c1, a2 = c2 / ell, a3 = -c3 / ell^3
+    scales = (-1, pow(ell_mod, -1, p), -pow(ell_mod, -3, p))
+    return EigenvalueRecord(ell, *[(c0 * s, c1 * s) for (c0, c1), s in zip(cubic[1:], scales)], p)
 
 
 def evaluate(f, x):

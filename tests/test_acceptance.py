@@ -16,7 +16,6 @@ from fractions import Fraction
 
 import pytest
 
-from padic_serre.arith import Fp2Elem
 from padic_serre.casefile import GOLDEN, load_bundled_case, verify_case
 from padic_serre.cli import main
 from padic_serre.errors import EvidenceError
@@ -27,23 +26,15 @@ from padic_serre.krasner import (
     precision_report,
     resultant_margin,
 )
-from padic_serre.matrices import charpoly3_reversed, trace
+from padic_serre.matrices import charpoly, sym_square
 from padic_serre.matrix_oracle import classified_cover, oracle_charpoly
 from padic_serre.polynomial import IntPoly, cycle_type_mod_ell, discriminant, newton_polygon
-from padic_serre.rep3a6 import (
-    COVER_COARSE,
-    a6_mod3_class_polys,
-    char_value,
-    frob_charpoly,
-    frobenius_class,
-    inverse_class,
-    sl2_generators,
-    sym_square,
-)
+from padic_serre.rep3a6 import (COVER_COARSE, a6_mod3_class_polys, char_value, frob_charpoly,
+                                frobenius_class, inverse_class, sl2_generators)
 from padic_serre.weights import Triple, p_restrict
 
 from helpers import slope_multiset, solve_record
-from matrix_reference import _mat_key, _matrix_closure
+from matrix_reference import Fp2Elem, _mat_key, _matrix_closure, decode, encode, lift, pairs, trace
 
 X3M2 = IntPoly([-2, 0, 0, 1])
 T_5_17 = IntPoly([-13, -11, 5, 0, 0, -2, 1])
@@ -197,22 +188,23 @@ def _sweep_6c():
 
 def _sweep_6d():
     rng = random.Random(603)
-    one, w = Fp2Elem(3, 1, 0), Fp2Elem(3, 0, 1)
-    elems = sorted(_matrix_closure(sl2_generators(3, (one, w))), key=_mat_key)
+    one = Fp2Elem(3, 1, 0)
+    sl2_f9 = _matrix_closure([decode(g, 3) for g in sl2_generators((1, 3))])
+    elems = sorted(sl2_f9, key=_mat_key)
     failures = 0
     for _ in range(1000):
         m = rng.choice(elems)
         assert m[0][0] * m[1][1] - m[0][1] * m[1][0] == one
-        cp = charpoly3_reversed(sym_square(m))
+        cp = charpoly(sym_square(encode(m), 3), 3)
         tr = trace(m)
-        if cp[1] != -(tr * tr - one):
+        if cp[1] != pairs([-(tr * tr - one)])[0]:
             failures += 1
     return failures
 
 
 def _sweep_6e():
     t1, t2 = a6_mod3_class_polys()
-    return all([c.frobenius() for c in t1[cls]] == t2[cls] for cls in t1)
+    return all([c.frobenius() for c in lift(3, t1[cls])] == lift(3, t2[cls]) for cls in t1)
 
 
 def _sweep_6f():
@@ -329,9 +321,9 @@ def test_criterion_8_attachment_discriminates():
     for i, rec in enumerate(records):
         for slot in range(3):
             bump = Fp2Elem(5, rng.randrange(1, 5), rng.randrange(5))
-            a = [rec.a1, rec.a2, rec.a3]
+            a = lift(5, (rec.a1, rec.a2, rec.a3))
             a[slot] = a[slot] + bump
-            mutated = records[:i] + [EigenvalueRecord(rec.ell, *a)] + records[i + 1:]
+            mutated = records[:i] + [EigenvalueRecord(rec.ell, *pairs(a), 5)] + records[i + 1:]
             v = check_attached(mutated, frob_polys)
             ok &= v.overall == "not-attached" and v.per_ell[rec.ell] == "mismatch"
             ok &= all(st == "match" for ell2, st in v.per_ell.items() if ell2 != rec.ell)

@@ -1,17 +1,17 @@
 """check_attached, which compares coefficient pairs, against a reference
-that compares F_{p^2} elements: the Hecke cubic by Fp2Elem arithmetic, its
-coefficientwise Frobenius and list equality, as the check read before it
-worked in pairs."""
+that compares F_{p^2} elements: the Hecke cubic by the arithmetic of the
+tests' ``Fp2Elem``, its coefficientwise Frobenius and list equality, as the
+check read before it worked in pairs."""
 
 import random
 
 import pytest
 
-from padic_serre.arith import Fp2Elem
 from padic_serre.hecke import EigenvalueRecord, check_attached, hecke_poly
 from padic_serre.rep3a6 import TRACES, class_charpolys
 
 from helpers import solve_record
+from matrix_reference import Fp2Elem, lift, pairs
 
 SEED = 30
 MODES = ("straight", "conjugated", "perturbed")
@@ -22,9 +22,10 @@ def _reference(records, frob_polys) -> tuple[dict, str, tuple]:
     per_ell, indeterminate, direct, conjugate = {}, [], [], []
     for rec in sorted(records, key=lambda r: r.ell):
         ell = Fp2Elem(rec.p, rec.ell, 0)  # the Hecke cubic by F_{p^2} arithmetic
-        h = [Fp2Elem(rec.p, 1, 0), -rec.a1, rec.a2 * ell, -(rec.a3 * ell * ell * ell)]
-        assert hecke_poly(rec, rec.p) == tuple((c.c0, c.c1) for c in h)
-        candidates = [[Fp2Elem(rec.p, *c) for c in cubic] for cubic in frob_polys[rec.ell]]
+        a1, a2, a3 = lift(rec.p, (rec.a1, rec.a2, rec.a3))
+        h = [Fp2Elem(rec.p, 1, 0), -a1, a2 * ell, -(a3 * ell * ell * ell)]
+        assert hecke_poly(rec, rec.p) == pairs(h)
+        candidates = [lift(rec.p, cubic) for cubic in frob_polys[rec.ell]]
         if len(candidates) > 1:
             indeterminate.append(rec.ell)
         direct.append(h in candidates)
@@ -48,9 +49,9 @@ def _row(rng, p, ell):
     if mode == "conjugated":
         rec = rec.conjugate()
     elif mode == "perturbed":
-        a = [rec.a1, rec.a2, rec.a3]
+        a = lift(p, (rec.a1, rec.a2, rec.a3))
         a[rng.randrange(3)] += Fp2Elem(p, rng.randrange(1, p), rng.randrange(p))
-        rec = EigenvalueRecord(ell, *a)
+        rec = EigenvalueRecord(ell, *pairs(a), p)
     return candidates, rec
 
 

@@ -659,6 +659,8 @@ def _leading_coefficient_7(d):
      "duplicate kind psi8 in nebentype kinds"),
     ("2-3-57", lambda d: d["nebentype"].update(kinds=["omega4", "psi8", "omega4"]),
      "duplicate kind omega4 in nebentype kinds"),
+    ("3-13-9", lambda d: _first_frobenius_row(d, artin_power=2),
+     "row at ell 2: artin_power 2 twists the class only at p = 5, not at p = 3"),
 ], ids=["false-evidence", "unknown-nebentype-kind", "p-without-class-data",
         "repeated-frobenius-ell", "repeated-eigenvalue-ell", "frobenius-row-at-ell-dividing-N",
         "frobenius-row-at-p", "no-cycle-type-at-non-squarefree-ell", "no-cycle-type-no-sextic",
@@ -669,7 +671,7 @@ def _leading_coefficient_7(d):
         "fine-order5-on-4a-row-p5", "residue-degree-at-p3", "fine-order5-at-p5", "niveau-4",
         "niveau-1-without-triples", "niveau-3-without-m", "fixed-dim-4", "fixed-dim-negative",
         "single-slope-denominator", "repeated-nebentype-kind",
-        "repeated-nebentype-kind-among-others"])
+        "repeated-nebentype-kind-among-others", "artin-power-at-p3"])
 def test_well_formed_but_inconsistent_case_values_exit_3(tmp_path, capsys, case, edit, message):
     payload = case_json(case)
     edit(payload)

@@ -23,14 +23,17 @@ SL_3(F_25).
 import pytest
 
 from padic_serre import matrix_oracle
-from padic_serre.arith import Fp2Elem, cube_root_of_unity, elements
-from padic_serre.matrices import det3, identity, mat, scalar_mul
+from padic_serre.arith import cube_root_of_unity
+from padic_serre.matrices import sym_square
 from padic_serre.matrix_oracle import EXTRA_INVOLUTION
-from padic_serre.rep3a6 import sl2_generators, sym_square
+from padic_serre.rep3a6 import sl2_generators
 
-from matrix_reference import _loop_mul, _mat_key, _matrix_closure, _matrix_orders, _power
+from matrix_reference import (Fp2Elem, _loop_mul, _mat_key, _matrix_closure, _matrix_orders,
+                              _power, decode, det3, elements, identity, lift, mat, scalar_mul)
 
 P = 5
+Z = Fp2Elem(P, *cube_root_of_unity(P))
+H_GENERATORS = [decode(sym_square(g, P), P) for g in sl2_generators((1,))]  # Sym^2 SL_2(F_5)
 
 
 def _tetrahedral_normalizer(h):
@@ -96,8 +99,7 @@ def _intertwiner(k1, im1, k2, im2):
 
 
 def _derive_extra_involution():
-    h_gens = [sym_square(g) for g in sl2_generators(P, (1,))]
-    h = sorted(_matrix_closure(h_gens), key=_mat_key)
+    h = sorted(_matrix_closure(H_GENERATORS), key=_mat_key)
     assert len(h) == 60
     k = _tetrahedral_normalizer(h)
     orders = _matrix_orders(k)
@@ -106,10 +108,9 @@ def _derive_extra_involution():
     k1, k2 = order2[0], order3[0]
     e = identity(P, 3)
     one = Fp2Elem(P, 1, 0)
-    z = cube_root_of_unity(P)
-    units = list(elements(P))[1:]
+    units = elements(P)[1:]
     # order-3 images may carry a central cube-root twist; Klein images may not
-    order3_twisted = [scalar_mul(_power(z, j), m) for m in order3 for j in (0, 1, 2)]
+    order3_twisted = [scalar_mul(_power(Z, j), m) for m in order3 for j in (0, 1, 2)]
     for im1 in order2:
         for im2 in order3_twisted:
             m0 = _intertwiner(k1, im1, k2, im2)
@@ -123,7 +124,7 @@ def _derive_extra_involution():
                 if _loop_mul(m, m) != e:
                     continue
                 try:
-                    group = _matrix_closure(h_gens + [m], cap=1300)
+                    group = _matrix_closure(H_GENERATORS + [m], cap=1300)
                 except ValueError:
                     continue
                 if len(group) == 1080:
@@ -136,19 +137,19 @@ def test_frozen_involution_is_the_derived_one():
 
 
 def _frozen():
-    c = [Fp2Elem(P, c0, c1) for c0, c1 in EXTRA_INVOLUTION]
+    c = lift(P, EXTRA_INVOLUTION)
     return mat([c[0:3], c[3:6], c[6:9]])
 
 
 def _involution_of_h():
-    h = sorted(_matrix_closure([sym_square(g) for g in sl2_generators(P, (1,))]), key=_mat_key)
+    h = sorted(_matrix_closure(H_GENERATORS), key=_mat_key)
     orders = _matrix_orders(h)
     return next(m for m in h if orders[m] == 2)
 
 
 @pytest.mark.parametrize("witness,message", [
     (lambda: scalar_mul(Fp2Elem(P, -1, 0), _frozen()), "determinant 1"),
-    (lambda: scalar_mul(cube_root_of_unity(P), _frozen()), "not an involution"),
+    (lambda: scalar_mul(Z, _frozen()), "not an involution"),
     (_involution_of_h, "got 60"),
 ], ids=["minus-M", "z-times-M", "involution-of-H"])
 def test_a_wrong_witness_is_rejected(monkeypatch, witness, message):

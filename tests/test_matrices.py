@@ -2,39 +2,36 @@
 ``_product`` against the entrywise ``Fp2Elem`` loop, Dimino's walk against a
 breadth-first closure, the order walk against counting powers, the walks and
 the sorted builder ``_group`` against the same walks on ``Fp2Elem``
-matrices, and an exact count of 3x3 products for the whole group build.
-The groups are Sym^2 images in SL_3 of SL_2 over F_25, F_9 and F_49, and
-subgroups of the cover."""
+matrices, ``charpoly`` against det(1 - a*t) of the reference matrix, and an
+exact count of 3x3 products for the whole group build.  The groups are Sym^2
+images in SL_3 of SL_2 over F_25, F_9 and F_49, and subgroups of the cover."""
 
 import random
+import time
 
 import pytest
 
 from padic_serre import matrices, matrix_oracle
-from padic_serre.arith import Fp2Elem
-from padic_serre.matrices import (
-    _classes,
-    _decode,
-    _dimino,
-    _encode,
-    _group,
-    _orders,
-    _product,
-    _tables,
-    identity,
-    mat,
-)
+from padic_serre.matrices import (_classes, _dimino, _group, _orders, _product, _tables, charpoly,
+                                  sym_square)
 from padic_serre.matrix_oracle import EXTRA_INVOLUTION, _cover_codes, classified_cover
-from padic_serre.rep3a6 import a6_mod3_class_polys, sl2_generators, sym_square
+from padic_serre.rep3a6 import a6_mod3_class_polys, sl2_generators
 
-from matrix_reference import _loop_mul, _mat_key, _matrix_classes, _matrix_closure, _matrix_orders
+from matrix_reference import (Fp2Elem, _loop_mul, _mat_key, _matrix_classes, _matrix_closure,
+                              _matrix_orders, charpoly3_reversed, decode, encode, identity, lift,
+                              mat, pairs)
 
-W9 = Fp2Elem(3, 0, 1)
+W9 = 3  # the code of w in F_9
 RANDOM_SETS = [f"cover-{size}-{i}" for size in (2, 3) for i in range(4)]
 
 
+def _encoded(ms):
+    """Reference matrices over one F_{p^2} as code tuples, and p."""
+    return [encode(m) for m in ms], ms[0][0][0].p
+
+
 def _codes(ms):
-    return set(_encode(list(ms))[0])
+    return {encode(m) for m in ms}
 
 
 def _bfs_closure(generators):
@@ -64,11 +61,11 @@ def _brute_order(a):
 
 def _sym2_generators(p, entries):
     """The Sym^2 images in SL_3 of the transvection generators of SL_2."""
-    return [sym_square(g) for g in sl2_generators(p, entries)]
+    return [decode(sym_square(g, p), p) for g in sl2_generators(entries)]
 
 
 def _generator_sets():
-    cover = [_decode(a, 5) for a in _cover_codes()]
+    cover = [decode(a, 5) for a in _cover_codes()]
     rng = random.Random(20041018)
     sym2_f5 = _sym2_generators(5, (1,))
     sets = {
@@ -93,41 +90,29 @@ def test_mat_mul_matches_the_entrywise_loop(p, n):
 
     for _ in range(200):
         a, b = random_matrix(), random_matrix()
-        (x, y), _ = _encode([a, b])
-        assert _decode(_product(x, y, *_tables(p)[1:]), p) == _loop_mul(a, b)
-
-
-def test_mat_mul_rejects_mixed_fields_and_shapes():
-    a = identity(5, 3)
-    with pytest.raises(ValueError):
-        _encode([a, identity(3, 3)])
-    with pytest.raises(ValueError):
-        _encode([a, identity(5, 2)])
-    with pytest.raises(ValueError):
-        _encode([a, a[:2] + (a[2][:2],)])
-    with pytest.raises(ValueError):
-        _encode([identity(5, 2)])
+        (x, y), _ = _encoded([a, b])
+        assert decode(_product(x, y, *_tables(p)[:2]), p) == _loop_mul(a, b)
 
 
 def test_sl2_f7_closure_and_orders():
     """A third field, F_49, whose tables are built here: the Sym^2 image of
     SL_2(F_7), where the central sign dies, has 168 elements."""
     gens = _sym2_generators(7, (1,))
-    group = _group(gens, 168)
+    group = _group(*_encoded(gens), 168)
     assert set(group) == _codes(_bfs_closure(gens))
     orders = _orders(group, 7)
     assert set(orders) == set(group)
-    assert all(orders[a] == _brute_order(_decode(a, 7)) for a in group)
+    assert all(orders[a] == _brute_order(decode(a, 7)) for a in group)
 
 
 @pytest.mark.parametrize("name", ["SL2(F5)", "SL2(F9)", "cyclic", "redundant"] + RANDOM_SETS)
 def test_closure_matches_breadth_first(name):
     gens = _generator_sets()[name]
-    assert set(_dimino(*_encode(gens), cap=1080)) == _codes(_bfs_closure(gens))
+    assert set(_dimino(*_encoded(gens), cap=1080)) == _codes(_bfs_closure(gens))
 
 
 def test_closure_group_sizes():
-    sets = {name: _dimino(*_encode(gens), cap=1080) for name, gens in _generator_sets().items()}
+    sets = {name: _dimino(*_encoded(gens), cap=1080) for name, gens in _generator_sets().items()}
     assert len(sets["SL2(F5)"]) == 60
     assert len(sets["SL2(F9)"]) == 360
     assert len(sets["cyclic"]) == 15
@@ -137,7 +122,7 @@ def test_closure_group_sizes():
 
 
 def test_closure_raises_past_cap():
-    gens, p = _encode(_sym2_generators(5, (1,)))
+    gens, p = _encoded(_sym2_generators(5, (1,)))
     assert len(_dimino(gens, p, cap=60)) == 60
     with pytest.raises(ValueError):
         _dimino(gens, p, cap=59)
@@ -147,32 +132,43 @@ def test_closure_raises_past_cap():
 
 def test_group_rejects_a_singular_generator():
     """The builder checks the count before any order walk sees the list:
-    a singular generator closes to 2 elements, whose power walk would never
-    reach the identity."""
-    one, zero = Fp2Elem(3, 1, 0), Fp2Elem(3, 0, 0)
+    a singular generator closes to 2 elements.  The zero matrix and the
+    identity pass a count of 2, and the zero matrix's power walk gives up
+    after len(group) powers."""
     with pytest.raises(AssertionError, match="expected 360 elements, got 2"):
-        _group([mat([[one, zero, zero], [zero, one, zero], [zero, zero, zero]])], 360)
+        _group([(1, 0, 0, 0, 1, 0, 0, 0, 0)], 3, 360)
+    group = _group([(0,) * 9], 5, 2)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="no power equal to the identity among the first 2"):
+        _orders(group, 5)
+    assert time.perf_counter() - start < 1
 
 
-@pytest.mark.parametrize(
-    "group",
-    [
-        lambda: (_group(_sym2_generators(5, (1,)), 60), 5),
-        lambda: (_group(_sym2_generators(3, (1, W9)), 360), 3),
-        lambda: (_cover_codes(), 5),
-    ],
-    ids=["H", "mod3-image", "cover"],
-)
+GROUPS = {
+    "H": lambda: (_group(*_encoded(_sym2_generators(5, (1,))), 60), 5),
+    "mod3-image": lambda: (_group(*_encoded(_sym2_generators(3, (1, W9))), 360), 3),
+    "cover": lambda: (_cover_codes(), 5),
+}
+
+
+@pytest.mark.parametrize("group", GROUPS.values(), ids=GROUPS)
 def test_element_orders_match_power_counting(group):
     group, p = group()
     orders = _orders(group, p)
     assert set(orders) == set(group)
     for a in group:
-        assert orders[a] == _brute_order(_decode(a, p))
+        assert orders[a] == _brute_order(decode(a, p))
+
+
+@pytest.mark.parametrize("group", GROUPS.values(), ids=GROUPS)
+def test_charpoly_matches_the_reference_on_every_element(group):
+    group, p = group()
+    for a in group:
+        assert charpoly(a, p) == pairs(charpoly3_reversed(decode(a, p)))
 
 
 def _cover_generators():
-    c = [Fp2Elem(5, c0, c1) for c0, c1 in EXTRA_INVOLUTION]
+    c = lift(5, EXTRA_INVOLUTION)
     return _sym2_generators(5, (1,)) + [mat([c[0:3], c[3:6], c[6:9]])]
 
 
@@ -188,15 +184,17 @@ def test_code_walks_match_the_matrix_walks(gens, size):
     same keys, bucket order and member order as the references."""
     gens = gens()
     reference = _matrix_closure(gens)
-    codes, p = _encode(gens)
-    assert [_decode(a, p) for a in _dimino(codes, p, cap=size)] == reference
-    group = _group(gens, size)
-    elements = [_decode(a, p) for a in group]
+    codes, p = _encoded(gens)
+    assert [decode(a, p) for a in _dimino(codes, p, cap=size)] == reference
+    group = _group(codes, p, size)
+    elements = [decode(a, p) for a in group]
     assert elements == sorted(reference, key=_mat_key)
-    orders = [(_decode(a, p), n) for a, n in _orders(group, p).items()]
+    orders = [(decode(a, p), n) for a, n in _orders(group, p).items()]
     assert orders == list(_matrix_orders(elements).items())
-    classes = [(key, [_decode(a, p) for a in members]) for key, members in _classes(group, p).items()]
-    assert classes == list(_matrix_classes(elements).items())
+    classes = [(key, [decode(a, p) for a in members])
+               for key, members in _classes(group, p).items()]
+    assert classes == [((n, (tr.c0, tr.c1)), members)
+                       for (n, tr), members in _matrix_classes(elements).items()]
 
 
 def test_group_build_product_budget(monkeypatch):

@@ -7,7 +7,7 @@ import types
 import pytest
 
 import padic_serre
-from padic_serre import Fp2Elem, IntPoly, LevelDatum, NewtonPolygon, RamFiltration
+from padic_serre import EigenvalueRecord, IntPoly, LevelDatum, NewtonPolygon, RamFiltration
 from padic_serre.arith import Record
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -23,7 +23,7 @@ def test_all_exports_resolve_to_non_module_attributes():
 def test_public_api_is_pinned():
     assert padic_serre.__all__ == [
         "AttachmentVerdict", "Certificate", "DirichletCharacter", "EigenvalueRecord",
-        "EvidenceError", "Fp2Elem", "InconsistencyError", "InertiaProfile", "IntPoly",
+        "EvidenceError", "InconsistencyError", "InertiaProfile", "IntPoly",
         "LevelDatum", "NewtonPolygon", "ORD_INFINITY", "PadicSerreError", "PrecisionReport",
         "RamFiltration", "SchemaError", "Triple", "a6_mod3_class_polys",
         "certify_same_extension", "char_value", "check_attached",
@@ -56,11 +56,12 @@ def test_records_are_read_only_values():
         datum.q = 7
     with pytest.raises(AttributeError):
         del datum.filtration
-    x = Fp2Elem(5, 7, -1)
-    assert isinstance(x, Record) and x == Fp2Elem(5, 2, 4) and hash(x) == hash((5, 2, 4))
-    assert pickle.loads(pickle.dumps(x)) == x and repr(x) == "(2 + 4*w mod 5)"
+    x = EigenvalueRecord(7, (7, -1), (0, 5), (1, 0), 5)
+    assert isinstance(x, Record) and x == EigenvalueRecord(7, (2, 4), (0, 0), (1, 0), 5)
+    assert hash(x) == hash((7, (2, 4), (0, 0), (1, 0), 5)) and pickle.loads(pickle.dumps(x)) == x
+    assert repr(x) == "EigenvalueRecord(ell=7, a1=(2, 4), a2=(0, 0), a3=(1, 0), p=5)"
     with pytest.raises(AttributeError):
-        x.c0 = 0
+        x.a1 = (0, 0)
     f = IntPoly([-6, 1, 0])
     assert isinstance(f, Record) and f == IntPoly([-6, 1]) and hash(f) == hash(IntPoly([-6, 1]))
     assert pickle.loads(pickle.dumps(f)) == f and repr(f) == "IntPoly(x - 6)"

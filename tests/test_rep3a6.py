@@ -6,36 +6,30 @@ import sys
 
 import pytest
 
-from padic_serre.arith import Fp2Elem, cube_root_of_unity, frobenius_pairs
+from padic_serre.arith import cube_root_of_unity, frobenius_pairs
 from padic_serre.casefile import CaseFile, verify_case
 from padic_serre.errors import InconsistencyError
-from padic_serre.matrices import (
-    _classes,
-    _decode,
-    _group,
-    charpoly3_reversed,
-    det3,
-    identity,
-    mat,
-    trace,
-)
+from padic_serre.matrices import _classes, _group, charpoly, sym_square
 from padic_serre.matrix_oracle import classified_cover, oracle_charpoly
-from padic_serre.rep3a6 import (
-    COVER_COARSE,
-    TRACES,
-    a6_mod3_class_polys,
-    char_value,
-    class_charpolys,
-    coarse_from_cycle_type,
-    frob_charpoly,
-    frobenius_class,
-    inverse_class,
-    sl2_generators,
-    sym_square,
-)
+from padic_serre.rep3a6 import (COVER_COARSE, TRACES, a6_mod3_class_polys, char_value,
+                                class_charpolys, coarse_from_cycle_type, frob_charpoly,
+                                frobenius_class, inverse_class, sl2_generators)
 
 from bundled_json import case_json
-from matrix_reference import _loop_mul, _mat_key, _matrix_closure, _power
+from matrix_reference import (Fp2Elem, _loop_mul, _mat_key, _matrix_closure, _power,
+                              charpoly3_reversed, decode, det3, encode, identity, lift, mat, pairs,
+                              trace)
+
+
+def _sym2(m):
+    """``sym_square`` on a reference matrix over F_{p^2}."""
+    p = m[0][0].p
+    return decode(sym_square(encode(m), p), p)
+
+
+def _sl2_f9():
+    """SL_2(F_9) as reference matrices, closed from the transvections."""
+    return _matrix_closure([decode(g, 3) for g in sl2_generators((1, 3))])
 
 
 def test_coarse_from_cycle_type():
@@ -62,12 +56,12 @@ def test_coarse_rejects_odd_and_bad_partitions():
     (5, (4, 2), 1, "unknown", "12a"),
     (5, (2, 2, 1, 1), 0, "unknown", "2a"),
     (5, (3, 3), 1, "unknown", "3cd"),
-    (3, (5, 1), 1, "unknown", "5ab"),
-    (3, (5, 1), 0, "5a", "5a"),
-    (3, (5, 1), 2, "5b", "5b"),
-    (3, (4, 2), 1, "unknown", "4a"),
-    (3, (3, 1, 1, 1), 2, "unknown", "3ab"),
-    (3, (1,) * 6, 1, "unknown", "1a"),
+    (3, (5, 1), None, "unknown", "5ab"),
+    (3, (5, 1), None, "5a", "5a"),
+    (3, (5, 1), None, "5b", "5b"),
+    (3, (4, 2), None, "unknown", "4a"),
+    (3, (3, 1, 1, 1), None, "unknown", "3ab"),
+    (3, (1,) * 6, None, "unknown", "1a"),
 ], ids=["p5-15bd", "p5-3a", "p5-12a", "p5-2a", "p5-3cd", "p3-5ab", "p3-5a", "p3-5b", "p3-4a",
         "p3-3ab", "p3-1a"])
 def test_frobenius_class_table(p, cycle_type, artin_power, fine, label):
@@ -81,7 +75,9 @@ def test_frobenius_class_table(p, cycle_type, artin_power, fine, label):
     (5, (3, 3), 1, "unknown", "residue degree 1 does not match element order 3"),
     (3, (4, 2), None, "5a", "fine_order5 5a contradicts the cycle type's class 4a"),
     (5, (5, 1), None, "5b", "fine_order5 5b splits 5ab only at p = 3, not at p = 5"),
-], ids=["degree-p3", "degree-3cd-p5", "fine-on-4a-p3", "fine-p5"])
+    (3, (5, 1), None, "unknown", "artin_power 0 twists the class only at p = 5, not at p = 3"),
+    (7, (5, 1), None, "unknown", "no frozen class data for p = 7; only p in (3, 5) is bundled"),
+], ids=["degree-p3", "degree-3cd-p5", "fine-on-4a-p3", "fine-p5", "artin-power-p3", "p7"])
 def test_frobenius_class_rejects_inconsistent_rows(p, cycle_type, residue_degree, fine, message):
     with pytest.raises(InconsistencyError, match=re.escape(message)):
         frobenius_class(p, cycle_type, 0, residue_degree, fine)
@@ -105,33 +101,35 @@ def test_frobenius_class_untwisted_lands_in_base_lifts():
 
 
 def test_char_values_and_inverse():
-    z = cube_root_of_unity(5)
-    assert char_value("15bd") == Fp2Elem(5, -2, 0) * z * z
-    assert char_value("3cd") == Fp2Elem(5, 0, 0)
-    assert char_value("1a") == Fp2Elem(5, 3, 0)
+    z = Fp2Elem(5, *cube_root_of_unity(5))
+    assert char_value("15bd") == pairs([Fp2Elem(5, -2, 0) * z * z])[0]
+    assert char_value("3cd") == (0, 0)
+    assert char_value("1a") == (3, 0)
     assert inverse_class("15bd") == "15ac"
     assert inverse_class("2a") == "2a"
 
 
 def test_char_table_conjugation_compatibility():
     for cls in COVER_COARSE:
-        assert char_value(inverse_class(cls)) == char_value(cls).frobenius()
+        assert lift(5, [char_value(inverse_class(cls))]) == [
+            x.frobenius() for x in lift(5, [char_value(cls)])]
 
 
 def test_frob_charpoly_examples():
-    z = cube_root_of_unity(5)
+    z = Fp2Elem(5, *cube_root_of_unity(5))
     zp = z * z
     one = Fp2Elem(5, 1, 0)
-    assert frob_charpoly("15bd", 1) == [one, Fp2Elem(5, 2, 0) * zp, Fp2Elem(5, 3, 0) * z, -one]
-    assert frob_charpoly("1a", 1) == [one, Fp2Elem(5, -3, 0), Fp2Elem(5, 3, 0), Fp2Elem(5, -1, 0)]
-    assert frob_charpoly("2a", -1) == [one, -one, -one, one]
+    assert frob_charpoly("15bd", 1) == pairs([one, Fp2Elem(5, 2, 0) * zp, Fp2Elem(5, 3, 0) * z,
+                                              -one])
+    assert frob_charpoly("1a", 1) == ((1, 0), (2, 0), (3, 0), (4, 0))
+    assert frob_charpoly("2a", -1) == ((1, 0), (4, 0), (4, 0), (1, 0))
 
 
 def test_frob_charpoly_reciprocal_symmetry():
     # t^3 p(1/t) = -eps^3 * conj(p)(t) on every class and sign
     for cls in COVER_COARSE:
         for eps in (1, -1):
-            c = frob_charpoly(cls, eps)
+            c = lift(5, frob_charpoly(cls, eps))
             reversed_poly = list(reversed(c))
             eps3 = _power(Fp2Elem(5, eps, 0), 3)
             conj = [x.frobenius() * (-eps3) for x in c]
@@ -140,44 +138,41 @@ def test_frob_charpoly_reciprocal_symmetry():
 
 def test_sym_square_basics():
     one, zero = Fp2Elem(3, 1, 0), Fp2Elem(3, 0, 0)
-    ident = mat([[one, zero], [zero, one]])
-    cube = [one, Fp2Elem(3, -3, 0), Fp2Elem(3, 3, 0), -one]
-    assert charpoly3_reversed(sym_square(ident)) == cube
+    assert charpoly(sym_square((1, 0, 0, 1), 3), 3) == ((1, 0), (0, 0), (0, 0), (2, 0))
     # an order-4 element has trace 0, so its square image has trace -1
     m = mat([[zero, one], [-one, zero]])
-    assert trace(sym_square(m)) == Fp2Elem(3, -1, 0)
+    assert trace(_sym2(m)) == Fp2Elem(3, -1, 0)
 
 
 def test_sym_square_is_multiplicative():
     rng = random.Random(60)
-    sl2_f9 = _matrix_closure(sl2_generators(3, (Fp2Elem(3, 1, 0), Fp2Elem(3, 0, 1))))
-    elems = sorted(sl2_f9, key=_mat_key)
+    elems = sorted(_sl2_f9(), key=_mat_key)
     for _ in range(80):
         a, b = rng.choice(elems), rng.choice(elems)
-        assert sym_square(_loop_mul(a, b)) == _loop_mul(sym_square(a), sym_square(b))
+        assert _sym2(_loop_mul(a, b)) == _loop_mul(_sym2(a), _sym2(b))
 
 
 def test_sym_square_trace_identity_and_eigenvalues():
     # det(1 - Sym2(M) t) = 1 - (tr^2 - 1) t + (tr^2 - 1) t^2 - t^3,
     # from the eigenvalue multiset {u^2, uv=1, v^2}
-    elems = _matrix_closure(sl2_generators(3, (Fp2Elem(3, 1, 0), Fp2Elem(3, 0, 1))))
+    elems = _sl2_f9()
     assert len(elems) == 720
     one = Fp2Elem(3, 1, 0)
     for m in elems:
         assert m[0][0] * m[1][1] - m[0][1] * m[1][0] == one
         tr = trace(m)
-        assert trace(sym_square(m)) == tr * tr - one
+        assert trace(_sym2(m)) == tr * tr - one
         expect = [one, -(tr * tr - one), tr * tr - one, -one]
-        assert charpoly3_reversed(sym_square(m)) == expect
+        assert charpoly(sym_square(encode(m), 3), 3) == pairs(expect)
 
 
 def test_mod3_tables_are_conjugate_pair():
     t1, t2 = a6_mod3_class_polys()
     assert set(t1) == {"1a", "2a", "3ab", "4a", "5a", "5b"}
     for cls in t1:
-        assert [c.frobenius() for c in t1[cls]] == t2[cls]
+        assert [c.frobenius() for c in lift(3, t1[cls])] == lift(3, t2[cls])
     # unipotent classes collapse to (1 - t)^3 = 1 - t^3 in characteristic 3
-    cube = [Fp2Elem(3, 1, 0), Fp2Elem(3, 0, 0), Fp2Elem(3, 0, 0), -Fp2Elem(3, 1, 0)]
+    cube = ((1, 0), (0, 0), (0, 0), (2, 0))
     assert t1["1a"] == cube and t1["3ab"] == cube
     # the golden classes are swapped between the two tables and conjugate
     assert t1["5a"] != t1["5b"]
@@ -210,10 +205,10 @@ def test_matrix_oracle_agrees_with_frozen_tables():
 
 
 def _twisted_pairs(poly, eps):
-    """det(1 - eps*A*t) as coefficient pairs, from the coefficients of
-    det(1 - A*t) over F_{p^2}: eps = -1 negates the odd coefficients."""
-    twisted = [-c if eps == -1 and k % 2 else c for k, c in enumerate(poly)]
-    return tuple((c.c0, c.c1) for c in twisted)
+    """det(1 - eps*A*t) as coefficient pairs, from the pairs of
+    det(1 - A*t) over F_9: eps = -1 negates the odd coefficients."""
+    return tuple((-c0 % 3, -c1 % 3) if eps == -1 and k % 2 else (c0, c1)
+                 for k, (c0, c1) in enumerate(poly))
 
 
 def test_frozen_mod3_table_matches_the_closure():
@@ -238,10 +233,9 @@ def _inverse(g):
 def test_charpoly_is_the_trace_rule_at_both_primes():
     # det g = 1: det(1 - g t) = 1 - tr(g) t + tr(g^-1) t^2 - t^3
     cover = classified_cover()
-    mod3 = _classes(_group([sym_square(g) for g in sl2_generators(3, (1, Fp2Elem(3, 0, 1)))],
-                           360), 3)
-    reps = [cover[cls]["representative"] for cls in COVER_COARSE]
-    reps += [_decode(members[0], 3) for members in mod3.values()]
+    mod3 = _classes(_group([sym_square(g, 3) for g in sl2_generators((1, 3))], 3, 360), 3)
+    reps = [decode(cover[cls]["representative"], 5) for cls in COVER_COARSE]
+    reps += [decode(members[0], 3) for members in mod3.values()]
     assert len(reps) == 13 + 6
     for g in reps:
         one = Fp2Elem(g[0][0].p, 1, 0)
@@ -259,22 +253,3 @@ def test_p3_case_runs_no_closure():
                           env=dict(os.environ, PYTHONPATH=src), check=True)
     assert proc.stdout.strip() == "0"
 
-
-def test_verify_path_builds_no_field_elements():
-    # charpolys stay coefficient pairs from the trace table to the report:
-    # a cold pass over the 12 bundled cases constructs no Fp2Elem
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    probe = ("from padic_serre import arith\n"
-             "built, init = [], arith.Fp2Elem.__init__\n"
-             "def counted(self, *args):\n"
-             "    built.append(args)\n"
-             "    init(self, *args)\n"
-             "arith.Fp2Elem.__init__ = counted\n"
-             "from padic_serre.casefile import BUNDLED, load_bundled_case, report_to_json,"
-             " verify_case\n"
-             "for name in BUNDLED:\n"
-             "    report_to_json(verify_case(load_bundled_case(name)))\n"
-             "print(len(built))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert proc.stdout.strip() == "0"

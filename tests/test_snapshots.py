@@ -95,7 +95,8 @@ def _with_records(name: str, variant: str) -> str:
         records = [rec.conjugate() for rec in records]
     elif variant == "bumped":
         rec = records[len(records) // 2]
-        records[len(records) // 2] = EigenvalueRecord(rec.ell, rec.a1, rec.a2 + 1, rec.a3)
+        records[len(records) // 2] = EigenvalueRecord(rec.ell, rec.a1, (rec.a2[0] + 1, rec.a2[1]),
+                                                      rec.a3, rec.p)
     payload["eigenvalues"] = [rec.to_json() for rec in records]
     return report_to_json(verify_case(CaseFile.from_dict(payload)))
 
