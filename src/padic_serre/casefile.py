@@ -30,7 +30,7 @@ from .galois_local import LevelDatum, level
 from .hecke import EIGENVALUE, EigenvalueRecord, check_attached
 from .krasner import METHODS, certify_same_extension, parse_evidence
 from .polynomial import IntPoly, cycle_types
-from .rep3a6 import TRACES, class_charpolys, frobenius_class
+from .rep3a6 import class_charpolys, frobenius_class
 from .weights import DirichletCharacter, InertiaProfile, nebentype_factor, predicted_weights
 
 DEFAULT_ELL_MAX = 47
@@ -167,9 +167,6 @@ def frobenius_stage(case: CaseFile, ell_max: int = DEFAULT_ELL_MAX):
         if a["ell"] == b["ell"]:
             raise InconsistencyError(f"duplicate ell {a['ell']} in frobenius_inputs")
     entries = [e for e in inputs if e["ell"] <= ell_max]
-    if entries and case.p not in TRACES:
-        raise InconsistencyError(f"no frozen class data for p = {case.p};"
-                                 f" only p in {tuple(sorted(TRACES))} is bundled")
     for e in inputs:
         if case.p * n % e["ell"] == 0:
             raise InconsistencyError(f"frobenius_inputs row at ell {e['ell']}: ell divides"

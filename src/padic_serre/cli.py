@@ -42,19 +42,23 @@ EXIT_MATH = 3
 
 
 def _load(path: str, table, key: str | None = None):
-    """The JSON file at path read by table, or its field key read by table
-    if it is an object with one: a case file, its other keys declared by
-    CASE and not read.  A SchemaError names the file."""
+    """The JSON file at path read by table.  With a key, a pair: for a case
+    file, an object with the key, its field key read by table and its p by
+    CASE's rule (None if absent), its other keys declared by CASE and not
+    read; for any other file, the file read by table and None.  A
+    SchemaError names the file."""
     payload = read_json(path)
-    if key is not None and isinstance(payload, dict) and key in payload:
-        table = {**dict.fromkeys(CASE, (lambda value: value, None)), key: (table, None)}
-    else:
-        key = None
+    case = key is not None and isinstance(payload, dict) and key in payload
+    if case:
+        table = {**dict.fromkeys(CASE, (lambda value: value, None)),
+                 "p": (CASE["p"][0], None), key: (table, None)}
     try:
         value = read_fields(payload, table)
     except SchemaError as exc:
         raise SchemaError(f"in {path}: {exc}") from exc
-    return value if key is None else value[key]
+    if key is None:
+        return value
+    return (value[key], value["p"]) if case else (value, None)
 
 
 def _evidence_flag(spec: str) -> tuple:
@@ -82,12 +86,12 @@ def cmd_certify(args) -> dict:
 
 
 def cmd_level(args) -> dict:
-    data = _load(args.data, [LevelDatum.from_json], "level_data")
-    return level_section(*level(data, p=args.p))
+    data, p = _load(args.data, [LevelDatum.from_json], "level_data")
+    return level_section(*level(data, p=p if args.p is None else args.p))
 
 
 def cmd_weights(args) -> dict:
-    profile = _load(args.profile, InertiaProfile.from_json, "inertia_profile")
+    profile, _ = _load(args.profile, InertiaProfile.from_json, "inertia_profile")
     return weights_section(profile, args.p, printed="printed")
 
 

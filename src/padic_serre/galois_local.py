@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from math import prod
 
-from .arith import Record, is_prime
+from .arith import Record, _require_prime
 from .errors import REQUIRED, InconsistencyError, SchemaError, json_int, json_str, read_fields
 
 #: One step (order_i, fixed_dim_i) of a filtration.
@@ -64,8 +64,7 @@ class LevelDatum(Record):
     __slots__ = ("q", "filtration")
 
     def __init__(self, q: int, filtration: RamFiltration):
-        if not is_prime(q):
-            raise SchemaError(f"level_data entry at q {q}: q is not prime")
+        _require_prime(q)
         self._set(q, filtration)
 
     @classmethod

@@ -18,12 +18,12 @@ indeterminate.
 
 from __future__ import annotations
 
-from .arith import Record, frobenius_pairs
-from .errors import REQUIRED, InconsistencyError, json_int, read_fields
+from .arith import Record, frobenius_pairs, json_prime
+from .errors import REQUIRED, InconsistencyError, json_int
 
-#: An eigenvalue record: ell and the three eigenvalues, each a pair (c0, c1)
-#: of coefficients of an element of F_{p^2}.
-EIGENVALUE = {"ell": (json_int, REQUIRED), "a": ([[json_int, 2], 3], REQUIRED)}
+#: An eigenvalue record: the prime ell and the three eigenvalues, each a pair
+#: (c0, c1) of coefficients of an element of F_{p^2}.
+EIGENVALUE = {"ell": (json_prime, REQUIRED), "a": ([[json_int, 2], 3], REQUIRED)}
 
 
 class EigenvalueRecord(Record):
@@ -39,11 +39,6 @@ class EigenvalueRecord(Record):
                                 self.p)
 
     @classmethod
-    def from_json(cls, payload, p: int) -> "EigenvalueRecord":
-        """The record read by EIGENVALUE, over F_{p^2}."""
-        return cls.from_fields(read_fields(payload, EIGENVALUE), p)
-
-    @classmethod
     def from_fields(cls, fields: dict, p: int) -> "EigenvalueRecord":
         """The record of fields read by EIGENVALUE, over F_{p^2}."""
         return cls(fields["ell"], *fields["a"], p)
@@ -52,8 +47,9 @@ class EigenvalueRecord(Record):
         return {"ell": self.ell, "a": [list(x) for x in (self.a1, self.a2, self.a3)]}
 
 
-def hecke_poly(rec: EigenvalueRecord, p: int) -> tuple[tuple[int, int], ...]:
-    """Coefficients [1, -a1, ell*a2, -ell^3*a3] as reduced pairs (c0, c1)."""
+def hecke_poly(rec: EigenvalueRecord) -> tuple[tuple[int, int], ...]:
+    """Coefficients [1, -a1, ell*a2, -ell^3*a3] as pairs (c0, c1) reduced mod rec.p."""
+    p = rec.p
     ell = rec.ell % p
     if ell == 0:
         raise InconsistencyError(f"ell = {rec.ell} is divisible by p = {p}")
@@ -99,7 +95,7 @@ def check_attached(records: list[EigenvalueRecord], frob_polys: dict) -> Attachm
                       for cubic in frob_polys[rec.ell]]
         if len(candidates) > 1:
             indeterminate.append(rec.ell)
-        h = hecke_poly(rec, p)
+        h = hecke_poly(rec)
         direct.append(h in candidates)
         conjugate.append(frobenius_pairs(p, h) in candidates)
         per_ell[rec.ell] = ("match" if direct[-1] else

@@ -25,7 +25,10 @@ Irreducibility over Q_p is not decided here; callers supply evidence that
 this module validates:
 
   ("eisenstein-after-shift", a)   f(x+a) is Eisenstein at p
-  ("irreducible-mod-q", q)        f stays irreducible mod the prime q
+  ("irreducible-mod-q", q)        f stays irreducible mod the prime q,
+                                  a proof over Q_p only for q = p, though
+                                  any q is accepted (x^2 + 7 is irreducible
+                                  mod 3 and splits over Q_2)
   ("single-slope",)               Newton polygon is one slope with
                                   denominator equal to deg f
   ("caller-assertion",)           accepted but flagged in the report

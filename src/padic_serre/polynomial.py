@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial, prod
 from operator import mul
 
-from .arith import Record, is_prime, ord_p
+from .arith import Record, _require_prime, ord_p
 from .errors import InconsistencyError, json_int
 
 
@@ -334,8 +334,7 @@ def cycle_types(T: IntPoly, ells) -> list[tuple[int, ...] | None]:
     gets 32 ells at a time: products mod m grow faster than the ells they serve."""
     ells, n, disc = tuple(ells), T.degree, None
     for ell in ells:
-        if not is_prime(ell):
-            raise ValueError(f"{ell} is not prime")
+        _require_prime(ell)
         if n < 1:
             raise ValueError("constant polynomial has no cycle type")
         if disc is None:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Collection, NamedTuple, Optional
 
-from .arith import Record, is_prime, legendre_symbol
+from .arith import Record, _require_prime, legendre_symbol
 from .errors import NULLABLE, REQUIRED, InconsistencyError, json_int, json_str, read_fields
 
 
@@ -66,8 +66,7 @@ def _component_options(target: int, lower: int, m: int, flag: str) -> list[int]:
 def p_restrict(A: int, B: int, C: int, p: int, flags=("none", "none")) -> set[Triple]:
     """All p-restricted triples congruent to (A-2, B-1, C) mod p-1, with the
     block ambiguities resolved by flags = (top flag, bottom flag)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     top, bottom = flags
     if top not in FLAGS or bottom not in FLAGS:
         raise ValueError(f"flags must be drawn from {FLAGS}")
@@ -188,8 +187,7 @@ class DirichletCharacter(Record):
         return "*".join(sorted(self.kinds)) if self.kinds else "trivial"
 
     def sign_at(self, ell: int) -> int:
-        if not is_prime(ell):
-            raise ValueError(f"{ell} is not prime")
+        _require_prime(ell)
         if self.conductor % ell == 0:
             raise InconsistencyError(f"{ell} divides the conductor {self.conductor}")
         sign = 1

@@ -16,6 +16,9 @@ from padic_serre.arith import (
     quadratic_modulus,
 )
 from padic_serre.errors import InconsistencyError, SchemaError
+from padic_serre.galois_local import LevelDatum, RamFiltration
+from padic_serre.polynomial import IntPoly, cycle_types
+from padic_serre.weights import DirichletCharacter, p_restrict
 
 from matrix_reference import Fp2Elem, _power, elements, pairs
 
@@ -59,6 +62,19 @@ def test_is_prime_refuses_past_its_proven_limit():
     assert not is_prime((10**12 + 39) ** 2)
     with pytest.raises(SchemaError, match="3317044064679887385961981"):
         is_prime(10**25 + 13)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cycle_types(IntPoly((1, 0, 1)), [4]),
+    lambda: p_restrict(2, 1, 0, 4),
+    lambda: DirichletCharacter(5).sign_at(4),
+    lambda: LevelDatum(4, RamFiltration(((2, 1),))),
+], ids=["cycle-types", "p-restrict", "sign-at", "level-datum"])
+def test_every_layer_refuses_a_non_prime_with_one_message(call):
+    """arith._require_prime is the one check behind each of these."""
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == "4 is not prime"
 
 
 def test_ord_examples():

@@ -24,7 +24,7 @@ def _reference(records, frob_polys) -> tuple[dict, str, tuple]:
         ell = Fp2Elem(rec.p, rec.ell, 0)  # the Hecke cubic by F_{p^2} arithmetic
         a1, a2, a3 = lift(rec.p, (rec.a1, rec.a2, rec.a3))
         h = [Fp2Elem(rec.p, 1, 0), -a1, a2 * ell, -(a3 * ell * ell * ell)]
-        assert hecke_poly(rec, rec.p) == pairs(h)
+        assert hecke_poly(rec) == pairs(h)
         candidates = [lift(rec.p, cubic) for cubic in frob_polys[rec.ell]]
         if len(candidates) > 1:
             indeterminate.append(rec.ell)

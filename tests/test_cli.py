@@ -478,8 +478,9 @@ def test_case_values_outside_the_schema_exit_2(tmp_path, capsys, case, edit):
     (lambda d: d["level_data"][0].update(provenance=None), "level_data[0].provenance"),
     (lambda d: d.update(has_cover="yes"), "has_cover"),
     (lambda d: d.update(ramified=[5, 18]), "ramified[1]"),
+    (lambda d: d.update(eigenvalues=[dict(EIGENVALUES_AT_2, ell=4)]), "eigenvalues[0].ell"),
 ], ids=["source", "provenance", "artin-provenance", "level-provenance", "has-cover",
-        "ramified-not-prime"])
+        "ramified-not-prime", "eigenvalue-ell-not-prime"])
 def test_non_string_annotation_names_its_key(tmp_path, capsys, edit, path):
     payload = case_json("5-17-1")
     edit(payload)
@@ -598,6 +599,12 @@ def _fine_order5(d, ell, fine, sextic=True):
     next(row for row in d["frobenius_inputs"] if row["ell"] == ell)["fine_order5"] = fine
 
 
+def _p_7_without_a_row_at_7(d):
+    """p = 7, which has no class data, and the row at 7 dropped: a row at
+    an ell dividing pN would be refused before its class is read."""
+    d.update(p=7, frobenius_inputs=[row for row in d["frobenius_inputs"] if row["ell"] != 7])
+
+
 def _leading_coefficient_7(d):
     """The sextic T replaced by T + 6x^6: the same mod 2 and mod 3, so the
     rows at 2 and 3 still agree, with 7 | lc but not disc = 5 mod 7."""
@@ -608,7 +615,7 @@ def _leading_coefficient_7(d):
     ("5-17-1", lambda d: _certificate(d, evidence_f=["irreducible-mod-q", 3]),
      "f: reduction mod 3"),
     ("5-17-1", lambda d: d["nebentype"].update(kinds=["eps99"]), "unknown character kinds"),
-    ("5-17-1", lambda d: d.update(p=7), "no frozen class data for p = 7"),
+    ("5-17-1", _p_7_without_a_row_at_7, "row at ell 2: no frozen class data for p = 7"),
     ("5-17-1", lambda d: d["frobenius_inputs"].append(
         dict(d["frobenius_inputs"][0], artin_power=2)), "duplicate ell 2 in frobenius_inputs"),
     ("5-17-1", lambda d: d.update(eigenvalues=[EIGENVALUES_AT_2] * 2),
@@ -730,7 +737,22 @@ def test_level_rejects_non_prime_q(tmp_path, capsys):
     })
     assert main(["level", data]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "q 4: q is not prime" in captured.err
+    assert captured.out == "" and "level_data[0]: 4 is not prime" in captured.err
+
+
+def test_level_reads_a_case_files_p_unless_p_is_given(tmp_path, capsys):
+    """level checks a case file's level primes against the case's p, as
+    verify-case does; a --p given on the command line wins."""
+    payload = case_json("3-13-9")
+    payload["level_data"][0]["q"] = 3
+    path = _write(tmp_path, "q3.json", payload)
+    for command in ("verify-case", "level"):
+        assert main([command, path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "level prime 3 equals the residue characteristic" in captured.err
+    assert main(["level", path, "--p", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["exponents"] == {"3": 2}
 
 
 @pytest.mark.parametrize("payload", [{}, {"level_data": {}}, {"level_data": "2"}],

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from padic_serre.arith import frobenius_pairs
-from padic_serre.errors import InconsistencyError, SchemaError
-from padic_serre.hecke import EigenvalueRecord, check_attached, hecke_poly
+from padic_serre.errors import InconsistencyError, SchemaError, read_fields
+from padic_serre.hecke import EIGENVALUE, EigenvalueRecord, check_attached, hecke_poly
 
 from helpers import solve_record
 from matrix_reference import Fp2Elem, _power, lift, pairs
@@ -19,7 +19,7 @@ def test_hecke_poly_trivial_representation():
     inv = _power(Fp2Elem(5, 7, 0), 5 * 5 - 2)
     rec = EigenvalueRecord(ell, *pairs([Fp2Elem(5, 3, 0), Fp2Elem(5, 3, 0) * inv, _power(inv, 3)]),
                            5)
-    assert hecke_poly(rec, 5) == ((1, 0), (2, 0), (3, 0), (4, 0))
+    assert hecke_poly(rec) == ((1, 0), (2, 0), (3, 0), (4, 0))
 
 
 def test_hecke_poly_coefficient_pattern():
@@ -29,18 +29,24 @@ def test_hecke_poly_coefficient_pattern():
     for _ in range(100):
         ell = rng.choice([2, 3, 7, 11, 13])
         rec = EigenvalueRecord(ell, *_random_cubic(rng, 5)[1:], 5)
-        base = lift(5, hecke_poly(rec, 5))
+        base = lift(5, hecke_poly(rec))
         delta = Fp2Elem(5, rng.randrange(1, 5), rng.randrange(5))
         bumped = EigenvalueRecord(ell, rec.a1, *pairs([Fp2Elem(5, *rec.a2) + delta]), rec.a3, 5)
-        diff = [b - a for a, b in zip(base, lift(5, hecke_poly(bumped, 5)))]
+        diff = [b - a for a, b in zip(base, lift(5, hecke_poly(bumped)))]
         li = Fp2Elem(5, ell, 0)
         assert diff == [Fp2Elem(5, 0, 0), Fp2Elem(5, 0, 0), li * delta, Fp2Elem(5, 0, 0)]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_hecke_poly_reduces_mod_the_records_p(p):
+    rec = EigenvalueRecord(7, (1, 0), (1, 0), (1, 0), p)
+    assert hecke_poly(rec) == ((1, 0), (-1 % p, 0), (7 % p, 0), (-7**3 % p, 0))
 
 
 def test_hecke_poly_rejects_ell_divisible_by_p():
     rec = EigenvalueRecord(5, (1, 0), (1, 0), (1, 0), 5)
     with pytest.raises(InconsistencyError):
-        hecke_poly(rec, 5)
+        hecke_poly(rec)
 
 
 @pytest.mark.parametrize("p", [3, 5, 1_000_003])
@@ -140,10 +146,10 @@ def test_solve_record_requires_unit_constant():
 
 def test_record_json_round_trip():
     rec = EigenvalueRecord(7, (1, 2), (3, 4), (0, 1), 5)
-    assert EigenvalueRecord.from_json(rec.to_json(), 5) == rec
+    assert EigenvalueRecord.from_fields(read_fields(rec.to_json(), EIGENVALUE), 5) == rec
 
 
 @pytest.mark.parametrize("values", [[[1, 0]], [[1, 0]] * 4, []])
 def test_record_without_three_values_is_a_schema_error(values):
     with pytest.raises(SchemaError):
-        EigenvalueRecord.from_json({"ell": 2, "a": values}, 5)
+        read_fields({"ell": 2, "a": values}, EIGENVALUE)
